@@ -10,21 +10,21 @@ import numpy as np
 from dataclasses import replace
 
 from rapd import RunOptions, run
-from rapd.harness.suites import part1_suite_problem, _part1_certificate
+from rapd.harness.suites import part2_suite_certificate, part2_suite_problem
 from rapd.stepsize import (check_assumption2, default_alpha,
                            nonuniform_weights, part1_schedule, schedule_prefix)
 
-problem, x0, y0 = part1_suite_problem()
+# non-uniform constant steps need a coupling linear in the dual (L_yy = 0)
+problem, x0, y0 = part2_suite_problem()
 m = problem.partition.m
-cert = _part1_certificate(problem)
+cert = part2_suite_certificate(problem)
 alpha = default_alpha(problem.constants)
 
 # skew sampling toward the first blocks
 p = np.linspace(2.0, 1.0, m)
 p /= p.sum()
 sched_u = part1_schedule(problem.constants, m, alpha)
-sched_p = nonuniform_weights(problem.constants.scaled(1.0), m, alpha, p,
-                             regime="part1")
+sched_p = nonuniform_weights(problem.constants, m, alpha, p, regime="part1")
 print("sampling probabilities:", np.round(p, 4))
 print("uniform tau:   ", np.round(sched_u.tau, 4))
 print("non-uniform tau:", np.round(sched_p.tau, 4),

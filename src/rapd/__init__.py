@@ -11,7 +11,7 @@ saddle oracles, a multiple-kernel SVM experiment, and a benchmark harness
 that verifies the O(m/K) and O(m/K^2) rates empirically.
 """
 
-from .blockcore import BlockPartition, BlockVector, DiagWeights, weighted_norm_sq
+from .blockcore import BlockPartition
 from .bregman import (BregmanGeometry, EntropyGeometry, EuclideanGeometry,
                       IndicatorBall, IndicatorBox, IndicatorNonneg,
                       IndicatorSimplex, L1, NonnegQuadratic, ProductGeometry,

@@ -13,15 +13,12 @@ ergodic average of the half-points is the rate-carrying output.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .bregman import bregman_prox
-from .exceptions import DivergenceError, ParameterError
+from .exceptions import ParameterError
 from .problem import SaddleProblem, power_norm
-from .solver import DIVERGENCE_LIMIT, RunTrace, TraceRecord
-from .harness.metrics import lagrangian_gap
+from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
 
 
 def _full_primal_prox(problem, x, grad, tau):
@@ -30,6 +27,12 @@ def _full_primal_prox(problem, x, grad, tau):
         out[sl] = bregman_prox(problem.primal_geometry[i], problem.f[i],
                                tau, grad[sl], x[sl])
     return out
+
+
+def _constant_steps(tau: float, sigma: float):
+    """Trace-record maker for a method with fixed steps and no sampling."""
+    return lambda k, wall_s: TraceRecord(k=k, wall_s=wall_s, i_k=-1, sigma=sigma,
+                                         theta=1.0, tau_min=tau, tau_max=tau, t=1.0)
 
 
 def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
@@ -43,45 +46,19 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
     """
     if not (tau > 0 and sigma > 0):
         raise ParameterError(f"steps must be positive, got tau={tau}, sigma={sigma}")
-    part = problem.partition
-    x = np.zeros(part.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
+    monitor = _Monitor(problem, "pdhg", K, x0, y0, _constant_steps(tau, sigma),
+                       RunOptions(record_at=record_at, reference=reference,
+                                  iterate_hook=iterate_hook))
+    x, y = monitor.start
     g_prev = problem.grad_y(x, y)
-    record_at = set(int(r) for r in record_at) if record_at else set()
-    trace = RunTrace(method="pdhg", seed=None, partition=part)
-    x_sum = np.zeros_like(x)
-    y_sum = np.zeros_like(y)
-    tic = time.perf_counter()
-
-    for k in range(K):
+    for _ in range(K):
         g = problem.grad_y(x, y)
         s = 2.0 * g - g_prev
         y = bregman_prox(problem.dual_geometry, problem.h, sigma, -s, y)
         x = _full_primal_prox(problem, x, problem.grad_x(x, y), tau)
         g_prev = g
-        x_sum += x
-        y_sum += y
-        done = k + 1
-        if iterate_hook is not None:
-            iterate_hook(done, x, y)
-        nrm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-        if not np.isfinite(nrm) or nrm > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"pdhg iterates reached {nrm:.3e} at k={done} "
-                                  f"(step product tau*sigma*L^2 too large?)")
-        if done in record_at or done == K:
-            rec = TraceRecord(k=done, wall_s=time.perf_counter() - tic, i_k=-1,
-                              sigma=sigma, theta=1.0, tau_min=tau, tau_max=tau, t=1.0)
-            if reference is not None:
-                rec.gap = lagrangian_gap(problem, x_sum / done, y_sum / done, reference)
-                rec.dist_sq = float(np.sum((x - reference.x_star) ** 2))
-                rec.dy = problem.dual_geometry.dist(reference.y_star, y)
-            trace.records.append(rec)
-
-    trace.final_x, trace.final_y = x, y
-    trace.ergodic_x, trace.ergodic_y = x_sum / K, y_sum / K
-    trace.iterations = K
-    trace.wall_total_s = time.perf_counter() - tic
-    return trace
+        monitor.step(x, y)
+    return monitor.finish(x, y)
 
 
 def estimate_operator_lipschitz(problem: SaddleProblem) -> float:
@@ -110,41 +87,15 @@ def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,
     if not L > 0:
         raise ParameterError(f"need L > 0, got {L}")
     eta = 1.0 / float(L)
-    part = problem.partition
-    x = np.zeros(part.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
-    record_at = set(int(r) for r in record_at) if record_at else set()
-    trace = RunTrace(method="mirror_prox", seed=None, partition=part,
-                     geometry_note=f"primal={problem.primal_geometry[0].kind}, "
-                                   f"dual={problem.dual_geometry.kind}")
-    xh_sum = np.zeros_like(x)
-    yh_sum = np.zeros_like(y)
-    tic = time.perf_counter()
-
-    for k in range(K):
+    monitor = _Monitor(problem, "mirror_prox", K, x0, y0, _constant_steps(eta, eta),
+                       RunOptions(record_at=record_at, reference=reference))
+    x, y = monitor.start
+    for _ in range(K):
         # half step at the current point
         xh = _full_primal_prox(problem, x, problem.grad_x(x, y), eta)
         yh = bregman_prox(problem.dual_geometry, problem.h, eta, -problem.grad_y(x, y), y)
         # correction step from the current point, gradients at the half point
         x = _full_primal_prox(problem, x, problem.grad_x(xh, yh), eta)
         y = bregman_prox(problem.dual_geometry, problem.h, eta, -problem.grad_y(xh, yh), y)
-        xh_sum += xh
-        yh_sum += yh
-        done = k + 1
-        nrm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-        if not np.isfinite(nrm) or nrm > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"mirror-prox iterates reached {nrm:.3e} at k={done}")
-        if done in record_at or done == K:
-            rec = TraceRecord(k=done, wall_s=time.perf_counter() - tic, i_k=-1,
-                              sigma=eta, theta=1.0, tau_min=eta, tau_max=eta, t=1.0)
-            if reference is not None:
-                rec.gap = lagrangian_gap(problem, xh_sum / done, yh_sum / done, reference)
-                rec.dist_sq = float(np.sum((x - reference.x_star) ** 2))
-                rec.dy = problem.dual_geometry.dist(reference.y_star, y)
-            trace.records.append(rec)
-
-    trace.final_x, trace.final_y = x, y
-    trace.ergodic_x, trace.ergodic_y = xh_sum / K, yh_sum / K
-    trace.iterations = K
-    trace.wall_total_s = time.perf_counter() - tic
-    return trace
+        monitor.step(x, y, xh, yh)
+    return monitor.finish(x, y)

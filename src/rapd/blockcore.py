@@ -1,4 +1,4 @@
-"""Block-structured vectors and diagonally weighted norms.
+"""Block partitions and diagonally weighted block norms.
 
 The primal variable is a dense vector partitioned into ``m`` contiguous
 blocks of sizes ``n_i``.  All block-diagonal weight matrices used by the
@@ -71,80 +71,6 @@ class BlockPartition:
         return BlockPartition(sizes)
 
 
-@dataclass
-class BlockVector:
-    """Dense vector with an attached block partition."""
-
-    data: np.ndarray
-    partition: BlockPartition
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 1 or self.data.size != self.partition.n:
-            raise DimensionError(
-                f"data length {self.data.size} does not match partition total {self.partition.n}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise DimensionError("block vector entries must be finite")
-
-    def block(self, i: int) -> np.ndarray:
-        """Writable view of block ``i``; writes touch only that block."""
-        return self.data[self.partition.block_slice(i)]
-
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.data.copy(), self.partition)
-
-    @staticmethod
-    def zeros(partition: BlockPartition) -> "BlockVector":
-        return BlockVector(np.zeros(partition.n), partition)
-
-
-@dataclass(frozen=True)
-class DiagWeights:
-    """One nonnegative scalar weight per block."""
-
-    values: np.ndarray
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise DimensionError("weights must be a 1-d sequence")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DimensionError("weights must be finite and nonnegative")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    def __add__(self, other: "DiagWeights") -> "DiagWeights":
-        if other.m != self.m:
-            raise DimensionError("weight lengths differ")
-        return DiagWeights(self.values + other.values)
-
-    def scaled(self, c: float) -> "DiagWeights":
-        return DiagWeights(self.values * c)
-
-
-def block_sq_norms(data: np.ndarray, partition: BlockPartition) -> np.ndarray:
-    """Per-block squared Euclidean norms, length m."""
-    return np.add.reduceat(np.square(data), partition.offsets[:-1])
-
-
-def weighted_norm_sq(x: BlockVector, d: DiagWeights) -> float:
-    """``sum_i d_i * ||x_i||^2`` for block weights ``d``."""
-    if d.m != x.partition.m:
-        raise DimensionError(
-            f"weights have {d.m} entries but partition has {x.partition.m} blocks"
-        )
-    return float(d.values @ block_sq_norms(x.data, x.partition))
-
-
 def weighted_norm_sq_raw(data: np.ndarray, partition: BlockPartition, weights: np.ndarray) -> float:
-    """Same as :func:`weighted_norm_sq` on raw arrays (hot-loop path)."""
+    """``sum_i weights_i * ||data_i||^2`` over the blocks of ``partition``."""
     return float(weights @ np.add.reduceat(np.square(data), partition.offsets[:-1]))
-
-
-def block_view(x: BlockVector, i: int) -> np.ndarray:
-    """Writable view of the i-th block of ``x``."""
-    return x.block(i)

@@ -501,10 +501,3 @@ def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
     residual = lhs - rhs
     return bool(residual >= -tol), float(residual)
 
-
-def make_geometry(kind: str, dim: int) -> BregmanGeometry:
-    if kind == "euclidean":
-        return EuclideanGeometry(dim)
-    if kind in ("entropy", "negative-entropy"):
-        return EntropyGeometry(dim)
-    raise ParameterError(f"unknown geometry kind '{kind}'")

@@ -11,8 +11,9 @@ Subcommands:
              bounds.
 - ``oracle`` computes and persists a saddle certificate (.npz).
 
-Exit codes: 0 ok, 1 config error, 2 regime violation, 3 divergence,
-4 acceptance/verification failure.
+Exit codes: 0 ok, 1 config error or invalid parameters, dimensions or
+domains, 2 regime violation, 3 divergence, 4 acceptance/verification
+failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import ConfigError, DivergenceError, RegimeError
+from ..exceptions import (ConfigError, DimensionError, DivergenceError,
+                          DomainError, ParameterError, RegimeError)
 from ..oracle import save_certificate, solve_high_accuracy
 from ..problem import grad_check, lipschitz_spot_check
 from ..stepsize import check_assumption2, schedule_prefix
@@ -161,6 +163,9 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ParameterError, DimensionError, DomainError) as exc:
+        print(f"invalid setup: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except RegimeError as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
@@ -171,3 +176,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -34,7 +34,6 @@ _SCHEMA = {
     "problem.bandwidth": (float, 0.1),
     "problem.fold_quadratic_into_f": (bool, True),
     "problem.dual_geometry": (str, "entropy"),  # kernel: entropy|euclidean
-    "problem.x_radius": (float, 0.0),          # constrained: quadratic map region
 
     "method.name": (str, _REQUIRED),           # rapd1|rapd2|pdhg|mirror_prox
     "method.alpha": (float, 0.0),              # 0 = default max_i L_yx_i
@@ -50,7 +49,6 @@ _SCHEMA = {
     "run.seeds": (str, "0"),                   # "a:b" range or comma list
     "run.metric_cadence": (int, 0),            # 0 = log-spaced records
     "run.certificate": (str, ""),              # optional .npz path for metrics
-    "run.tol": (float, 1e-10),                 # oracle tolerance
 
     "output.dir": (str, "out"),
     "output.csv": (bool, True),

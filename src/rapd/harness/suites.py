@@ -116,36 +116,12 @@ def bilinear_game(instance_seed: int, n: int = 8, m: int = 1):
     A_blocks = [A[:, sl] for sl in part.slices()]
     f = [IndicatorBall(rx) for _ in range(m)] if m == 1 else \
         [IndicatorBall(rx / np.sqrt(m)) for _ in range(m)]
-    problem = build_bilinear_erm(A_blocks, f, IndicatorBall(ry), partition=part)
-    # linear terms enter through a wrapper coupling
-    problem = _with_linear_terms(problem, p, q)
+    problem = build_bilinear_erm(A_blocks, f, IndicatorBall(ry), partition=part,
+                                 p=p, q=q)
     res = kkt_residual(problem, x_star, y_star)
     cert = SaddleCertificate(x_star=x_star, y_star=y_star, kkt_residual=res,
                              method="linear-solve", tol=max(res, 1e-12))
     return problem, cert
-
-
-def _with_linear_terms(problem, p, q):
-    """Extend a bilinear coupling by ``+ p'x - q'y`` (constants carry
-    over unchanged; the incremental dual path stays valid)."""
-    base_phi = problem.phi_value
-    base_gx = problem.grad_x_block
-    base_gy = problem.grad_y
-    base_incr = problem.grad_y_incremental
-
-    class _Shifted(type(problem)):
-        pass
-
-    import copy
-    shifted = copy.copy(problem)
-    shifted.__class__ = _Shifted
-    part = problem.partition
-    _Shifted.phi_value = lambda self, x, y: base_phi(x, y) + float(p @ x) - float(q @ y)
-    _Shifted.grad_x_block = lambda self, i, x, y: base_gx(i, x, y) + p[part.block_slice(i)]
-    _Shifted.grad_y = lambda self, x, y: base_gy(x, y) - q
-    _Shifted.grad_y_incremental = (
-        lambda self, prev, i, old, new, y: base_incr(prev, i, old, new, y))
-    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +411,7 @@ def strongly_convex_suite(S: int = 50, K_checkpoints=(10, 100, 1000, 10_000),
                               "oracle_residual": cert.kkt_residual})
 
 
-def bilinear_suite(games: int = 20, K: int = 100, jobs: int = 1) -> RateReport:
+def bilinear_suite(games: int = 20, K: int = 100) -> RateReport:
     """Single-block equivalence against the deterministic baseline, plus
     the extra-gradient ergodic slope.
 
@@ -582,7 +558,7 @@ def _mapping_fidelity(problem, ds, lam, draws: int = 20, seed: int = 3) -> float
 
 def suite_by_name(name: str, jobs: int = 1):
     if name == "bilinear":
-        return bilinear_suite(jobs=jobs)
+        return bilinear_suite()
     if name == "quadratic":
         return quadratic_game_suite(jobs=jobs)
     if name == "strongly-convex":

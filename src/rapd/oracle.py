@@ -97,8 +97,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     if tol < 1e-14:
         raise ParameterError(f"tolerance {tol} below attainable accuracy")
     part = problem.partition
-    x = np.zeros(part.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
+    x, y = problem.initial_point(x0, y0)
     # start inside the domains
     for i, sl in enumerate(part.slices()):
         x[sl] = problem.f[i].project_domain(x[sl])

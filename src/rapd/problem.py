@@ -118,19 +118,19 @@ class SaddleProblem:
     def lagrangian(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.f_value(x) + self.phi_value(x, y) - self.h.value(y)
 
-    def with_lipschitz_scale(self, factor: float) -> "SaddleProblem":
-        """Shallow copy with globally rescaled smoothness constants."""
-        import copy
-        out = copy.copy(self)
-        out.constants = self.constants.scaled(factor)
-        return out
+    def initial_point(self, x0=None, y0=None):
+        """Float copies of ``(x0, y0)``; zeros where a start is not given."""
+        x = np.zeros(self.partition.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        y = np.zeros(self.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
+        return x, y
 
 
 class BilinearProblem(SaddleProblem):
-    """``phi(x, y) = <A x, y>`` with per-block columns ``A_i``; separable
-    across blocks, so the dual gradient updates incrementally."""
+    """``phi(x, y) = <A x, y> + p'x - q'y`` with per-block columns ``A_i``
+    and optional linear terms ``p``, ``q``; separable across blocks, so
+    the dual gradient updates incrementally."""
 
-    def __init__(self, A_blocks, f, h, partition=None, **kw):
+    def __init__(self, A_blocks, f, h, partition=None, p=None, q=None, **kw):
         A_blocks = [np.atleast_2d(np.asarray(A, dtype=float)) for A in A_blocks]
         dual_dim = A_blocks[0].shape[0]
         if any(A.shape[0] != dual_dim for A in A_blocks):
@@ -148,15 +148,32 @@ class BilinearProblem(SaddleProblem):
         super().__init__(partition, dual_dim, f, h, constants, **kw)
         self.A_blocks = A_blocks
         self.A = np.hstack(A_blocks)
+        self.p = None if p is None else np.asarray(p, dtype=float)
+        self.q = None if q is None else np.asarray(q, dtype=float)
+        if self.p is not None and self.p.shape != (partition.n,):
+            raise DimensionError(f"p must have length {partition.n}")
+        if self.q is not None and self.q.shape != (dual_dim,):
+            raise DimensionError(f"q must have length {dual_dim}")
 
     def phi_value(self, x, y):
-        return float(y @ (self.A @ x))
+        val = float(y @ (self.A @ x))
+        if self.p is not None:
+            val = val + float(self.p @ x)
+        if self.q is not None:
+            val = val - float(self.q @ y)
+        return val
 
     def grad_x_block(self, i, x, y):
-        return self.A_blocks[i].T @ y
+        g = self.A_blocks[i].T @ y
+        if self.p is not None:
+            g = g + self.p[self.partition.block_slice(i)]
+        return g
 
     def grad_y(self, x, y):
-        return self.A @ x
+        g = self.A @ x
+        if self.q is not None:
+            g = g - self.q
+        return g
 
     def grad_y_incremental(self, prev_grad, i, old_block, new_block, y_unchanged):
         return prev_grad + self.A_blocks[i] @ (new_block - old_block)

@@ -29,9 +29,6 @@ class CounterRng:
         self.seed = int(seed) & _MASK
         self.counter = int(counter)
 
-    def clone(self) -> "CounterRng":
-        return CounterRng(self.seed, self.counter)
-
     def next_u64(self) -> int:
         self.counter += 1
         return _mix((self.seed + self.counter * _GAMMA) & _MASK)

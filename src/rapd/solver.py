@@ -15,6 +15,10 @@ convention ``(x^{-1}, y^{-1}) = (x^0, y^0)`` makes ``s^0 = g_0``.
 
 Per-iteration cost: one fresh dual gradient, one block gradient, two
 proxes.
+
+The bookkeeping around an iteration (start point, ergodic sums,
+divergence guard, record points, stopping rules, the final trace) lives
+in ``_Monitor``, which the deterministic baselines share.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import BlockPartition, BlockVector, weighted_norm_sq_raw
+from .blockcore import BlockPartition, weighted_norm_sq_raw
 from .bregman import bregman_prox
 from .exceptions import DivergenceError, ParameterError, RegimeError
+from .harness import metrics
 from .problem import SaddleProblem
 from .rng import CounterRng, sample_index
 from .stepsize import StepSchedule
@@ -38,25 +43,11 @@ DIVERGENCE_LIMIT = 1e12
 # single-step operations
 # ---------------------------------------------------------------------------
 
-def momentum_direction(problem: SaddleProblem, x: np.ndarray, y: np.ndarray,
-                       grad_y_prev: np.ndarray, m: int, theta: float):
-    """Momentum-extrapolated dual direction; returns ``(s, g)`` with ``g``
-    the fresh dual gradient for caching."""
-    g = problem.grad_y(x, y)
-    s = (1.0 + m * theta) * g - (m * theta) * grad_y_prev
-    return s, g
-
-
 def dual_step(problem: SaddleProblem, y: np.ndarray, s: np.ndarray,
               sigma: float) -> np.ndarray:
     """Dual prox-ascent step: maximize along ``s`` against ``h`` and the
     dual geometry."""
     return bregman_prox(problem.dual_geometry, problem.h, sigma, -s, y)
-
-
-def sample_block(rng: CounterRng, m: int, p: np.ndarray | None = None) -> int:
-    """Draw the block index to update (uniform unless ``p`` given)."""
-    return sample_index(rng, m, p)
 
 
 def primal_block_step(problem: SaddleProblem, x: np.ndarray, y_next: np.ndarray,
@@ -137,10 +128,87 @@ class RunOptions:
     record_at: list | None = None      # update counts to snapshot; None = ends only
     reference: object | None = None    # SaddleCertificate for error metrics
     debug_cache_every: int = 0         # recompute + compare the gradient cache
-    divergence_limit: float = DIVERGENCE_LIMIT
     time_budget_s: float | None = None # stop early at a record point
     stop_when: object | None = None    # callable(x, y) -> bool, checked at records
     iterate_hook: object | None = None # callable(k_done, x, y), for tests
+
+
+class _Monitor:
+    """Bookkeeping shared by :func:`run` and the deterministic baselines.
+
+    A loop starts from ``monitor.start``, calls :meth:`step` once per
+    completed iteration and returns :meth:`finish`.  The monitor keeps the
+    ergodic sums, guards against divergence, calls the iterate hook, and
+    at record points (``record_at`` and the last iteration) appends the
+    loop's ``describe(k, wall_s)`` record, filled in with the metrics
+    against the reference, then checks ``stop_when`` and the time budget.
+    """
+
+    def __init__(self, problem: SaddleProblem, method: str, K: int, x0, y0,
+                 describe, options: RunOptions, seed: int | None = None):
+        if K < 1:
+            raise ParameterError(f"need K >= 1, got {K}")
+        self.problem = problem
+        self.K = K
+        self.describe = describe
+        self.opts = options
+        self.record_at = set() if options.record_at is None else {
+            int(r) for r in options.record_at}
+        self.start = problem.initial_point(x0, y0)
+        self.x_sum = np.zeros_like(self.start[0])
+        self.y_sum = np.zeros_like(self.start[1])
+        self.done = 0
+        self.trace = RunTrace(method=method, seed=seed, partition=problem.partition,
+                              geometry_note=_geometry_note(problem))
+        self.tic = time.perf_counter()
+
+    def step(self, x: np.ndarray, y: np.ndarray, x_avg: np.ndarray | None = None,
+             y_avg: np.ndarray | None = None) -> bool:
+        """Account for one iteration ending at ``(x, y)``; the ergodic sums
+        take ``(x_avg, y_avg)`` instead when given.  Returns True when the
+        loop should stop before ``K``."""
+        self.done = done = self.done + 1
+        self.x_sum += x if x_avg is None else x_avg
+        self.y_sum += y if y_avg is None else y_avg
+
+        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+        if not (np.isfinite(nx) and np.isfinite(ny)) or max(nx, ny) > DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"iterate norm {max(nx, ny):.3e} exceeded {DIVERGENCE_LIMIT:.1e} "
+                f"at iteration {done} (method {self.trace.method}, seed {self.trace.seed})")
+
+        opts = self.opts
+        if opts.iterate_hook is not None:
+            opts.iterate_hook(done, x, y)
+
+        if done not in self.record_at and done != self.K:
+            return False
+        rec = self.describe(done, time.perf_counter() - self.tic)
+        ref = opts.reference
+        if ref is not None:
+            # looked up at call time, so a wrapped metric sees every call
+            rec.gap = metrics.lagrangian_gap(self.problem, self.x_sum / done,
+                                             self.y_sum / done, ref)
+            rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
+            rec.dy = self.problem.dual_geometry.dist(ref.y_star, y)
+        self.trace.records.append(rec)
+        if opts.stop_when is not None and opts.stop_when(x, y):
+            return True
+        return (opts.time_budget_s is not None
+                and time.perf_counter() - self.tic > opts.time_budget_s)
+
+    def finish(self, x: np.ndarray, y: np.ndarray) -> RunTrace:
+        trace = self.trace
+        trace.final_x, trace.final_y = x, y
+        trace.ergodic_x, trace.ergodic_y = ergodic_average(self.x_sum, self.y_sum, self.done)
+        trace.iterations = self.done
+        trace.wall_total_s = time.perf_counter() - self.tic
+        return trace
+
+
+def _geometry_note(problem) -> str:
+    kinds = {g.kind for g in problem.primal_geometry}
+    return f"primal={'/'.join(sorted(kinds))}, dual={problem.dual_geometry.kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +224,6 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     when both are given).  Metrics that need a saddle point (gap,
     distances) are recorded only when ``options.reference`` is supplied.
     """
-    if K < 1:
-        raise ParameterError(f"need K >= 1, got {K}")
     opts = options or RunOptions()
     part = problem.partition
     m = part.m
@@ -174,28 +240,33 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         raise ParameterError("sampling probabilities disagree with the schedule")
     p_arr = p if p is not None else schedule.p
 
-    x = np.zeros(part.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
+    ref = opts.reference
+    mu = problem.constants.mu
+
+    def describe(k, wall_s):
+        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=sched.sigma,
+                          theta=sched.theta, tau_min=float(sched.tau.min()),
+                          tau_max=float(sched.tau.max()), t=sched.t)
+        if ref is not None:
+            w = 1.0 / tau_used + (1.0 - 1.0 / m) * mu
+            rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, w)
+            rec.t_prev = t_used
+        return rec
+
+    monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,
+                       opts, seed=seed)
+    x, y = monitor.start
     rng = CounterRng(seed)
     sched = schedule
     g_prev = problem.grad_y(x, y)
-    g_cur = g_prev.copy()
-    x_sum = np.zeros_like(x)
-    y_sum = np.zeros_like(y)
     incr = problem.grad_y_incremental
 
-    ref = opts.reference
-    record_at = set(int(r) for r in opts.record_at) if opts.record_at else set()
-    trace = RunTrace(method=f"rapd-{sched.regime}", seed=seed, partition=part,
-                     geometry_note=_geometry_note(problem))
-    tic = time.perf_counter()
-    i_k = -1
-    mu = problem.constants.mu
-
-    for k in range(K):
-        s, g_cur = momentum_direction(problem, x, y, g_prev, m, sched.theta)
+    for done in range(1, K + 1):
+        # momentum direction s^k = (1 + m theta) g_k - m theta g_{k-1}
+        g_cur = problem.grad_y(x, y)
+        s = (1.0 + m * sched.theta) * g_cur - (m * sched.theta) * g_prev
         y_new = dual_step(problem, y, s, sched.sigma)
-        i_k = sample_block(rng, m, p_arr)
+        i_k = sample_index(rng, m, p_arr)
         sl = part.block_slice(i_k)
         old_block = x[sl].copy()
         x_new = primal_block_step(problem, x, y_new, i_k, float(sched.tau[i_k]))
@@ -207,11 +278,8 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             g_cur = problem.grad_y(x_new, y_new)
 
         x, y = x_new, y_new
-        x_sum += x
-        y_sum += y
         tau_used, t_used = sched.tau, sched.t
         sched = sched.advance()
-        done = k + 1
 
         if opts.debug_cache_every and done % opts.debug_cache_every == 0:
             fresh = problem.grad_y(x, y)
@@ -219,49 +287,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             if drift > 1e-10 * max(1.0, float(np.linalg.norm(fresh))):
                 raise RegimeError(f"dual-gradient cache drifted by {drift:.3e} at k={done}")
 
-        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-        if not (np.isfinite(nx) and np.isfinite(ny)) or max(nx, ny) > opts.divergence_limit:
-            raise DivergenceError(
-                f"iterate norm {max(nx, ny):.3e} exceeded {opts.divergence_limit:.1e} "
-                f"at iteration {done} (method rapd-{sched.regime}, seed {seed})")
+        if monitor.step(x, y):
+            break
 
-        if opts.iterate_hook is not None:
-            opts.iterate_hook(done, x, y)
-
-        if done in record_at or done == K:
-            rec = TraceRecord(k=done, wall_s=time.perf_counter() - tic, i_k=i_k,
-                              sigma=sched.sigma, theta=sched.theta,
-                              tau_min=float(sched.tau.min()),
-                              tau_max=float(sched.tau.max()), t=sched.t)
-            if ref is not None:
-                xbar, ybar = x_sum / done, y_sum / done
-                rec.gap = _lagrangian_gap_vs(problem, xbar, ybar, ref)
-                rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
-                rec.dy = problem.dual_geometry.dist(ref.y_star, y)
-                w = 1.0 / tau_used + (1.0 - 1.0 / m) * mu
-                rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, w)
-                rec.t_prev = t_used
-            trace.records.append(rec)
-            stop_now = opts.stop_when is not None and opts.stop_when(x, y)
-            out_of_time = (opts.time_budget_s is not None
-                           and time.perf_counter() - tic > opts.time_budget_s)
-            if stop_now or out_of_time:
-                K = done
-                break
-
-    trace.final_x, trace.final_y = x, y
-    trace.ergodic_x, trace.ergodic_y = ergodic_average(x_sum, y_sum, K)
-    trace.iterations = K
-    trace.wall_total_s = time.perf_counter() - tic
-    return trace
-
-
-def _geometry_note(problem) -> str:
-    kinds = {g.kind for g in problem.primal_geometry}
-    return f"primal={'/'.join(sorted(kinds))}, dual={problem.dual_geometry.kind}"
-
-
-def _lagrangian_gap_vs(problem, xbar, ybar, ref) -> float:
-    # local import keeps solver importable without the harness
-    from .harness.metrics import lagrangian_gap
-    return lagrangian_gap(problem, xbar, ybar, ref)
+    return monitor.finish(x, y)

@@ -35,7 +35,8 @@ def default_alpha(constants: LipschitzConstants) -> float:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Parameter state of one iteration (immutable; ``advance`` copies)."""
+    """Parameter state of one iteration (immutable; constant steps
+    advance to themselves, the accelerated recursion to a new state)."""
 
     regime: str                 # "part1" | "part2"
     tau: np.ndarray             # per-block primal steps (values, not reciprocals)
@@ -46,7 +47,6 @@ class StepSchedule:
     beta: float                 # certificate beta^k
     c_tau: float
     c_sigma: float
-    k: int = 0
     tau_tilde: float | None = None   # part2 only
     mu: np.ndarray | None = None     # part2 only (moduli drive the recursion)
     p: np.ndarray | None = None      # sampling probabilities; None = uniform
@@ -64,7 +64,7 @@ class StepSchedule:
     def advance(self) -> "StepSchedule":
         """State for iteration k+1."""
         if self.regime == "part1":
-            return replace(self, k=self.k + 1)
+            return self
         return part2_advance(self)
 
 
@@ -159,7 +159,7 @@ def part2_advance(s: StepSchedule) -> StepSchedule:
     return replace(s, tau=_part2_tau(s.mu, pi, taut_next), sigma=float(sigma_next),
                    theta=float(theta_next), t=float(t_next),
                    alpha=float(alpha_next), tau_tilde=float(taut_next),
-                   k=s.k + 1, theta_clamped=clamped)
+                   theta_clamped=clamped)
 
 
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,

@@ -302,6 +302,28 @@ class TestCli:
         cert = load_certificate(out)
         assert cert.certified and cert.kkt_residual <= 1e-8
 
+    def test_parameter_error_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path, BASE_CFG + "method.c_tau = 2\n")
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+
+    def test_dimension_error_exit_code(self, tmp_path):
+        p = self._write_cfg(tmp_path, BASE_CFG.replace("problem.blocks = 2",
+                                                       "problem.blocks = 9"))
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+
+    def test_module_entry_point(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "rapd.harness.cli", "bench",
+                               "--suite", "no-such-suite"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "unknown suite" in proc.stderr
+
     def test_divergence_exit_code(self, tmp_path):
         # mirror-prox with a hopeless constant on an unconstrained game
         cfg = BASE_CFG.replace("method.name = rapd1", "method.name = mirror_prox\nmethod.L = 1e-9")

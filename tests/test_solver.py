@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from rapd.blockcore import BlockPartition, weighted_norm_sq_raw
 from rapd.bregman import (EntropyGeometry, IndicatorBall, IndicatorNonneg,
                           IndicatorSimplex, L1, SquaredL2, Zero, bregman_prox,
                           EuclideanGeometry)
-from rapd.exceptions import DivergenceError, RegimeError
+from rapd.exceptions import DivergenceError, ParameterError, RegimeError
 from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_residual
 from rapd.problem import build_bilinear_erm, build_quadratic_game
 from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (RunOptions, dual_step, ergodic_average,
-                         momentum_direction, primal_block_step, run,
-                         sample_block)
+                         primal_block_step, run)
 from rapd.stepsize import default_alpha, part1_schedule, part2_init
-from rapd.baselines import pdhg_run
+from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
 
 
 def small_bilinear(seed=5, n=4, m=2, f=None, h=None):
@@ -26,35 +26,63 @@ def small_bilinear(seed=5, n=4, m=2, f=None, h=None):
                               partition=part)
 
 
+def three_loops(prob, scale=1.0):
+    """``run``, ``pdhg_run`` and ``mirror_prox_run`` on ``prob`` with their
+    default steps times ``scale``, as ``name -> fn(K, x0, **record_kw)``."""
+    sched = part1_schedule(prob.constants, prob.partition.m, default_alpha(prob.constants))
+    sched = replace(sched, tau=sched.tau * scale, sigma=sched.sigma * scale)
+    L = estimate_operator_lipschitz(prob)
+    return {
+        "run": lambda K, x0, **kw: run(prob, sched, K, seed=0, x0=x0,
+                                       options=RunOptions(**kw)),
+        "pdhg_run": lambda K, x0, **kw: pdhg_run(prob, 0.5 * scale / L, 0.5 * scale / L,
+                                                 K, x0=x0, **kw),
+        "mirror_prox_run": lambda K, x0, **kw: mirror_prox_run(prob, L / scale, K,
+                                                               x0=x0, **kw),
+    }
+
+
+def iterates(prob, sched, K, x0):
+    """``[(x^k, y^k)]`` for k = 0..K of a ``run``."""
+    hist = [(np.asarray(x0, float), np.zeros(prob.dual_dim))]
+    run(prob, sched, K, seed=0, x0=x0,
+        options=RunOptions(iterate_hook=lambda k, x, y: hist.append((x.copy(), y.copy()))))
+    return hist
+
+
 class TestMomentum:
+    # with h = 0 the dual step is y^{k+1} = y^k + sigma s^k, so the
+    # momentum direction is read off consecutive dual iterates
+
     def test_start_convention(self):
         # g_prev initialized to g_0 forces s^0 = g_0
-        prob = small_bilinear()
-        x = np.ones(4)
-        y = np.zeros(4)
-        g0 = prob.grad_y(x, y)
-        s, g = momentum_direction(prob, x, y, g0, prob.partition.m, 1.0)
-        assert s == pytest.approx(g0)
-        assert g == pytest.approx(g0)
+        prob = small_bilinear(h=Zero())
+        sched = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
+        (x0, y0), (_, y1) = iterates(prob, sched, 1, np.ones(4))
+        assert (y1 - y0) / sched.sigma == pytest.approx(prob.grad_y(x0, y0))
 
     def test_hand_arithmetic(self):
-        class Stub:
-            def grad_y(self, x, y):
-                return np.array([1.0, 0.0])
-
-        s, _ = momentum_direction(Stub(), None, None, np.array([0.0, 1.0]), 2, 1.0)
-        assert s == pytest.approx([3.0, -2.0])
+        # m = 2, theta = 1: s^1 = (1 + m theta) g_1 - m theta g_0 = 3 g_1 - 2 g_0
+        part = BlockPartition([1, 1])
+        prob = build_bilinear_erm([np.array([[1.0], [0.0]]), np.array([[1.0], [2.0]])],
+                                  [Zero(), Zero()], Zero(), partition=part)
+        sched = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
+        assert sched.theta == 1.0
+        (x0, y0), (x1, y1), (_, y2) = iterates(prob, sched, 2, np.array([1.0, -1.0]))
+        g0, g1 = prob.grad_y(x0, y0), prob.grad_y(x1, y1)
+        assert g0 == pytest.approx([0.0, -2.0])
+        assert (y2 - y1) / sched.sigma == pytest.approx(3.0 * g1 - 2.0 * g0, abs=1e-12)
 
     def test_bilinear_recovers_iterate_extrapolation(self):
         # for phi = <Ax, y>, s^k = A(2 x^k - x^{k-1}) at m = 1, theta = 1
-        prob = small_bilinear(m=1)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            x_prev, x_cur = rng.standard_normal(4), rng.standard_normal(4)
-            y_prev, y_cur = rng.standard_normal(4), rng.standard_normal(4)
-            g_prev = prob.grad_y(x_prev, y_prev)
-            s, _ = momentum_direction(prob, x_cur, y_cur, g_prev, 1, 1.0)
-            assert np.abs(s - prob.A @ (2 * x_cur - x_prev)).max() <= 1e-12
+        prob = small_bilinear(m=1, h=Zero())
+        sched = part1_schedule(prob.constants, 1, default_alpha(prob.constants))
+        hist = iterates(prob, sched, 25, np.ones(4))
+        for k in range(1, 25):
+            (x_prev, _), (x_cur, y_cur), (_, y_next) = hist[k - 1:k + 2]
+            s = (y_next - y_cur) / sched.sigma
+            assert np.abs(s - prob.A @ (2 * x_cur - x_prev)).max() <= 1e-12 * max(
+                1.0, float(np.abs(s).max()))
 
 
 class TestDualStep:
@@ -86,10 +114,10 @@ class TestDualStep:
 class TestSampling:
     def test_degenerate_cases(self):
         rng = CounterRng(1)
-        assert all(sample_block(rng, 1) == 0 for _ in range(10))
+        assert all(sample_index(rng, 1) == 0 for _ in range(10))
         rng = CounterRng(2)
         p = np.array([1.0, 0.0, 0.0])
-        assert all(sample_block(rng, 3, p) == 0 for _ in range(100))
+        assert all(sample_index(rng, 3, p) == 0 for _ in range(100))
 
     def test_uniform_frequencies_within_3_sigma(self):
         n, m = 1_000_000, 4
@@ -212,17 +240,27 @@ class TestRun:
             options=RunOptions(debug_cache_every=100))  # raises on drift
 
     def test_divergence_guard(self):
+        # oversized steps, in each of the three loops
         prob = small_bilinear(f=[Zero(), Zero()], h=Zero())
-        sched = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
-        from dataclasses import replace
-        bad = replace(sched, tau=sched.tau * 500, sigma=sched.sigma * 500)
-        with pytest.raises(DivergenceError):
-            run(prob, bad, 5000, seed=0, x0=np.ones(4))
+        for loop in three_loops(prob, scale=500).values():
+            with pytest.raises(DivergenceError):
+                loop(5000, np.ones(4))
+
+    @pytest.mark.parametrize("name", ["run", "pdhg_run", "mirror_prox_run"])
+    def test_zero_iterations_rejected(self, name):
+        with pytest.raises(ParameterError):
+            three_loops(small_bilinear())[name](0, np.ones(4))
+
+    def test_same_geometry_note(self):
+        # one entropy block: the note must cover every block, in every loop
+        prob = small_bilinear(f=[L1(0.3), Zero()])
+        prob.primal_geometry = [EuclideanGeometry(2), EntropyGeometry(2)]
+        notes = {loop(3, np.ones(4)).geometry_note for loop in three_loops(prob).values()}
+        assert notes == {"primal=euclidean/negative-entropy, dual=euclidean"}
 
     def test_part2_regime_validation(self):
         prob = small_bilinear()  # mu = 0 blocks
         sched2 = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
-        from dataclasses import replace
         fake = replace(sched2, regime="part2", tau_tilde=0.1,
                        mu=np.array([1.0, 1.0]))
         with pytest.raises(RegimeError):
@@ -270,13 +308,14 @@ class TestRun:
         cert = SaddleCertificate(cert.x_star, cert.y_star,
                                  kkt_residual(prob, cert.x_star, cert.y_star),
                                  "linear-solve", 1e-12)
-        sched = part1_schedule(prob.constants, 3, default_alpha(prob.constants))
-        tr = run(prob, sched, 2000, seed=0, x0=np.ones(6),
-                 options=RunOptions(record_at=[10, 100, 1000, 2000],
-                                    reference=cert))
-        gaps = tr.column("gap")
-        assert np.all(gaps >= -1e-9)
-        assert gaps[-1] < gaps[0]  # it actually converges
+        for name, loop in three_loops(prob).items():
+            tr = loop(2000, np.ones(6), record_at=np.array([10, 100, 1000, 5000]),
+                      reference=cert)
+            # records land exactly at record_at (up to K) and at K
+            assert [r.k for r in tr.records] == [10, 100, 1000, 2000], name
+            gaps = tr.column("gap")
+            assert np.all(gaps >= -1e-9), name
+            assert gaps[-1] < gaps[0], name  # it actually converges
 
     def test_part2_last_iterate_converges(self):
         part = BlockPartition.even(6, 3)
