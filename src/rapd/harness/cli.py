@@ -53,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="execute a named suite")
     p_bench.add_argument("--suite", required=True)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the seeds of the quadratic and "
+                              "strongly-convex suites; bilinear and kernel run "
+                              "serially and reject N > 1")
     p_bench.add_argument("--out", type=Path, default=None)
 
     p_check = sub.add_parser("check", help="validate a configuration")

@@ -25,7 +25,7 @@ from ..baselines import mirror_prox_run, pdhg_run
 from ..blockcore import BlockPartition
 from ..bregman import (IndicatorBall, IndicatorNonneg, IndicatorSimplex, L1,
                        SquaredL2, Zero)
-from ..exceptions import ConfigError
+from ..exceptions import ConfigError, ParameterError
 from ..kernel_learning import (build_kernel_problem, dual_start, synth_dataset)
 from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
@@ -557,6 +557,11 @@ def _mapping_fidelity(problem, ds, lam, draws: int = 20, seed: int = 3) -> float
 
 
 def suite_by_name(name: str, jobs: int = 1):
+    """Run a named suite; only the quadratic and strongly-convex suites
+    fan their seeds out over ``jobs`` worker processes."""
+    if jobs > 1 and name in ("bilinear", "kernel"):
+        raise ParameterError(f"suite {name!r} runs serially; --jobs > 1 applies only "
+                             "to the quadratic and strongly-convex suites")
     if name == "bilinear":
         return bilinear_suite()
     if name == "quadratic":

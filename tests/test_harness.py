@@ -311,6 +311,12 @@ class TestCli:
                                                        "problem.blocks = 9"))
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
 
+    def test_serial_suite_rejects_jobs(self, capsys):
+        # the bilinear and kernel suites do not fan out; N > 1 must not pass silently
+        for suite in ("bilinear", "kernel"):
+            assert cli_main(["bench", "--suite", suite, "--jobs", "2"]) == 1
+            assert capsys.readouterr().err.startswith("invalid setup:")
+
     def test_module_entry_point(self):
         import os
         import subprocess

@@ -44,6 +44,20 @@ class TestBilinear:
         assert prob.constants.L_yy == 0.0
         assert prob.constants.L_xx == pytest.approx([0.0, 0.0])
 
+    def test_contiguous_block_layout(self):
+        # one (n, d) copy of the coupling, with each block a contiguous view
+        rng = np.random.default_rng(4)
+        part = BlockPartition([3, 5, 2])
+        A = rng.standard_normal((7, 10))
+        inputs = [A[:, sl] for sl in part.slices()]
+        prob = build_bilinear_erm(inputs, [Zero()] * 3, Zero(), partition=part)
+        for Ai, given in zip(prob.A_blocks, inputs):
+            assert np.array_equal(Ai, given)
+            assert Ai.flags.f_contiguous
+        assert np.array_equal(prob.A, np.hstack(inputs))
+        assert not np.shares_memory(prob.A, A)
+        assert not any(np.shares_memory(Ai, A) for Ai in prob.A_blocks)
+
     def test_incremental_dual_gradient(self):
         rng = np.random.default_rng(1)
         part = BlockPartition([2, 3, 1])

@@ -8,9 +8,9 @@ from rapd.bregman import (EntropyGeometry, IndicatorBall, IndicatorNonneg,
                           EuclideanGeometry)
 from rapd.exceptions import DivergenceError, ParameterError, RegimeError
 from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_residual
-from rapd.problem import build_bilinear_erm, build_quadratic_game
+from rapd.problem import BilinearProblem, build_bilinear_erm, build_quadratic_game
 from rapd.rng import CounterRng, sample_index, sample_indices
-from rapd.solver import (RunOptions, dual_step, ergodic_average,
+from rapd.solver import (CACHE_RESYNC_SWEEPS, RunOptions, dual_step, ergodic_average,
                          primal_block_step, run)
 from rapd.stepsize import default_alpha, part1_schedule, part2_init
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
@@ -234,10 +234,58 @@ class TestRun:
                 assert np.abs(yr - yb).max() <= 1e-12
 
     def test_cache_coherence_debug_mode(self):
-        prob = small_bilinear()  # incremental path exercised
-        sched = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
-        run(prob, sched, 500, seed=0, x0=np.ones(4),
-            options=RunOptions(debug_cache_every=100))  # raises on drift
+        # the incremental cache matches a fresh gradient at every iteration
+        prob = small_bilinear(n=16, m=8)
+        sched = part1_schedule(prob.constants, 8, default_alpha(prob.constants))
+        tr = run(prob, sched, 5000, seed=3, x0=np.ones(16),
+                 options=RunOptions(debug_cache_every=1))  # raises past 1e-10
+        assert tr.iterations == 5000
+
+    def test_full_dual_gradients_per_run(self):
+        # the bilinear cache moves forward incrementally, with a full
+        # gradient only at the start and at each resync; other couplings
+        # make one full gradient per iteration, plus the start
+        K = 2000
+
+        def full_gradients(prob):
+            calls = []
+            fresh = prob.grad_y
+            prob.grad_y = lambda x, y: calls.append(1) or fresh(x, y)
+            sched = part1_schedule(prob.constants, prob.partition.m,
+                                   default_alpha(prob.constants))
+            run(prob, sched, K, seed=0, x0=np.ones(prob.partition.n))
+            return len(calls)
+
+        assert full_gradients(small_bilinear(n=16, m=8)) <= 1 + K // (CACHE_RESYNC_SWEEPS * 8)
+        rng = np.random.default_rng(8)
+        quadratic = build_quadratic_game(np.eye(6), np.eye(2), rng.standard_normal((2, 6)),
+                                         rng.standard_normal(6), rng.standard_normal(2),
+                                         BlockPartition.even(6, 3))
+        assert full_gradients(quadratic) == K + 1
+
+    def test_cache_check_is_pure(self):
+        prob = small_bilinear(n=16, m=8)
+        sched = part1_schedule(prob.constants, 8, default_alpha(prob.constants))
+        plain, checked = (run(prob, sched, 3000, seed=1, x0=np.ones(16),
+                              options=RunOptions(debug_cache_every=every))
+                          for every in (0, 7))
+        assert np.array_equal(plain.final_x, checked.final_x)
+        assert np.array_equal(plain.final_y, checked.final_y)
+
+    def test_stale_cache_caught_at_resync(self):
+        class StaleCache(BilinearProblem):
+            def grad_y_incremental(self, prev_grad, i, old_block, new_block, y):
+                return prev_grad
+
+        rng = np.random.default_rng(5)
+        part = BlockPartition.even(16, 8)
+        A = rng.standard_normal((16, 16))
+        prob = StaleCache([A[:, sl] for sl in part.slices()],
+                          [L1(0.3) for _ in range(8)], IndicatorBall(2.0), partition=part)
+        sched = part1_schedule(prob.constants, 8, default_alpha(prob.constants))
+        resync = CACHE_RESYNC_SWEEPS * 8
+        with pytest.raises(RegimeError, match=f"at k={resync}$"):
+            run(prob, sched, resync, seed=0, x0=np.ones(16))
 
     def test_divergence_guard(self):
         # oversized steps, in each of the three loops
