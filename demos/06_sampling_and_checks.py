@@ -33,7 +33,7 @@ print("non-uniform tau:", np.round(sched_p.tau, 4),
 K = 20_000
 tr_u = run(problem, sched_u, K, seed=3, x0=x0, y0=y0,
            options=RunOptions(record_at=[K], reference=cert))
-tr_p = run(problem, sched_p, K, seed=3, x0=x0, y0=y0, p=p,
+tr_p = run(problem, sched_p, K, seed=3, x0=x0, y0=y0,
            options=RunOptions(record_at=[K], reference=cert))
 print(f"ergodic gap after {K} updates: uniform {tr_u.at(K).gap:.3e}, "
       f"non-uniform {tr_p.at(K).gap:.3e}\n")

@@ -32,7 +32,6 @@ _SCHEMA = {
     "problem.B": (float, 0.0),                 # kernel/constrained dual bound; 0 = default
     "problem.separation": (float, 2.0),        # synthetic dataset cluster offset
     "problem.bandwidth": (float, 0.1),
-    "problem.fold_quadratic_into_f": (bool, True),
     "problem.dual_geometry": (str, "entropy"),  # kernel: entropy|euclidean
 
     "method.name": (str, _REQUIRED),           # rapd1|rapd2|pdhg|mirror_prox
@@ -40,7 +39,7 @@ _SCHEMA = {
     "method.c_tau": (float, 0.99),
     "method.c_sigma": (float, 0.99),
     "method.p": (str, "uniform"),              # uniform or comma-separated weights
-    "method.lipschitz_scale": (float, 1.0),
+    "method.lipschitz_scale": (float, 1.0),    # multiplies every smoothness constant
     "method.tau": (float, 0.0),                # pdhg primal step; 0 = derive
     "method.sigma": (float, 0.0),              # pdhg dual step; 0 = derive
     "method.L": (float, 0.0),                  # mirror-prox constant; 0 = estimate
@@ -143,3 +142,7 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"cannot parse run.seeds = {v['run.seeds']!r}") from exc
     if not seeds:
         raise ConfigError("run.seeds is empty")
+    try:
+        cfg.probabilities(v["problem.blocks"])
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse method.p = {v['method.p']!r}") from exc

@@ -147,24 +147,19 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_trace_csv(path, trace: RunTrace, deterministic_body: bool = True,
-                    header_extra: dict | None = None) -> None:
+def write_trace_csv(path, trace: RunTrace) -> None:
     """Write one run as CSV.
 
     The body is bitwise reproducible for a fixed seed: measured wall time
-    lives in ``#`` header comments (the ``wall_s`` body column is zeroed
-    unless ``deterministic_body`` is off).
+    lives in ``#`` header comments and the ``wall_s`` body column is zeroed.
     """
     lines = [f"# method={trace.method} seed={trace.seed} iterations={trace.iterations}",
              f"# geometry: {trace.geometry_note}",
              f"# wall_total_s={trace.wall_total_s:.6f}",
-             f"# written_at={datetime.datetime.now().isoformat()}"]
-    for k, v in (header_extra or {}).items():
-        lines.append(f"# {k}={v}")
-    lines.append(",".join(CSV_COLUMNS))
+             f"# written_at={datetime.datetime.now().isoformat()}",
+             ",".join(CSV_COLUMNS)]
     for r in trace.records:
-        wall = 0.0 if deterministic_body else r.wall_s
-        row = [str(r.k), f"{wall:.6f}", str(r.i_k), format_float(r.sigma),
+        row = [str(r.k), "0.000000", str(r.i_k), format_float(r.sigma),
                format_float(r.theta), format_float(r.tau_min),
                format_float(r.tau_max), format_float(r.t), format_float(r.gap),
                format_float(r.dist_sq), format_float(r.dy)]
@@ -210,7 +205,14 @@ def make_dual_function(kind: str, param: float):
 
 
 def build_problem_from_config(cfg: ExperimentConfig):
-    """Instantiate the configured problem; returns (problem, x0, y0)."""
+    """Instantiate the configured problem, its smoothness constants
+    multiplied by ``method.lipschitz_scale``; returns (problem, x0, y0)."""
+    problem, x0, y0 = _build_unscaled(cfg)
+    problem.constants = problem.constants.scaled(cfg["method.lipschitz_scale"])
+    return problem, x0, y0
+
+
+def _build_unscaled(cfg: ExperimentConfig):
     v = cfg.values
     kind = v["problem.type"]
     rng = np.random.default_rng(v["problem.seed"])
@@ -258,9 +260,7 @@ def build_problem_from_config(cfg: ExperimentConfig):
         ds, lam=v["problem.lam"],
         B=v["problem.B"] if v["problem.B"] > 0 else None,
         m_blocks=m, bandwidth=v["problem.bandwidth"],
-        fold_quadratic_into_f=v["problem.fold_quadratic_into_f"],
-        dual_geometry=v["problem.dual_geometry"],
-        lipschitz_scale=v["method.lipschitz_scale"])
+        dual_geometry=v["problem.dual_geometry"])
     return problem, np.zeros(n), dual_start(problem)
 
 
@@ -301,8 +301,7 @@ def run_from_config(cfg: ExperimentConfig, seed: int) -> RunTrace:
     if name in ("rapd1", "rapd2"):
         sched = make_schedule_from_config(cfg, problem)
         opts = RunOptions(record_at=pts, reference=reference)
-        return run(problem, sched, K, seed, x0=x0, y0=y0,
-                   p=cfg.probabilities(problem.partition.m), options=opts)
+        return run(problem, sched, K, seed, x0=x0, y0=y0, options=opts)
     if name == "pdhg":
         alpha = v["method.alpha"] if v["method.alpha"] > 0 else default_alpha(problem.constants)
         s1 = part1_schedule(problem.constants, problem.partition.m, alpha,
@@ -509,7 +508,7 @@ def kernel_suite(n_tr: int = 200, d: int = 10, lam: float = 1.0,
     xn = float(np.linalg.norm(cert.x_star))
     result = KernelSuiteResult(oracle=cert, oracle_seconds=oracle_seconds,
                                target=target,
-                               mapping_fidelity=_mapping_fidelity(problem, ds, lam),
+                               mapping_fidelity=_mapping_fidelity(problem, ds),
                                grad_check_err=grad_check(problem, num_points=5,
                                                          epsilon=1e-5))
     m = problem.partition.m
@@ -528,7 +527,7 @@ def kernel_suite(n_tr: int = 200, d: int = 10, lam: float = 1.0,
     return result
 
 
-def _mapping_fidelity(problem, ds, lam, draws: int = 20, seed: int = 3) -> float:
+def _mapping_fidelity(problem, ds, draws: int = 20, seed: int = 3) -> float:
     """Compare the assembled coupling against the formula evaluated from
     raw ingredients (independent arithmetic path)."""
     from ..kernel_learning import gram_matrix, normalize_gram
@@ -547,10 +546,6 @@ def _mapping_fidelity(problem, ds, lam, draws: int = 20, seed: int = 3) -> float
         for l, K in enumerate(grams):
             G = np.diag(b) @ K @ np.diag(b)
             expect += (c / r[l]) * y[l] * float(x @ (G @ x))
-        if problem.folded:
-            pass  # lam ||x||^2 lives in f, not phi
-        else:
-            expect += lam * float(x @ x)
         got = problem.phi_value(x, np.concatenate([y, [z]]))
         worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))
     return worst

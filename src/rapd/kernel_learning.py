@@ -6,13 +6,13 @@ min-max form, the blocked primal variable is the SVM dual vector (kept
 nonnegative by ``f``), and the dual variable is the pair (kernel weights
 on the unit simplex, free multiplier of the label-balance constraint):
 
-    phi(x, (y, z)) = -2 e'x + sum_l (c/r_l) y_l x'G_l x
-                     [+ lam ||x||^2]  + z (b'x)
+    phi(x, (y, z)) = -2 e'x + sum_l (c/r_l) y_l x'G_l x + z (b'x)
 
-with ``G_l = diag(b) K_l diag(b)``.  By default the ridge term
-``lam ||x||^2`` is folded out of phi into the block functions
-(scaled nonnegative projection prox), which gives every block modulus
-``2 lam`` and makes the accelerated regime applicable.
+with ``G_l = diag(b) K_l diag(b)``, stored stacked as one C-ordered
+``(M, n, n)`` array.  The ridge term ``lam ||x||^2`` of the SVM lives in
+the block functions ``f_i`` (scaled nonnegative projection prox), not in
+phi, which gives every block modulus ``2 lam`` and makes the accelerated
+regime applicable.
 
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import BlockPartition
-from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorNonneg,
-                      IndicatorSimplex, NonnegQuadratic, ProductGeometry,
-                      Separable, Zero)
+from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
+                      NonnegQuadratic, ProductGeometry, Separable, Zero)
 from .exceptions import DimensionError, DomainError, ParameterError
 from .problem import LipschitzConstants, SaddleProblem, power_norm
 
@@ -128,31 +127,24 @@ def synth_dataset(n_tr: int, d: int, seed: int = 0, separation: float = 2.0) -> 
 
 class KernelProblem(SaddleProblem):
     """See the module docstring for the coupling; ``dual = (y, z)`` with
-    the simplex weights first and the free multiplier last."""
+    the simplex weights first and the free multiplier last.  ``G_list``
+    is the ``(M, n, n)`` stack of the Grams ``G_l``."""
 
     def __init__(self, G_list, b, lam, c, r, partition, B,
-                 fold_quadratic_into_f=True, dual_geometry="entropy",
-                 lipschitz_scale=1.0):
-        M = len(G_list)
-        n = G_list[0].shape[0]
+                 dual_geometry="entropy", lipschitz_scale=1.0):
+        G = np.ascontiguousarray(G_list, dtype=float)
+        M = G.shape[0]
         coef = c / np.asarray(r, dtype=float)
         slices = partition.slices()
 
-        col_norms = np.array([[power_norm(G[:, sl]) for sl in slices] for G in G_list])
-        diag_norms = np.array([[power_norm(G[sl, sl]) for sl in slices] for G in G_list])
+        col_norms = np.array([[power_norm(Gl[:, sl]) for sl in slices] for Gl in G])
+        diag_norms = np.array([[power_norm(Gl[sl, sl]) for sl in slices] for Gl in G])
         m = partition.m
-        L_xx = 6.0 * col_norms.max(axis=0)
-        if not fold_quadratic_into_f:
-            L_xx = L_xx + 2.0 * lam
-        L_yx = 6.0 * np.sqrt(M) * B * (col_norms + diag_norms / m).max(axis=0)
-        if fold_quadratic_into_f:
-            f = [NonnegQuadratic(lam) for _ in range(m)]
-        else:
-            f = [IndicatorNonneg() for _ in range(m)]
-        constants = LipschitzConstants(L_xx=L_xx * lipschitz_scale,
-                                       L_yx=L_yx * lipschitz_scale,
-                                       L_yy=0.0,
-                                       mu=np.array([fi.modulus for fi in f]))
+        f = [NonnegQuadratic(lam) for _ in range(m)]
+        constants = LipschitzConstants(
+            L_xx=6.0 * col_norms.max(axis=0),
+            L_yx=6.0 * np.sqrt(M) * B * (col_norms + diag_norms / m).max(axis=0),
+            L_yy=0.0, mu=np.array([fi.modulus for fi in f])).scaled(lipschitz_scale)
         h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
         if dual_geometry == "entropy":
             dg = ProductGeometry([EntropyGeometry(M), EuclideanGeometry(1)])
@@ -161,7 +153,7 @@ class KernelProblem(SaddleProblem):
         else:
             raise ParameterError(f"unknown dual geometry '{dual_geometry}'")
         super().__init__(partition, M + 1, f, h, constants, dual_geometry=dg)
-        self.G_list = [np.asarray(G, dtype=float) for G in G_list]
+        self.G_list = G
         self.b = np.asarray(b, dtype=float)
         self.lam = float(lam)
         self.c = float(c)
@@ -169,30 +161,19 @@ class KernelProblem(SaddleProblem):
         self.coef = coef
         self.B = float(B)
         self.M = M
-        self.folded = bool(fold_quadratic_into_f)
-        self._G_rows = [[G[sl, :] for sl in slices] for G in self.G_list]
 
     def phi_value(self, x, yz):
         y, z = yz[:self.M], yz[self.M]
-        quad = np.array([x @ (G @ x) for G in self.G_list])
-        val = -2.0 * x.sum() + float(self.coef * y @ quad) + z * float(self.b @ x)
-        if not self.folded:
-            val += self.lam * float(x @ x)
-        return float(val)
+        quad = (self.G_list @ x) @ x
+        return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
     def grad_x_block(self, i, x, yz):
         y, z = yz[:self.M], yz[self.M]
         sl = self.partition.block_slice(i)
-        g = np.full(sl.stop - sl.start, -2.0)
-        for l in range(self.M):
-            g += (2.0 * self.coef[l] * y[l]) * (self._G_rows[l][i] @ x)
-        if not self.folded:
-            g += 2.0 * self.lam * x[sl]
-        g += z * self.b[sl]
-        return g
+        return -2.0 + (2.0 * self.coef * y) @ (self.G_list[:, sl] @ x) + z * self.b[sl]
 
     def grad_y(self, x, yz):
-        quad = np.array([x @ (G @ x) for G in self.G_list])
+        quad = (self.G_list @ x) @ x
         return np.concatenate([self.coef * quad, [self.b @ x]])
 
     def project_primal_domain(self, x):
@@ -214,7 +195,6 @@ def default_dual_bound(n_tr: int, lam: float) -> float:
 def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = None,
                          m_blocks: int = 8, c: float | None = None,
                          kernels=("poly2", "gauss", "linear"), bandwidth: float = 0.1,
-                         fold_quadratic_into_f: bool = True,
                          dual_geometry: str = "entropy",
                          lipschitz_scale: float = 1.0) -> KernelProblem:
     """Assemble the saddle problem from a dataset.
@@ -225,19 +205,17 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
     if not lam > 0:
         raise ParameterError(f"need lam > 0, got {lam}")
     b = dataset.labels
-    grams = [normalize_gram(gram_matrix(kind, dataset.points, bandwidth))
-             for kind in kernels]
-    G_list = [np.outer(b, b) * K for K in grams]
-    r = np.array([np.trace(K) for K in grams])
+    G = np.stack([normalize_gram(gram_matrix(kind, dataset.points, bandwidth))
+                  for kind in kernels])
+    r = np.array([np.trace(K) for K in G])
+    G *= np.outer(b, b)
     c_val = float(r.sum()) if c is None else float(c)
     B_val = default_dual_bound(dataset.n_tr, lam) if B is None else float(B)
     if not B_val > 0:
         raise ParameterError(f"need B > 0, got {B_val}")
     partition = BlockPartition.even(dataset.n_tr, m_blocks)
-    return KernelProblem(G_list, b, lam, c_val, r, partition, B_val,
-                         fold_quadratic_into_f=fold_quadratic_into_f,
-                         dual_geometry=dual_geometry,
-                         lipschitz_scale=lipschitz_scale)
+    return KernelProblem(G, b, lam, c_val, r, partition, B_val,
+                         dual_geometry=dual_geometry, lipschitz_scale=lipschitz_scale)
 
 
 def dual_start(problem: KernelProblem) -> np.ndarray:

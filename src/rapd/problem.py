@@ -67,6 +67,8 @@ class LipschitzConstants:
     def scaled(self, factor: float) -> "LipschitzConstants":
         """Globally deflate/inflate the smoothness constants (the moduli
         are properties of f and are left alone)."""
+        if not factor > 0:
+            raise ParameterError(f"Lipschitz scale must be > 0, got {factor}")
         return LipschitzConstants(self.L_xx * factor, self.L_yx * factor,
                                   self.L_yy * factor, self.mu.copy())
 

@@ -231,11 +231,11 @@ def _geometry_note(problem) -> str:
 
 def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         x0: np.ndarray | None = None, y0: np.ndarray | None = None,
-        p: np.ndarray | None = None, options: RunOptions | None = None) -> RunTrace:
+        options: RunOptions | None = None) -> RunTrace:
     """Execute ``K`` iterations and return the trace.
 
-    ``p`` overrides the schedule's sampling probabilities (they must agree
-    when both are given).  Metrics that need a saddle point (gap,
+    Blocks are sampled with the schedule's probabilities ``schedule.p``
+    (uniform when ``None``).  Metrics that need a saddle point (gap,
     distances) are recorded only when ``options.reference`` is supplied.
     """
     opts = options or RunOptions()
@@ -250,9 +250,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             if g.kind != "euclidean":
                 raise RegimeError("accelerated schedule is proven for the "
                                   "euclidean primal geometry only")
-    if p is not None and schedule.p is not None and not np.allclose(p, schedule.p):
-        raise ParameterError("sampling probabilities disagree with the schedule")
-    p_arr = p if p is not None else schedule.p
+    p_arr = schedule.p
 
     ref = opts.reference
     mu = problem.constants.mu

@@ -9,12 +9,12 @@ from rapd.harness.cli import cli_main
 from rapd.harness.config import load_config, parse_config
 from rapd.harness.metrics import (fit_loglog, lagrangian_gap, rate_bound_delta1,
                                   rate_bound_delta2, slope_fit)
-from rapd.harness.suites import (CSV_COLUMNS, bilinear_game, record_points,
-                                 write_trace_csv)
+from rapd.harness.suites import (CSV_COLUMNS, bilinear_game, build_problem_from_config,
+                                 record_points, run_from_config, write_trace_csv)
 from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact
 from rapd.problem import build_quadratic_game
-from rapd.solver import RunTrace, TraceRecord
-from rapd.stepsize import part1_schedule, part2_init
+from rapd.solver import RunTrace, TraceRecord, run
+from rapd.stepsize import default_alpha, nonuniform_weights, part1_schedule, part2_init
 
 
 BASE_CFG = """
@@ -33,6 +33,10 @@ run.seeds = 0,1
 output.dir = out
 """
 
+BILINEAR_CFG = BASE_CFG.replace("problem.type = quadratic_game",
+                                "problem.type = bilinear_erm").replace(
+                                "problem.h = ball", "problem.h = simplex")
+
 
 class TestConfig:
     def test_parse_and_defaults(self):
@@ -49,6 +53,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("problem.type = quadratic_game\nmethod.name = rapd1\n"
                          "problem.nn = 8\n")
+        with pytest.raises(ConfigError, match="unknown key 'problem.fold_quadratic_into_f'"):
+            parse_config(BASE_CFG + "problem.fold_quadratic_into_f = false\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -76,6 +82,33 @@ class TestConfig:
         assert p == pytest.approx([0.75, 0.25])
         with pytest.raises(ConfigError):
             cfg.probabilities(3)
+
+    def test_lipschitz_scale_every_type(self):
+        for kind in ("quadratic_game", "bilinear_erm", "constrained", "kernel"):
+            text = BILINEAR_CFG.replace("bilinear_erm", kind).replace(
+                "problem.n = 8", "problem.n = 12")
+            default, _, _ = build_problem_from_config(parse_config(text))
+            half, _, _ = build_problem_from_config(
+                parse_config(text + "method.lipschitz_scale = 0.5\n"))
+            a, b = default.constants, half.constants
+            assert np.array_equal(b.L_xx, 0.5 * a.L_xx), kind
+            assert np.array_equal(b.L_yx, 0.5 * a.L_yx), kind
+            assert b.L_yy == 0.5 * a.L_yy, kind
+            assert np.array_equal(b.mu, a.mu), kind
+
+    def test_sampling_probabilities_reach_the_run(self):
+        # non-uniform constant steps need a coupling linear in the dual
+        cfg = parse_config(BILINEAR_CFG + "method.p = 0.75,0.25\n")
+        tr = run_from_config(cfg, seed=4)
+        problem, x0, y0 = build_problem_from_config(cfg)
+        c = problem.constants
+        sched = nonuniform_weights(c, 2, default_alpha(c), np.array([0.75, 0.25]),
+                                   regime="part1", c_tau=0.99, c_sigma=0.99)
+        ref = run(problem, sched, 50, 4, x0=x0, y0=y0)
+        assert np.array_equal(tr.final_x, ref.final_x)
+        assert np.array_equal(tr.final_y, ref.final_y)
+        uniform = run_from_config(parse_config(BILINEAR_CFG), seed=4)
+        assert not np.array_equal(tr.final_x, uniform.final_x)
 
 
 def quadratic_with_cert(seed=1, n=6, d=2, m=3):
@@ -304,6 +337,21 @@ class TestCli:
 
     def test_parameter_error_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, BASE_CFG + "method.c_tau = 2\n")
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+
+    def test_unparsable_probabilities_exit_code(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path, BASE_CFG + "method.p = 0.5,abc\n")
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_check_sees_deflated_constants(self, tmp_path):
+        # constants scaled below the true bounds fail the smoothness spot-check
+        p = self._write_cfg(tmp_path, BILINEAR_CFG)
+        assert cli_main(["check", "--config", str(p)]) == 0
+        p = self._write_cfg(tmp_path, BILINEAR_CFG + "method.lipschitz_scale = 0.1\n")
+        assert cli_main(["check", "--config", str(p)]) == 4
+        p = self._write_cfg(tmp_path, BILINEAR_CFG + "method.lipschitz_scale = 0\n")
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
 
     def test_dimension_error_exit_code(self, tmp_path):

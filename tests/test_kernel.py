@@ -142,23 +142,19 @@ class TestProblemAssembly:
         assert grad_check(prob, num_points=4, epsilon=1e-5) <= 1e-6
 
     def test_modulus_folding(self):
-        ds, prob = small_problem(fold_quadratic_into_f=True)
+        ds, prob = small_problem()
         assert np.all(prob.constants.mu == 2.0)   # 2 * lam
         assert prob.constants.L_yy == 0.0
-        ds2, prob2 = small_problem(fold_quadratic_into_f=False)
-        assert np.all(prob2.constants.mu == 0.0)
-        # unfolded coupling keeps the ridge: constants differ by 2*lam
-        assert prob2.constants.L_xx == pytest.approx(prob.constants.L_xx + 2.0)
 
-    def test_fold_does_not_change_lagrangian(self):
-        ds, folded = small_problem(fold_quadratic_into_f=True)
-        _, plain = small_problem(fold_quadratic_into_f=False)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            x = np.abs(rng.standard_normal(60))
-            yz = np.concatenate([rng.dirichlet(np.ones(3)), [rng.standard_normal()]])
-            assert folded.lagrangian(x, yz) == pytest.approx(
-                plain.lagrangian(x, yz), rel=1e-12)
+    def test_stacked_gram_layout(self):
+        ds, prob = small_problem()
+        G = prob.G_list
+        assert isinstance(G, np.ndarray) and G.shape == (3, 60, 60)
+        assert G.flags.c_contiguous
+        b = ds.labels
+        expect = np.stack([np.outer(b, b) * normalize_gram(gram_matrix(kind, ds.points))
+                           for kind in ("poly2", "gauss", "linear")])
+        assert np.array_equal(G, expect)
 
     def test_smoothness_spot_check_in_validity_region(self):
         ds, prob = small_problem()
