@@ -19,10 +19,11 @@ from rapd.stepsize import default_alpha, part1_schedule
 problem, cert = bilinear_game(instance_seed=1)
 sched = part1_schedule(problem.constants, 1, default_alpha(problem.constants))
 r_iter, b_iter = [], []
+# the hook sees live iterates, so it keeps copies
 run(problem, sched, 100, seed=0,
-    options=RunOptions(iterate_hook=lambda k, x, y: r_iter.append((x, y))))
+    options=RunOptions(iterate_hook=lambda k, x, y: r_iter.append((x.copy(), y.copy()))))
 pdhg_run(problem, float(sched.tau[0]), sched.sigma, 100,
-         iterate_hook=lambda k, x, y: b_iter.append((x, y)))
+         iterate_hook=lambda k, x, y: b_iter.append((x.copy(), y.copy())))
 dev = max(max(np.abs(xr - xb).max(), np.abs(yr - yb).max())
           for (xr, yr), (xb, yb) in zip(r_iter, b_iter))
 print(f"randomized(m=1) vs deterministic primal-dual, 100 iterations: "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bregman import bregman_prox
 from .exceptions import ParameterError
-from .problem import SaddleProblem, power_norm
+from .problem import SaddleProblem, spectral_norm
 from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
 
 
@@ -65,11 +65,11 @@ def estimate_operator_lipschitz(problem: SaddleProblem) -> float:
     """Lipschitz constant of the first-order map for (bi)linear-quadratic
     couplings, via the spectral norm of the linearization."""
     if hasattr(problem, "A"):
-        return power_norm(problem.A)
+        return spectral_norm(problem.A)
     if hasattr(problem, "P"):
         top = np.hstack([problem.P, problem.C.T])
         bot = np.hstack([-problem.C, problem.Q])
-        return power_norm(np.vstack([top, bot]))
+        return spectral_norm(np.vstack([top, bot]))
     raise ParameterError("no built-in Lipschitz estimate for this coupling; "
                          "pass L explicitly")
 

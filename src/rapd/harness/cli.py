@@ -87,6 +87,8 @@ def _cmd_run(args) -> int:
                 "wall_total_s": f"{trace.wall_total_s:.6f}",
                 "final_x_norm": float(np.linalg.norm(trace.final_x)),
                 "final_y_norm": float(np.linalg.norm(trace.final_y)),
+                "cache_resyncs": trace.cache_resyncs,
+                "max_cache_drift": f"{trace.max_cache_drift:.3e}",
             }
             if trace.records and not np.isnan(trace.records[-1].gap):
                 entries["final_gap"] = trace.records[-1].gap

@@ -156,6 +156,8 @@ def write_trace_csv(path, trace: RunTrace) -> None:
     lines = [f"# method={trace.method} seed={trace.seed} iterations={trace.iterations}",
              f"# geometry: {trace.geometry_note}",
              f"# wall_total_s={trace.wall_total_s:.6f}",
+             f"# cache_resyncs={trace.cache_resyncs} "
+             f"max_cache_drift={trace.max_cache_drift:.3e}",
              f"# written_at={datetime.datetime.now().isoformat()}",
              ",".join(CSV_COLUMNS)]
     for r in trace.records:

@@ -14,6 +14,10 @@ the block functions ``f_i`` (scaled nonnegative projection prox), not in
 phi, which gives every block modulus ``2 lam`` and makes the accelerated
 regime applicable.
 
+The primal product a solver keeps is ``G x``, one ``(M, n)`` array: a
+block step moves it at ``O(M n n_i)`` cost, and the dual gradient
+``(coef * (G x)'x, b'x)`` reads off it at ``O(M n)``.
+
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
 
@@ -28,7 +32,7 @@ from .blockcore import BlockPartition
 from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
                       NonnegQuadratic, ProductGeometry, Separable, Zero)
 from .exceptions import DimensionError, DomainError, ParameterError
-from .problem import LipschitzConstants, SaddleProblem, power_norm
+from .problem import LipschitzConstants, SaddleProblem, spectral_norm
 
 GRAM_MAGIC = b"RAPDK1"
 
@@ -137,8 +141,8 @@ class KernelProblem(SaddleProblem):
         coef = c / np.asarray(r, dtype=float)
         slices = partition.slices()
 
-        col_norms = np.array([[power_norm(Gl[:, sl]) for sl in slices] for Gl in G])
-        diag_norms = np.array([[power_norm(Gl[sl, sl]) for sl in slices] for Gl in G])
+        col_norms = np.array([[spectral_norm(Gl[:, sl]) for sl in slices] for Gl in G])
+        diag_norms = np.array([[spectral_norm(Gl[sl, sl]) for sl in slices] for Gl in G])
         m = partition.m
         f = [NonnegQuadratic(lam) for _ in range(m)]
         constants = LipschitzConstants(
@@ -161,6 +165,7 @@ class KernelProblem(SaddleProblem):
         self.coef = coef
         self.B = float(B)
         self.M = M
+        self._slices = slices
 
     def phi_value(self, x, yz):
         y, z = yz[:self.M], yz[self.M]
@@ -168,13 +173,28 @@ class KernelProblem(SaddleProblem):
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
     def grad_x_block(self, i, x, yz):
-        y, z = yz[:self.M], yz[self.M]
-        sl = self.partition.block_slice(i)
-        return -2.0 + (2.0 * self.coef * y) @ (self.G_list[:, sl] @ x) + z * self.b[sl]
+        sl = self._slices[i]
+        return self._block_gradient(sl, self.G_list[:, sl] @ x, yz)
 
-    def grad_y(self, x, yz):
-        quad = (self.G_list @ x) @ x
-        return np.concatenate([self.coef * quad, [self.b @ x]])
+    def grad_x_block_cached(self, i, w, x, yz):
+        sl = self._slices[i]
+        return self._block_gradient(sl, w[:, sl], yz)
+
+    def _block_gradient(self, sl, Gx_block, yz):
+        """The primal gradient on ``sl`` from the rows ``G_l[sl] x``."""
+        y, z = yz[:self.M], yz[self.M]
+        return -2.0 + (2.0 * self.coef * y) @ Gx_block + z * self.b[sl]
+
+    def primal_product(self, x):
+        """``w = G x``: the ``(M, n)`` array of the products ``G_l x``."""
+        return self.G_list @ x
+
+    def grad_y_incremental(self, w, i, dx):
+        # the Grams are symmetric, so the columns G_l[:, sl] are the rows G_l[sl]
+        w += dx @ self.G_list[:, self._slices[i]]
+
+    def grad_y_cached(self, w, x, yz):
+        return np.concatenate([self.coef * (w @ x), [self.b @ x]])
 
     def project_primal_domain(self, x):
         """Nonnegative orthant scaled into the ball of radius B (the

@@ -3,11 +3,12 @@
 A :class:`SaddleProblem` bundles everything the solvers consume: block
 partition, per-block nonsmooth terms ``f_i`` with their moduli, the dual
 term ``h``, the coupling value ``phi``, per-block primal gradients, the
-full (and optionally incremental) dual gradient, Lipschitz constants, and
-the Bregman geometries of both sides.
+dual gradient, the primal product that lets a solver keep both gradients
+up to date block by block, Lipschitz constants, and the Bregman
+geometries of both sides.
 
 Builders: bilinear empirical-risk coupling, quadratic two-player game,
-and the conically constrained program reformulated with a dual-ball cap.
+and the affinely constrained program reformulated with a dual-ball cap.
 """
 
 from __future__ import annotations
@@ -26,27 +27,12 @@ from .exceptions import DimensionError, ParameterError
 ZERO_COUPLING_FLOOR = 1e-12
 
 
-def power_norm(mat: np.ndarray, iters: int = 200, rtol: float = 1e-12) -> float:
-    """Spectral norm by power iteration on ``mat.T @ mat``.
-
-    Deterministic all-ones start; stops after ``iters`` rounds or when the
-    estimate changes by less than ``rtol`` relatively.
-    """
+def spectral_norm(mat: np.ndarray) -> float:
+    """Exact spectral norm: the square root of the largest eigenvalue of
+    the smaller of the two Gram matrices ``mat.T @ mat`` and ``mat @ mat.T``."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
-    v = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
-    est = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - est) <= rtol * max(nrm, 1.0):
-            est = nrm
-            break
-        est = nrm
-    return float(np.sqrt(est))
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
 
 
 @dataclass
@@ -94,6 +80,12 @@ class SaddleProblem:
         self.dual_geometry = dual_geometry or EuclideanGeometry(dual_dim)
 
     # -- coupling oracles ------------------------------------------------
+    #
+    # The stateless oracles serve the baselines, the saddle oracle and the
+    # checkers.  ``run`` instead keeps the coupling's linear primal product
+    # ``w = K x``, which carries every part of ``grad_y`` and of a block
+    # gradient that costs more than one block: it moves ``w`` forward from
+    # the changed block alone and reads both gradients off it.
 
     def phi_value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -102,10 +94,26 @@ class SaddleProblem:
         raise NotImplementedError
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Full dual gradient at ``(x, y)``."""
+        return self.grad_y_cached(self.primal_product(x), x, y)
+
+    def primal_product(self, x: np.ndarray) -> np.ndarray:
+        """The coupling's linear primal product ``w = K x``, as a new array."""
         raise NotImplementedError
 
-    #: overridden by couplings separable across primal blocks
-    grad_y_incremental = None
+    def grad_y_incremental(self, w: np.ndarray, i: int, dx: np.ndarray) -> None:
+        """Move ``w = K x`` in place to ``K (x + U_i dx)``, at O(block) cost."""
+        raise NotImplementedError
+
+    def grad_y_cached(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``grad_y(x, y)`` read off ``w = K x``.  Always a new array, never
+        ``w`` itself, so a caller may keep it while ``w`` moves on."""
+        raise NotImplementedError
+
+    def grad_x_block_cached(self, i: int, w: np.ndarray, x: np.ndarray,
+                            y: np.ndarray) -> np.ndarray:
+        """``grad_x_block(i, x, y)`` read off ``w = K x``."""
+        raise NotImplementedError
 
     # -- convenience -----------------------------------------------------
 
@@ -157,7 +165,7 @@ class BilinearProblem(SaddleProblem):
         self.A = At.T
         constants = LipschitzConstants(
             L_xx=np.zeros(partition.m),
-            L_yx=np.array([power_norm(A) for A in self.A_blocks]),
+            L_yx=np.array([spectral_norm(A) for A in self.A_blocks]),
             L_yy=0.0,
             mu=np.array([fi.modulus for fi in f]),
         )
@@ -183,20 +191,24 @@ class BilinearProblem(SaddleProblem):
             g = g + self.p[self.partition.block_slice(i)]
         return g
 
-    def grad_y(self, x, y):
-        g = self.A @ x
-        if self.q is not None:
-            g = g - self.q
-        return g
+    def grad_x_block_cached(self, i, w, x, y):
+        # the block gradient does not read A x
+        return self.grad_x_block(i, x, y)
 
-    def grad_y_incremental(self, prev_grad, i, old_block, new_block, y_unchanged):
-        return prev_grad + self.A_blocks[i] @ (new_block - old_block)
+    def primal_product(self, x):
+        return self.A @ x
+
+    def grad_y_incremental(self, w, i, dx):
+        w += self.A_blocks[i] @ dx
+
+    def grad_y_cached(self, w, x, y):
+        return w.copy() if self.q is None else w - self.q
 
 
 class QuadraticGameProblem(SaddleProblem):
     """``phi = 0.5 x'Px + p'x + y'Cx - 0.5 y'Qy - q'y`` with P, Q
     symmetric PSD; strongly convex in x when P is definite and linear in
-    y when Q = 0."""
+    y when Q = 0.  The primal product is ``w = (C x, P x)``."""
 
     def __init__(self, P, Q, C, p, q, partition, f=None, h=None,
                  validate=True, **kw):
@@ -218,15 +230,20 @@ class QuadraticGameProblem(SaddleProblem):
         h = h or Zero()
         slices = partition.slices()
         constants = LipschitzConstants(
-            L_xx=np.array([power_norm(P[:, sl]) for sl in slices]),
-            L_yx=np.array([power_norm(C[:, sl]) for sl in slices]),
-            L_yy=power_norm(Q),
+            L_xx=np.array([spectral_norm(P[:, sl]) for sl in slices]),
+            L_yx=np.array([spectral_norm(C[:, sl]) for sl in slices]),
+            L_yy=spectral_norm(Q),
             mu=np.array([fi.modulus for fi in f]),
         )
         super().__init__(partition, d, f, h, constants, **kw)
         self.P, self.Q, self.C, self.p, self.q = P, Q, C, p, q
         self._P_rows = [P[sl, :] for sl in slices]
         self._C_cols = [C[:, sl] for sl in slices]
+        self._K = np.vstack([C, P])
+        self._K_cols = [self._K[:, sl] for sl in slices]
+        self._Px_rows = [slice(d + sl.start, d + sl.stop) for sl in slices]
+        self._p_blocks = [p[sl] for sl in slices]
+        self._dual_curved = bool(Q.any())
 
     def phi_value(self, x, y):
         return float(0.5 * x @ (self.P @ x) + self.p @ x + y @ (self.C @ x)
@@ -237,112 +254,58 @@ class QuadraticGameProblem(SaddleProblem):
         return self._P_rows[i] @ x + self.p[sl] + self._C_cols[i].T @ y
 
     def grad_y(self, x, y):
+        # the direct formula, not the read-off: a full pass needs no P x
         return self.C @ x - self.Q @ y - self.q
+
+    def grad_x_block_cached(self, i, w, x, y):
+        return w[self._Px_rows[i]] + self._p_blocks[i] + self._C_cols[i].T @ y
+
+    def primal_product(self, x):
+        return self._K @ x
+
+    def grad_y_incremental(self, w, i, dx):
+        w += self._K_cols[i] @ dx
+
+    def grad_y_cached(self, w, x, y):
+        g = w[:self.dual_dim]
+        if self._dual_curved:
+            g = g - self.Q @ y
+        return g - self.q
 
 
 @dataclass
 class QuadraticMap:
-    """Componentwise-convex quadratic map ``G_j(x) = 0.5 x'Q_j x + a_j'x + b_j``.
+    """Affine constraint map ``G(x) = A x + b``, with ``linear`` the
+    ``(d, n)`` matrix ``A`` and ``offset`` the vector ``b``."""
 
-    ``quadratics`` may be ``None`` for an affine map.  ``x_radius`` bounds
-    the region on which coordinate Lipschitz constants of a genuinely
-    quadratic map are computed; affine maps do not need it.
-    """
-
-    linear: np.ndarray                 # (d, n)
-    offset: np.ndarray                 # (d,)
-    quadratics: list | None = None     # d PSD matrices (n, n)
-    x_radius: float | None = None
+    linear: np.ndarray
+    offset: np.ndarray
 
     def __post_init__(self):
         self.linear = np.atleast_2d(np.asarray(self.linear, dtype=float))
         self.offset = np.asarray(self.offset, dtype=float)
-        if self.quadratics is not None:
-            self.quadratics = [np.asarray(Qj, dtype=float) for Qj in self.quadratics]
-            if self.x_radius is None:
-                raise ParameterError("quadratic constraint maps need x_radius for "
-                                     "their coordinate Lipschitz constants")
-
-    @property
-    def d(self):
-        return self.linear.shape[0]
-
-    def value(self, x):
-        v = self.linear @ x + self.offset
-        if self.quadratics is not None:
-            v = v + 0.5 * np.array([x @ (Qj @ x) for Qj in self.quadratics])
-        return v
-
-    def jacobian(self, x):
-        J = self.linear.copy()
-        if self.quadratics is not None:
-            J += np.stack([Qj @ x for Qj in self.quadratics])
-        return J
-
-    def coord_lipschitz(self, partition):
-        """Per-block constants C_i (map) and L_i (Jacobian)."""
-        slices = partition.slices()
-        if self.quadratics is None:
-            C = np.array([power_norm(self.linear[:, sl]) for sl in slices])
-            L = np.zeros(partition.m)
-            return C, L
-        R = float(self.x_radius)
-        C = np.zeros(partition.m)
-        L = np.zeros(partition.m)
-        for i, sl in enumerate(slices):
-            # |G_j(x+U_i v) - G_j(x)| <= (||Q_j U_i||R + ||(a_j)_i||
-            #   + ||U_i'Q_j U_i||R) ||v||  on ||x||, ||x+U_i v|| <= R
-            lin = np.array([float(np.linalg.norm(self.linear[j, sl]))
-                            for j in range(self.d)])
-            quad = np.array([power_norm(Qj[:, sl]) * R + power_norm(Qj[sl, sl]) * R
-                             for Qj in self.quadratics])
-            C[i] = float(np.linalg.norm(lin + quad))
-            L[i] = float(np.sqrt(sum(power_norm(Qj[:, sl]) ** 2
-                                     for Qj in self.quadratics)))
-        return C, L
 
 
-class ConstrainedProblem(SaddleProblem):
+class ConstrainedProblem(QuadraticGameProblem):
     """Saddle reformulation of ``min f(x) + g(x) s.t. G(x) in -K`` with a
-    known dual bound: ``phi = g(x) + <G(x), y>`` and ``h`` the indicator
-    of the dual cone capped at radius B."""
+    convex quadratic ``g``, an affine ``G`` and a known dual bound B.
 
-    def __init__(self, g_spec: QuadraticMap | tuple, G_spec: QuadraticMap,
-                 cone: str, B: float, partition: BlockPartition,
-                 f=None, **kw):
+    ``phi = g(x) + <G(x), y>`` is the quadratic game with ``P, p`` from
+    ``g``, ``C`` the linear part of ``G``, ``q`` its negated offset and
+    ``Q = 0``; ``h`` is the indicator of the dual cone capped at radius B.
+    """
+
+    def __init__(self, g_spec: tuple, G_spec: QuadraticMap, cone: str, B: float,
+                 partition: BlockPartition, f=None, **kw):
         if not B > 0:
             raise ParameterError(f"dual bound must be > 0, got {B}")
         # g is a convex quadratic 0.5 x'P x + p'x given as (P, p)
-        if isinstance(g_spec, tuple):
-            Pg, pg = g_spec
-        else:
+        if not isinstance(g_spec, tuple):
             raise ParameterError("g_spec must be a (P, p) quadratic pair")
-        Pg = np.asarray(Pg, dtype=float)
-        pg = np.asarray(pg, dtype=float)
-        f = f or [Zero() for _ in partition.sizes]
-        slices = partition.slices()
-        Cg, Lg_jac = G_spec.coord_lipschitz(partition)
-        Li_g = np.array([power_norm(Pg[:, sl]) for sl in slices])
-        constants = LipschitzConstants(
-            L_xx=Li_g + Lg_jac * B,
-            L_yx=Cg,
-            L_yy=0.0,
-            mu=np.array([fi.modulus for fi in f]),
-        )
-        h = ConeDualBall(cone, B)
-        super().__init__(partition, G_spec.d, f, h, constants, **kw)
-        self.Pg, self.pg, self.G_spec, self.B = Pg, pg, G_spec, float(B)
-        self._Pg_rows = [Pg[sl, :] for sl in slices]
-
-    def phi_value(self, x, y):
-        return float(0.5 * x @ (self.Pg @ x) + self.pg @ x + y @ self.G_spec.value(x))
-
-    def grad_x_block(self, i, x, y):
-        sl = self.partition.block_slice(i)
-        return self._Pg_rows[i] @ x + self.pg[sl] + self.G_spec.jacobian(x)[:, sl].T @ y
-
-    def grad_y(self, x, y):
-        return self.G_spec.value(x)
+        Pg, pg = g_spec
+        d = G_spec.linear.shape[0]
+        super().__init__(Pg, np.zeros((d, d)), G_spec.linear, pg, -G_spec.offset,
+                         partition, f=f, h=ConeDualBall(cone, B), **kw)
 
 
 # ---------------------------------------------------------------------------

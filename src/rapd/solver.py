@@ -7,16 +7,22 @@ grad_y(x^{k-1}, y^{k-1})``:
 2. dual ascent prox    ``y^{k+1} = argmin_y h(y) - <s^k, y - y^k>
                           + D_Y(y, y^k)/sigma^k``
 3. sample one block    ``i_k`` (uniform or per given probabilities)
-4. primal block prox   on block ``i_k`` only, at ``grad_{x_i} phi(x^k, y^{k+1})``
+4. primal block prox   on block ``i_k`` only, at ``grad_{x_i} phi(x^k, y^{k+1})``,
+                       written into ``x`` in place
 
 then the dual-gradient cache moves forward and the schedule advances.
 The convention ``(x^{-1}, y^{-1}) = (x^0, y^0)`` makes ``s^0 = g_0``.
 
-Per-iteration cost: one block gradient, two proxes and one cache update.
-A coupling separable across blocks (bilinear) updates the cache from the
-changed block alone, at O(block) cost, and recomputes it in full every
-``CACHE_RESYNC_SWEEPS * m`` iterations; any other coupling moves it
-forward with one full dual gradient at the new iterate.
+Per-iteration cost: O(block) for the primal side plus the dual-side work
+on ``y``, which every iteration does in full.  ``run`` keeps the
+coupling's linear primal product ``w = K x`` (see ``SaddleProblem``),
+updates it from the changed block alone, reads the dual gradient and the
+block gradient off it, and recomputes it and checks the cached gradient
+against a fresh one every ``CACHE_RESYNC_SWEEPS * m`` iterations.  The
+bookkeeping is O(block) too: a running ``||x||^2`` for the divergence
+guard and ergodic sums that bring a block up to date only when it
+changes or when an average is read.  The accelerated schedule advances
+in O(m) vector work, with no validation after the first state.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
@@ -42,6 +48,8 @@ DIVERGENCE_LIMIT = 1e12
 #: an incrementally updated dual-gradient cache is recomputed in full and
 #: checked for drift every CACHE_RESYNC_SWEEPS * m iterations
 CACHE_RESYNC_SWEEPS = 64
+#: relative drift of the cached dual gradient that fails a run
+CACHE_DRIFT_LIMIT = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +65,20 @@ def dual_step(problem: SaddleProblem, y: np.ndarray, s: np.ndarray,
 
 def primal_block_step(problem: SaddleProblem, x: np.ndarray, y_next: np.ndarray,
                       i: int, tau_i: float) -> np.ndarray:
-    """Prox-descent on block ``i`` only; other blocks are returned
-    bit-identical."""
+    """Prox-descent on block ``i`` only, as a new vector; other blocks are
+    returned bit-identical.  ``run`` makes the same step in place."""
     if not tau_i > 0:
         raise ParameterError(f"primal step must be > 0, got {tau_i}")
     sl = problem.partition.block_slice(i)
-    g = problem.grad_x_block(i, x, y_next)
     out = x.copy()
-    out[sl] = bregman_prox(problem.primal_geometry[i], problem.f[i], tau_i, g, x[sl])
+    out[sl] = _block_prox(problem, i, tau_i, problem.grad_x_block(i, x, y_next), x[sl])
     return out
+
+
+def _block_prox(problem: SaddleProblem, i: int, tau_i: float, g: np.ndarray,
+                x_i: np.ndarray) -> np.ndarray:
+    """The prox of ``f_i`` in block ``i``'s geometry at gradient ``g``."""
+    return bregman_prox(problem.primal_geometry[i], problem.f[i], tau_i, g, x_i)
 
 
 def ergodic_average(xs_sum: np.ndarray, ys_sum: np.ndarray, count: int):
@@ -115,6 +128,8 @@ class RunTrace:
     iterations: int = 0
     wall_total_s: float = 0.0
     geometry_note: str = ""
+    cache_resyncs: int = 0          # full recomputations of the primal product
+    max_cache_drift: float = 0.0    # largest relative drift found at a resync
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
@@ -136,18 +151,29 @@ class RunOptions:
                                        # cache against a fresh one; never moves the iterates
     time_budget_s: float | None = None # stop early at a record point
     stop_when: object | None = None    # callable(x, y) -> bool, checked at records
-    iterate_hook: object | None = None # callable(k_done, x, y), for tests
+    iterate_hook: object | None = None # callable(k_done, x, y); x and y are the live
+                                       # iterates, valid until the next iteration:
+                                       # copy what you keep
 
 
 class _Monitor:
     """Bookkeeping shared by :func:`run` and the deterministic baselines.
 
-    A loop starts from ``monitor.start``, calls :meth:`step` once per
-    completed iteration and returns :meth:`finish`.  The monitor keeps the
-    ergodic sums, guards against divergence, calls the iterate hook, and
-    at record points (``record_at`` and the last iteration) appends the
-    loop's ``describe(k, wall_s)`` record, filled in with the metrics
-    against the reference, then checks ``stop_when`` and the time budget.
+    A loop starts from ``monitor.start`` and calls :meth:`step` or, when
+    only one block of the live iterate changed, :meth:`step_block` once
+    per completed iteration, then returns :meth:`finish`.  The monitor
+    keeps the ergodic sums, guards against divergence, calls the iterate
+    hook, and at record points (``record_at`` and the last iteration)
+    appends the loop's ``describe(k, wall_s)`` record, filled in with the
+    metrics against the reference, then checks ``stop_when`` and the time
+    budget.
+
+    The primal ergodic sum is lazy: ``x_sum`` holds block ``j``'s iterates
+    up to iteration ``last[j]``, and the block has not changed since, so
+    it is brought up to date when the block changes and, for every block,
+    when an average is read.  ``x_sq`` is a running ``||x||^2`` for the
+    divergence guard, recomputed every ``CACHE_RESYNC_SWEEPS * m``
+    iterations.
     """
 
     def __init__(self, problem: SaddleProblem, method: str, K: int, x0, y0,
@@ -161,10 +187,17 @@ class _Monitor:
         self.record_at = set() if options.record_at is None else {
             int(r) for r in options.record_at}
         self.start = problem.initial_point(x0, y0)
-        self.x_sum = np.zeros_like(self.start[0])
+        x = self.start[0]
+        self.x_sum = np.zeros_like(x)
         self.y_sum = np.zeros_like(self.start[1])
+        part = problem.partition
+        self.slices = part.slices()
+        self.sizes = part.sizes
+        self.last = [0] * part.m
+        self.x_sq = float(x @ x)
+        self.resync_every = CACHE_RESYNC_SWEEPS * part.m
         self.done = 0
-        self.trace = RunTrace(method=method, seed=seed, partition=problem.partition,
+        self.trace = RunTrace(method=method, seed=seed, partition=part,
                               geometry_note=_geometry_note(problem))
         self.tic = time.perf_counter()
 
@@ -173,15 +206,37 @@ class _Monitor:
         """Account for one iteration ending at ``(x, y)``; the ergodic sums
         take ``(x_avg, y_avg)`` instead when given.  Returns True when the
         loop should stop before ``K``."""
-        self.done = done = self.done + 1
+        self.done += 1
         self.x_sum += x if x_avg is None else x_avg
-        self.y_sum += y if y_avg is None else y_avg
+        self.last = [self.done] * len(self.sizes)
+        self.x_sq = float(x @ x)
+        return self._close(x, y, y if y_avg is None else y_avg)
 
-        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-        if not (np.isfinite(nx) and np.isfinite(ny)) or max(nx, ny) > DIVERGENCE_LIMIT:
+    def step_block(self, x: np.ndarray, y: np.ndarray, i: int, old: np.ndarray,
+                   new: np.ndarray) -> bool:
+        """Account for one iteration that changed only block ``i`` of the
+        live iterate ``x``, from ``old`` to ``new``, and moved ``y``."""
+        pending = self.done - self.last[i]
+        if pending:
+            self.x_sum[self.slices[i]] += pending * old
+        self.last[i] = self.done
+        self.done += 1
+        if self.done % self.resync_every == 0:
+            self.x_sq = float(x @ x)
+        else:
+            self.x_sq += float(new @ new) - float(old @ old)
+        return self._close(x, y, y)
+
+    def _close(self, x, y, y_avg) -> bool:
+        done = self.done
+        self.y_sum += y_avg
+        y_sq = float(y @ y)
+        if not (self.x_sq <= DIVERGENCE_LIMIT ** 2 and y_sq <= DIVERGENCE_LIMIT ** 2):
             raise DivergenceError(
-                f"iterate norm {max(nx, ny):.3e} exceeded {DIVERGENCE_LIMIT:.1e} "
-                f"at iteration {done} (method {self.trace.method}, seed {self.trace.seed})")
+                f"iterate norms ||x|| = {abs(self.x_sq) ** 0.5:.3e}, ||y|| = "
+                f"{y_sq ** 0.5:.3e}: one is not finite or exceeded "
+                f"{DIVERGENCE_LIMIT:.1e} at iteration {done} "
+                f"(method {self.trace.method}, seed {self.trace.seed})")
 
         opts = self.opts
         if opts.iterate_hook is not None:
@@ -192,6 +247,7 @@ class _Monitor:
         rec = self.describe(done, time.perf_counter() - self.tic)
         ref = opts.reference
         if ref is not None:
+            self._flush(x)
             # looked up at call time, so a wrapped metric sees every call
             rec.gap = metrics.lagrangian_gap(self.problem, self.x_sum / done,
                                              self.y_sum / done, ref)
@@ -203,7 +259,14 @@ class _Monitor:
         return (opts.time_budget_s is not None
                 and time.perf_counter() - self.tic > opts.time_budget_s)
 
+    def _flush(self, x: np.ndarray) -> None:
+        """Bring every block of the primal ergodic sum up to date."""
+        pending = self.done - np.array(self.last)
+        self.x_sum += np.repeat(pending, self.sizes) * x
+        self.last = [self.done] * len(self.sizes)
+
     def finish(self, x: np.ndarray, y: np.ndarray) -> RunTrace:
+        self._flush(x)
         trace = self.trace
         trace.final_x, trace.final_y = x, y
         trace.ergodic_x, trace.ergodic_y = ergodic_average(self.x_sum, self.y_sum, self.done)
@@ -212,12 +275,13 @@ class _Monitor:
         return trace
 
 
-def _check_cache(cached: np.ndarray, fresh: np.ndarray, k: int) -> None:
-    """Raise :class:`RegimeError` when the dual-gradient cache has drifted
-    from a freshly computed gradient by more than 1e-10 relatively."""
-    drift = float(np.linalg.norm(fresh - cached))
-    if drift > 1e-10 * max(1.0, float(np.linalg.norm(fresh))):
-        raise RegimeError(f"dual-gradient cache drifted by {drift:.3e} at k={k}")
+def _cache_drift(cached: np.ndarray, fresh: np.ndarray, k: int) -> float:
+    """Relative drift of the cached dual gradient from a fresh one; raises
+    :class:`RegimeError` past ``CACHE_DRIFT_LIMIT``."""
+    drift = float(np.linalg.norm(fresh - cached)) / max(1.0, float(np.linalg.norm(fresh)))
+    if drift > CACHE_DRIFT_LIMIT:
+        raise RegimeError(f"dual-gradient cache drifted by {drift:.3e} (relative) at k={k}")
+    return drift
 
 
 def _geometry_note(problem) -> str:
@@ -250,6 +314,10 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             if g.kind != "euclidean":
                 raise RegimeError("accelerated schedule is proven for the "
                                   "euclidean primal geometry only")
+    # constant steps stay as given and accelerated ones only grow in
+    # reciprocal, so the first state's check covers every iteration
+    if not np.all(schedule.tau > 0):
+        raise ParameterError(f"primal steps must be > 0, got {schedule.tau}")
     p_arr = schedule.p
 
     ref = opts.reference
@@ -260,47 +328,54 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
                           theta=sched.theta, tau_min=float(sched.tau.min()),
                           tau_max=float(sched.tau.max()), t=sched.t)
         if ref is not None:
-            w = 1.0 / tau_used + (1.0 - 1.0 / m) * mu
-            rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, w)
+            weights = 1.0 / tau_used + (1.0 - 1.0 / m) * mu
+            rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, weights)
             rec.t_prev = t_used
         return rec
 
     monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,
                        opts, seed=seed)
+    trace = monitor.trace
     x, y = monitor.start
     rng = CounterRng(seed)
     sched = schedule
-    g_cur = g_prev = problem.grad_y(x, y)
+    slices = part.slices()
+    grad_block = problem.grad_x_block_cached
+    grad_y_at = problem.grad_y_cached
     incr = problem.grad_y_incremental
+    # the primal product w = K x, moved forward block by block
+    w = problem.primal_product(x)
+    g_cur = g_prev = grad_y_at(w, x, y)
     resync_every = CACHE_RESYNC_SWEEPS * m
 
     for done in range(1, K + 1):
         # momentum direction s^k = (1 + m theta) g_k - m theta g_{k-1}
         s = (1.0 + m * sched.theta) * g_cur - (m * sched.theta) * g_prev
-        y_new = dual_step(problem, y, s, sched.sigma)
+        y = dual_step(problem, y, s, sched.sigma)
         i_k = sample_index(rng, m, p_arr)
-        sl = part.block_slice(i_k)
-        old_block = x[sl].copy()
-        x_new = primal_block_step(problem, x, y_new, i_k, float(sched.tau[i_k]))
+        sl = slices[i_k]
+        old = x[sl].copy()
+        new = _block_prox(problem, i_k, sched.tau[i_k], grad_block(i_k, w, x, y), old)
+        x[sl] = new
+        incr(w, i_k, new - old)
+        g_prev, g_cur = g_cur, grad_y_at(w, x, y)
 
-        g_prev = g_cur
-        if incr is not None:
-            g_cur = incr(g_cur, i_k, old_block, x_new[sl], y_new)
-        else:
-            g_cur = problem.grad_y(x_new, y_new)
-
-        x, y = x_new, y_new
         tau_used, t_used = sched.tau, sched.t
         sched = sched.advance()
 
-        if incr is not None and done % resync_every == 0:
+        if done % resync_every == 0:
+            # the fresh gradient comes from the stateless oracle, so the
+            # check covers the product and the read-off alike
             fresh = problem.grad_y(x, y)
-            _check_cache(g_cur, fresh, done)
+            trace.max_cache_drift = max(trace.max_cache_drift,
+                                        _cache_drift(g_cur, fresh, done))
+            trace.cache_resyncs += 1
+            w = problem.primal_product(x)
             g_cur = fresh
         elif opts.debug_cache_every and done % opts.debug_cache_every == 0:
-            _check_cache(g_cur, problem.grad_y(x, y), done)
+            _cache_drift(g_cur, problem.grad_y(x, y), done)
 
-        if monitor.step(x, y):
+        if monitor.step_block(x, y, i_k, old, new):
             break
 
     return monitor.finish(x, y)

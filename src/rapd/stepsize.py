@@ -20,7 +20,8 @@ inequalities use the sampling-weighted constants ``m p_i alpha`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class StepSchedule:
     mu: np.ndarray | None = None     # part2 only (moduli drive the recursion)
     p: np.ndarray | None = None      # sampling probabilities; None = uniform
     theta_clamped: bool = False      # True if the momentum floor ever bound
+    # mu_i p_i, which the accelerated recursion scales every step
+    mu_p: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mu is not None:
+            object.__setattr__(self, "mu_p", self.mu * self.probabilities())
 
     @property
     def m(self) -> int:
@@ -139,12 +146,16 @@ def _part2_tau(mu: np.ndarray, pi: np.ndarray, taut: float) -> np.ndarray:
 
 
 def part2_advance(s: StepSchedule) -> StepSchedule:
-    """One step of the accelerated recursion (returns a new state)."""
+    """One step of the accelerated recursion (returns a new state).
+
+    The reciprocal steps are not checked again: ``taut`` only decreases,
+    so the positivity that :func:`part2_init` checked at ``taut^0`` holds
+    at every later state.
+    """
     if s.regime != "part2":
         raise RegimeError("part2_advance needs a part2 schedule")
-    m = s.m
-    pi = s.probabilities()
-    theta_next = 1.0 / np.sqrt(1.0 + s.tau_tilde)
+    m = s.tau.size
+    theta_next = 1.0 / math.sqrt(1.0 + s.tau_tilde)
     clamped = s.theta_clamped
     floor = 1.0 - 1.0 / m
     if theta_next < floor:
@@ -154,12 +165,16 @@ def part2_advance(s: StepSchedule) -> StepSchedule:
         clamped = True
     sigma_next = s.sigma / theta_next
     taut_next = theta_next * s.tau_tilde
-    t_next = s.t / theta_next
-    alpha_next = s.c_sigma / (m * theta_next * sigma_next)
-    return replace(s, tau=_part2_tau(s.mu, pi, taut_next), sigma=float(sigma_next),
-                   theta=float(theta_next), t=float(t_next),
-                   alpha=float(alpha_next), tau_tilde=float(taut_next),
-                   theta_clamped=clamped)
+    # a frozen-dataclass copy without __init__: every field but these
+    # carries over, mu_p included
+    nxt = object.__new__(StepSchedule)
+    nxt.__dict__.update(s.__dict__)
+    nxt.__dict__.update(
+        tau=1.0 / (s.mu_p * (1.0 + 1.0 / taut_next) - s.mu), sigma=sigma_next,
+        theta=theta_next, t=s.t / theta_next,
+        alpha=s.c_sigma / (m * theta_next * sigma_next), tau_tilde=taut_next,
+        theta_clamped=clamped)
+    return nxt
 
 
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,

@@ -305,13 +305,20 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
 
     def test_run_and_check_roundtrip(self, tmp_path):
-        p = self._write_cfg(tmp_path)
+        # 300 iterations at m = 2 pass two cache resyncs, which the summary
+        # and the CSV header report
+        p = self._write_cfg(tmp_path, BASE_CFG.replace("run.K = 50", "run.K = 300"))
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(p), "--seed", "0",
                          "--out", str(out)]) == 0
         csv = out / "rapd1_seed0.csv"
         assert csv.exists()
-        assert (out / "rapd1_seed0.summary").exists()
+        summary = (out / "rapd1_seed0.summary").read_text().splitlines()
+        assert "cache_resyncs=2" in summary
+        drift = [line for line in summary if line.startswith("max_cache_drift=")]
+        assert len(drift) == 1 and float(drift[0].split("=")[1]) <= 1e-10
+        assert any(line.startswith("# cache_resyncs=2 max_cache_drift=")
+                   for line in csv.read_text().splitlines())
         assert cli_main(["check", "--config", str(p)]) == 0
 
     def test_run_byte_identical_bodies(self, tmp_path):

@@ -9,6 +9,10 @@ from rapd.bregman import (EntropyGeometry, IndicatorBall, IndicatorNonneg,
 from rapd.exceptions import DivergenceError, ParameterError, RegimeError
 from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_residual
 from rapd.problem import BilinearProblem, build_bilinear_erm, build_quadratic_game
+from rapd.harness.config import parse_config
+from rapd.harness.metrics import lagrangian_gap
+from rapd.harness.suites import build_problem_from_config
+from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (CACHE_RESYNC_SWEEPS, RunOptions, dual_step, ergodic_average,
                          primal_block_step, run)
@@ -197,6 +201,36 @@ class TestErgodic:
             sl = part.block_slice(i)
             assert np.mean([v[sl] for v in iterates], axis=0) == pytest.approx(avg[sl])
 
+    def test_lazy_sums_match_eager(self):
+        # run brings a block's ergodic sum up to date only when the block
+        # changes or an average is read; that must equal summing the
+        # hook's copies of every iterate
+        part = BlockPartition.even(6, 3)
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((6, 6))
+        N = rng.standard_normal((2, 2))
+        prob = build_quadratic_game(M @ M.T / 6 + np.eye(6) * 0.1,
+                                    N @ N.T / 2 + np.eye(2) * 0.1,
+                                    rng.standard_normal((2, 6)),
+                                    rng.standard_normal(6),
+                                    rng.standard_normal(2), part)
+        cert = solve_quadratic_game_exact(prob.P, prob.Q, prob.C, prob.p, prob.q)
+        sums, gaps = [np.zeros(6), np.zeros(2)], {}
+
+        def hook(k, x, y):
+            sums[0] += x
+            sums[1] += y
+            if k in (7, 500):
+                gaps[k] = lagrangian_gap(prob, sums[0] / k, sums[1] / k, cert)
+
+        sched = part1_schedule(prob.constants, 3, default_alpha(prob.constants))
+        tr = run(prob, sched, 2000, seed=1, x0=np.ones(6),
+                 options=RunOptions(record_at=[7, 500], reference=cert, iterate_hook=hook))
+        for avg, total in ((tr.ergodic_x, sums[0]), (tr.ergodic_y, sums[1])):
+            assert np.linalg.norm(avg - total / 2000) <= 1e-12 * np.linalg.norm(avg)
+        for k, gap in gaps.items():
+            assert tr.at(k).gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
+
     def test_empty_run_rejected(self):
         with pytest.raises(Exception):
             ergodic_average(np.zeros(1), np.zeros(1), 0)
@@ -242,26 +276,30 @@ class TestRun:
         assert tr.iterations == 5000
 
     def test_full_dual_gradients_per_run(self):
-        # the bilinear cache moves forward incrementally, with a full
-        # gradient only at the start and at each resync; other couplings
-        # make one full gradient per iteration, plus the start
+        # every coupling moves its cache forward incrementally, with a full
+        # dual gradient only at each resync
         K = 2000
-
-        def full_gradients(prob):
-            calls = []
-            fresh = prob.grad_y
-            prob.grad_y = lambda x, y: calls.append(1) or fresh(x, y)
-            sched = part1_schedule(prob.constants, prob.partition.m,
-                                   default_alpha(prob.constants))
-            run(prob, sched, K, seed=0, x0=np.ones(prob.partition.n))
-            return len(calls)
-
-        assert full_gradients(small_bilinear(n=16, m=8)) <= 1 + K // (CACHE_RESYNC_SWEEPS * 8)
         rng = np.random.default_rng(8)
         quadratic = build_quadratic_game(np.eye(6), np.eye(2), rng.standard_normal((2, 6)),
                                          rng.standard_normal(6), rng.standard_normal(2),
                                          BlockPartition.even(6, 3))
-        assert full_gradients(quadratic) == K + 1
+        kernel = build_kernel_problem(synth_dataset(n_tr=40, d=3, seed=2), lam=1.0,
+                                      m_blocks=4)
+        constrained, _, y0_constrained = build_problem_from_config(parse_config(
+            "problem.type = constrained\nproblem.n = 12\nproblem.d = 4\n"
+            "problem.blocks = 3\nmethod.name = rapd1\n"))
+        for prob, y0 in ((small_bilinear(n=16, m=8), None), (quadratic, None),
+                         (constrained, y0_constrained), (kernel, dual_start(kernel))):
+            calls = []
+            fresh = prob.grad_y
+            prob.grad_y = lambda x, y: calls.append(1) or fresh(x, y)
+            m = prob.partition.m
+            sched = part1_schedule(prob.constants, m, default_alpha(prob.constants))
+            tr = run(prob, sched, K, seed=0, x0=np.ones(prob.partition.n), y0=y0)
+            resyncs = K // (CACHE_RESYNC_SWEEPS * m)
+            assert len(calls) <= 1 + resyncs, type(prob).__name__
+            assert tr.cache_resyncs == resyncs
+            assert 0.0 <= tr.max_cache_drift <= 1e-10
 
     def test_cache_check_is_pure(self):
         prob = small_bilinear(n=16, m=8)
@@ -274,8 +312,8 @@ class TestRun:
 
     def test_stale_cache_caught_at_resync(self):
         class StaleCache(BilinearProblem):
-            def grad_y_incremental(self, prev_grad, i, old_block, new_block, y):
-                return prev_grad
+            def grad_y_incremental(self, w, i, dx):
+                pass
 
         rng = np.random.default_rng(5)
         part = BlockPartition.even(16, 8)
@@ -293,6 +331,24 @@ class TestRun:
         for loop in three_loops(prob, scale=500).values():
             with pytest.raises(DivergenceError):
                 loop(5000, np.ones(4))
+
+    def test_divergence_guard_catches_a_bad_block(self):
+        # the guard keeps a running ||x||^2; one non-finite block must
+        # still stop the run at the iteration that produced it
+        class BadAfter(Zero):
+            def __init__(self, calls, value):
+                self.calls, self.value = calls, value
+
+            def prox_euclidean(self, t, u):
+                self.calls -= 1
+                return u if self.calls else np.full_like(u, self.value)
+
+        for value in (np.nan, np.inf):
+            f = BadAfter(5, value)
+            prob = small_bilinear(n=8, m=4, f=[f] * 4)
+            sched = part1_schedule(prob.constants, 4, default_alpha(prob.constants))
+            with pytest.raises(DivergenceError, match="at iteration 5 "):
+                run(prob, sched, 100, seed=0, x0=np.ones(8))
 
     @pytest.mark.parametrize("name", ["run", "pdhg_run", "mirror_prox_run"])
     def test_zero_iterations_rejected(self, name):

@@ -120,6 +120,26 @@ class TestPart2:
         assert abs(b - a) <= 0.1 * abs(a)
         assert b == pytest.approx(2.0, rel=0.05)
 
+    def test_advance_matches_written_out_recursion(self):
+        # part2_advance is bit-identical to the recursion as the module
+        # docstring states it, for uniform and non-uniform sampling
+        c = consts([1.0, 0.3, 2.0], [0.5, 1.0, 0.25], mu=[0.5, 2.0, 1.0])
+        alpha = default_alpha(c)
+        for s0 in (part2_init(c, 3, alpha),
+                   nonuniform_weights(c, 3, alpha, [0.5, 0.3, 0.2], regime="part2")):
+            pi, mu = s0.probabilities(), c.mu
+            s, taut, sigma, t = s0, s0.tau_tilde, s0.sigma, s0.t
+            for _ in range(5000):
+                theta = 1.0 / np.sqrt(1.0 + taut)
+                sigma = sigma / theta
+                taut = theta * taut
+                t = t / theta
+                s = part2_advance(s)
+                assert (s.theta, s.sigma, s.tau_tilde, s.t) == (theta, sigma, taut, t)
+                assert s.alpha == s0.c_sigma / (3 * theta * sigma)
+                assert np.array_equal(s.tau, 1.0 / (mu * pi * (1.0 + 1.0 / taut) - mu))
+                assert not s.theta_clamped
+
     def test_heterogeneous_moduli(self):
         c = consts([1.0, 0.3, 2.0], [0.5, 1.0, 0.25], mu=[0.5, 2.0, 1.0])
         prefix = schedule_prefix(part2_init(c, 3, default_alpha(c)), 1000)
