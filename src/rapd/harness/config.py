@@ -54,6 +54,10 @@ _SCHEMA = {
     "output.summary": (bool, True),
 }
 
+#: keys whose 0 selects a default; a negative value is a typo, not a default
+_ZERO_MEANS_DEFAULT = ("problem.B", "method.alpha", "method.tau", "method.sigma",
+                       "method.L", "run.metric_cadence")
+
 
 @dataclass
 class ExperimentConfig:
@@ -136,6 +140,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"unknown method.name {v['method.name']!r}")
     if v["run.K"] < 1:
         raise ConfigError("run.K must be >= 1")
+    for key in _ZERO_MEANS_DEFAULT:
+        if not v[key] >= 0:
+            raise ConfigError(f"{key} must be >= 0 (0 = default), got {v[key]}")
     try:
         seeds = cfg.seeds()
     except ValueError as exc:

@@ -25,12 +25,12 @@ from ..baselines import mirror_prox_run, pdhg_run
 from ..blockcore import BlockPartition
 from ..bregman import (IndicatorBall, IndicatorNonneg, IndicatorSimplex, L1,
                        SquaredL2, Zero)
-from ..exceptions import ConfigError, ParameterError
+from ..exceptions import ConfigError, DimensionError, ParameterError
 from ..kernel_learning import (build_kernel_problem, dual_start, synth_dataset)
 from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
-from ..problem import (QuadraticMap, build_bilinear_erm, build_constrained,
-                       build_quadratic_game, grad_check)
+from ..problem import (build_bilinear_erm, build_constrained, build_quadratic_game,
+                       grad_check)
 from ..solver import RunOptions, RunTrace, run
 from ..stepsize import (default_alpha, nonuniform_weights, part1_schedule,
                         part2_init)
@@ -251,8 +251,7 @@ def _build_unscaled(cfg: ExperimentConfig):
         bG = -np.abs(rng.standard_normal(d))  # strictly feasible at 0
         B = v["problem.B"] if v["problem.B"] > 0 else 10.0
         f = make_block_functions(v["problem.f"], v["problem.f_param"], part)
-        gmap = QuadraticMap(linear=AG, offset=bG)
-        problem = build_constrained((Pg, pg), gmap, "nonneg", B, part, f=f)
+        problem = build_constrained(Pg, pg, AG, bG, B, part, f=f)
         return problem, np.zeros(n), np.zeros(d)
 
     # kernel
@@ -297,6 +296,10 @@ def run_from_config(cfg: ExperimentConfig, seed: int) -> RunTrace:
     reference = None
     if v["run.certificate"]:
         reference = load_certificate(v["run.certificate"])
+        shapes = (reference.x_star.shape, reference.y_star.shape)
+        if shapes != ((problem.partition.n,), (problem.dual_dim,)):
+            raise DimensionError(f"certificate {v['run.certificate']} has shapes {shapes}, "
+                                 f"the problem needs {(problem.partition.n, problem.dual_dim)}")
     K = v["run.K"]
     pts = record_points(K, v["run.metric_cadence"])
     name = v["method.name"]

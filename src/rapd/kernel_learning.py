@@ -23,7 +23,6 @@ A synthetic two-cluster dataset generator stands in for a real corpus.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
                       NonnegQuadratic, ProductGeometry, Separable, Zero)
 from .exceptions import DimensionError, DomainError, ParameterError
 from .problem import LipschitzConstants, SaddleProblem, spectral_norm
-
-GRAM_MAGIC = b"RAPDK1"
 
 
 # ---------------------------------------------------------------------------
@@ -241,66 +238,3 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
 def dual_start(problem: KernelProblem) -> np.ndarray:
     """Interior starting dual point: uniform weights, zero multiplier."""
     return np.concatenate([np.full(problem.M, 1.0 / problem.M), [0.0]])
-
-
-def kernel_coupling_sample_check(problem: KernelProblem, draws: int = 200,
-                                 seed: int = 0) -> dict:
-    """Sampled ratio of observed dual-gradient variation to the stated
-    per-block coupling constant.
-
-    Draws live where the constants are meant to hold: the blocked
-    variable inside the nonnegative B-ball, perturbations at block scale
-    ``~B/m``.  A ratio above 1 flags that the closed-form constant
-    under-covers.
-    """
-    rng = np.random.default_rng(seed)
-    part = problem.partition
-    worst = 0.0
-    for _ in range(draws):
-        x = problem.project_primal_domain(rng.standard_normal(part.n) * problem.B
-                                          / np.sqrt(part.n))
-        i = int(rng.integers(part.m))
-        sl = part.block_slice(i)
-        v = rng.standard_normal(part.sizes[i])
-        v *= (problem.B / part.m) / max(np.linalg.norm(v), 1e-12)
-        xv = x.copy()
-        xv[sl] = np.maximum(xv[sl] + v, 0.0)
-        v_eff = xv[sl] - x[sl]
-        nv = float(np.linalg.norm(v_eff))
-        if nv < 1e-12:
-            continue
-        yz = dual_start(problem)
-        diff = problem.grad_y(xv, yz) - problem.grad_y(x, yz)
-        worst = max(worst, float(np.linalg.norm(diff)) / (problem.constants.L_yx[i] * nv))
-    return {"max_ratio": worst, "flag": worst > 1.0}
-
-
-# ---------------------------------------------------------------------------
-# gram persistence: magic, u32 n, u32 M, then M row-major f64 matrices
-# ---------------------------------------------------------------------------
-
-def save_grams(path, grams) -> None:
-    grams = [np.ascontiguousarray(G, dtype="<f8") for G in grams]
-    n = grams[0].shape[0]
-    if any(G.shape != (n, n) for G in grams):
-        raise DimensionError("all gram matrices must be square of equal size")
-    with open(path, "wb") as fh:
-        fh.write(GRAM_MAGIC)
-        fh.write(struct.pack("<II", n, len(grams)))
-        for G in grams:
-            fh.write(G.tobytes(order="C"))
-
-
-def load_grams(path) -> list:
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != GRAM_MAGIC:
-            raise DomainError(f"not a gram file (magic {magic!r})")
-        n, M = struct.unpack("<II", fh.read(8))
-        out = []
-        for _ in range(M):
-            buf = fh.read(8 * n * n)
-            if len(buf) != 8 * n * n:
-                raise DomainError("gram file truncated")
-            out.append(np.frombuffer(buf, dtype="<f8").reshape(n, n).copy())
-    return out

@@ -10,11 +10,12 @@ points of the supported problem classes.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ConfigError, ParameterError
 from .problem import SaddleProblem
 
 
@@ -33,12 +34,19 @@ def kkt_residual(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
     """Unit-step natural residual at ``(x, y)`` (Euclidean proxes)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gx = problem.grad_x(x, y)
-    rx = np.empty_like(x)
-    for i, sl in enumerate(problem.partition.slices()):
-        rx[sl] = x[sl] - problem.f[i].prox_euclidean(1.0, x[sl] - gx[sl])
+    rx = x - _prox_f_blocks(problem.f, problem.partition.slices(), x,
+                            problem.grad_x(x, y), 1.0)
     ry = y - problem.h.prox_euclidean(1.0, y + problem.grad_y(x, y))
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
+
+
+def _prox_f_blocks(f: list, slices: list, x: np.ndarray, grad: np.ndarray,
+                   step: float) -> np.ndarray:
+    """Blockwise Euclidean ``prox_{step f_i}(x_i - step grad_i)``, as a new array."""
+    out = np.empty_like(x)
+    for fi, sl in zip(f, slices):
+        out[sl] = fi.prox_euclidean(step, x[sl] - step * grad[sl])
+    return out
 
 
 def solve_quadratic_game_exact(P, Q, C, p, q) -> SaddleCertificate:
@@ -96,10 +104,10 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     """
     if tol < 1e-14:
         raise ParameterError(f"tolerance {tol} below attainable accuracy")
-    part = problem.partition
+    slices = problem.partition.slices()
     x, y = problem.initial_point(x0, y0)
     # start inside the domains
-    for i, sl in enumerate(part.slices()):
+    for i, sl in enumerate(slices):
         x[sl] = problem.f[i].project_domain(x[sl])
     y = problem.h.project_domain(y)
 
@@ -112,14 +120,6 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     eta0 = 1.0 / L if (L is not None and L > 0) else 1e-2
     eta = eta0
     floor = 1e-12
-    slices = part.slices()
-    fs = problem.f
-
-    def prox_f_all(u_center, grad, step):
-        out = np.empty_like(u_center)
-        for i, sl in enumerate(slices):
-            out[sl] = fs[i].prox_euclidean(step, u_center[sl] - step * grad[sl])
-        return out
 
     res = kkt_residual(problem, x, y)
     best = (res, x.copy(), y.copy())
@@ -128,7 +128,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     while it < max_iters and best[0] > tol:
         it += 1
         gx, gy = problem.grad_x(x, y), problem.grad_y(x, y)
-        xh = prox_f_all(x, gx, eta)
+        xh = _prox_f_blocks(problem.f, slices, x, gx, eta)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
         gxh, gyh = problem.grad_x(xh, yh), problem.grad_y(xh, yh)
         move = np.sqrt(np.sum((xh - x) ** 2) + np.sum((yh - y) ** 2))
@@ -137,7 +137,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             eta = max(eta * 0.5, floor)
             streak = 0
             continue
-        x = prox_f_all(x, gxh, eta)
+        x = _prox_f_blocks(problem.f, slices, x, gxh, eta)
         y = problem.h.prox_euclidean(eta, y + eta * gyh)
         res = kkt_residual(problem, x, y)
         if res < best[0]:
@@ -160,9 +160,15 @@ def save_certificate(path, cert: SaddleCertificate) -> None:
 
 
 def load_certificate(path) -> SaddleCertificate:
-    data = np.load(path, allow_pickle=False)
-    return SaddleCertificate(x_star=data["x_star"], y_star=data["y_star"],
-                             kkt_residual=float(data["kkt_residual"]),
-                             method=str(data["method"]), tol=float(data["tol"]),
-                             certified=bool(data["certified"]),
-                             iterations=int(data["iterations"]))
+    """Read a certificate written by :func:`save_certificate`; a missing
+    or malformed file raises ``ConfigError`` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            return SaddleCertificate(x_star=data["x_star"], y_star=data["y_star"],
+                                     kkt_residual=float(data["kkt_residual"]),
+                                     method=str(data["method"]), tol=float(data["tol"]),
+                                     certified=bool(data["certified"]),
+                                     iterations=int(data["iterations"]))
+    except (OSError, EOFError, ValueError, KeyError, IndexError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read certificate {path}: {exc}") from exc

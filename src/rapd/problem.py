@@ -210,8 +210,7 @@ class QuadraticGameProblem(SaddleProblem):
     symmetric PSD; strongly convex in x when P is definite and linear in
     y when Q = 0.  The primal product is ``w = (C x, P x)``."""
 
-    def __init__(self, P, Q, C, p, q, partition, f=None, h=None,
-                 validate=True, **kw):
+    def __init__(self, P, Q, C, p, q, partition, f=None, h=None, **kw):
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
         C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -220,12 +219,11 @@ class QuadraticGameProblem(SaddleProblem):
         d, n = C.shape
         if P.shape != (n, n) or Q.shape != (d, d) or p.shape != (n,) or q.shape != (d,):
             raise DimensionError("quadratic game dimensions are inconsistent")
-        if validate:
-            for name, M in (("P", P), ("Q", Q)):
-                if not np.allclose(M, M.T, atol=1e-10):
-                    raise ParameterError(f"{name} must be symmetric")
-                if M.size and float(np.linalg.eigvalsh(M).min()) < -1e-10:
-                    raise ParameterError(f"{name} must be positive semidefinite")
+        for name, M in (("P", P), ("Q", Q)):
+            if not np.allclose(M, M.T, atol=1e-10):
+                raise ParameterError(f"{name} must be symmetric")
+            if M.size and float(np.linalg.eigvalsh(M).min()) < -1e-10:
+                raise ParameterError(f"{name} must be positive semidefinite")
         f = f or [Zero() for _ in partition.sizes]
         h = h or Zero()
         slices = partition.slices()
@@ -273,41 +271,6 @@ class QuadraticGameProblem(SaddleProblem):
         return g - self.q
 
 
-@dataclass
-class QuadraticMap:
-    """Affine constraint map ``G(x) = A x + b``, with ``linear`` the
-    ``(d, n)`` matrix ``A`` and ``offset`` the vector ``b``."""
-
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        self.linear = np.atleast_2d(np.asarray(self.linear, dtype=float))
-        self.offset = np.asarray(self.offset, dtype=float)
-
-
-class ConstrainedProblem(QuadraticGameProblem):
-    """Saddle reformulation of ``min f(x) + g(x) s.t. G(x) in -K`` with a
-    convex quadratic ``g``, an affine ``G`` and a known dual bound B.
-
-    ``phi = g(x) + <G(x), y>`` is the quadratic game with ``P, p`` from
-    ``g``, ``C`` the linear part of ``G``, ``q`` its negated offset and
-    ``Q = 0``; ``h`` is the indicator of the dual cone capped at radius B.
-    """
-
-    def __init__(self, g_spec: tuple, G_spec: QuadraticMap, cone: str, B: float,
-                 partition: BlockPartition, f=None, **kw):
-        if not B > 0:
-            raise ParameterError(f"dual bound must be > 0, got {B}")
-        # g is a convex quadratic 0.5 x'P x + p'x given as (P, p)
-        if not isinstance(g_spec, tuple):
-            raise ParameterError("g_spec must be a (P, p) quadratic pair")
-        Pg, pg = g_spec
-        d = G_spec.linear.shape[0]
-        super().__init__(Pg, np.zeros((d, d)), G_spec.linear, pg, -G_spec.offset,
-                         partition, f=f, h=ConeDualBall(cone, B), **kw)
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -322,9 +285,14 @@ def build_quadratic_game(P, Q, C, p, q, partition, f=None, h=None, **kw) -> Quad
     return QuadraticGameProblem(P, Q, C, p, q, partition, f=f, h=h, **kw)
 
 
-def build_constrained(g_spec, G_spec, cone, B, partition, f=None, **kw) -> ConstrainedProblem:
-    """Constrained program recast as a saddle problem with dual ball B."""
-    return ConstrainedProblem(g_spec, G_spec, cone, B, partition, f=f, **kw)
+def build_constrained(P, p, A, b, B, partition, f=None) -> QuadraticGameProblem:
+    """Saddle form of ``min sum_i f_i(x_i) + 0.5 x'Px + p'x  s.t.  A x + b <= 0``
+    with a known bound B on the multiplier: the quadratic game with
+    ``C = A``, ``q = -b`` and ``Q = 0``, and ``h`` the indicator of the
+    nonnegative orthant capped at radius B."""
+    d = np.size(b)
+    return QuadraticGameProblem(P, np.zeros((d, d)), A, p, -np.asarray(b, dtype=float),
+                                partition, f=f, h=ConeDualBall("nonneg", B))
 
 
 # ---------------------------------------------------------------------------

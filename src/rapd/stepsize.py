@@ -94,15 +94,23 @@ def part1_schedule(constants: LipschitzConstants, m: int, alpha: float,
     Satisfies the step-size condition with certificates ``alpha^k = alpha``
     and ``beta^k = L_yy``.
     """
+    return _constant_schedule(constants, m, alpha, None, c_tau, c_sigma)
+
+
+def _constant_schedule(constants, m, alpha, p, c_tau, c_sigma) -> StepSchedule:
+    """Constant steps for both public constructors; ``p = None`` is uniform
+    sampling, whose factor ``m p_i = 1`` stays out of ``tau`` bit for bit."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     if not (0 < c_tau <= 1 and 0 < c_sigma <= 1):
         raise ParameterError("c_tau, c_sigma must lie in (0, 1]")
-    tau = c_tau / (constants.L_xx + constants.L_yx ** 2 / alpha)
+    coupling = constants.L_yx ** 2 / alpha if p is None else \
+        constants.L_yx ** 2 / (p * m * alpha)
+    tau = c_tau / (constants.L_xx + coupling)
     sigma = c_sigma / (m * (alpha + 2.0 * constants.L_yy))
     return StepSchedule(regime="part1", tau=tau, sigma=float(sigma), theta=1.0,
                         t=1.0, alpha=float(alpha), beta=constants.L_yy,
-                        c_tau=c_tau, c_sigma=c_sigma, mu=constants.mu.copy())
+                        c_tau=c_tau, c_sigma=c_sigma, mu=constants.mu.copy(), p=p)
 
 
 def part2_init(constants: LipschitzConstants, m: int, alpha: float,
@@ -196,13 +204,7 @@ def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,
         return part2_init(constants, m, alpha, c_sigma=c_sigma, p=p_arr)
     if constants.L_yy != 0:
         raise RegimeError("non-uniform constant steps are defined for L_yy = 0")
-    if not (0 < c_tau <= 1 and 0 < c_sigma <= 1):
-        raise ParameterError("c_tau, c_sigma must lie in (0, 1]")
-    tau = c_tau / (constants.L_xx + constants.L_yx ** 2 / (p_arr * m * alpha))
-    sigma = c_sigma / (m * alpha)
-    return StepSchedule(regime="part1", tau=tau, sigma=float(sigma), theta=1.0,
-                        t=1.0, alpha=float(alpha), beta=0.0, c_tau=c_tau,
-                        c_sigma=c_sigma, mu=constants.mu.copy(), p=p_arr)
+    return _constant_schedule(constants, m, alpha, p_arr, c_tau, c_sigma)
 
 
 def schedule_prefix(s0: StepSchedule, length: int) -> list:

@@ -1,14 +1,28 @@
-"""Every documented demo script runs to completion."""
+"""Every documented demo script runs to completion, and every script
+under ``scripts/`` at least parses its command line."""
 
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_script_help(path):
+    # a script's module-level imports resolve before argparse prints help
+    proc = subprocess.run([sys.executable, str(path), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

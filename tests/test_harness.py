@@ -11,7 +11,7 @@ from rapd.harness.metrics import (fit_loglog, lagrangian_gap, rate_bound_delta1,
                                   rate_bound_delta2, slope_fit)
 from rapd.harness.suites import (CSV_COLUMNS, bilinear_game, build_problem_from_config,
                                  record_points, run_from_config, write_trace_csv)
-from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact
+from rapd.oracle import SaddleCertificate, save_certificate, solve_quadratic_game_exact
 from rapd.problem import build_quadratic_game
 from rapd.solver import RunTrace, TraceRecord, run
 from rapd.stepsize import default_alpha, nonuniform_weights, part1_schedule, part2_init
@@ -74,6 +74,14 @@ class TestConfig:
             "run.K = 50", "run.K = 75  # inline comment")
         cfg = parse_config(text)
         assert cfg["run.K"] == 75
+
+    def test_negative_zero_default_keys_rejected(self):
+        # 0 selects a default; a negative value must not fall back to it
+        for key in ("method.alpha", "method.tau", "method.sigma", "method.L",
+                    "problem.B", "run.metric_cadence"):
+            assert parse_config(BASE_CFG + f"{key} = 0\n")[key] == 0
+            with pytest.raises(ConfigError, match=key):
+                parse_config(BASE_CFG + f"{key} = -1\n")
 
     def test_probabilities(self):
         cfg = parse_config(BASE_CFG.replace("method.name = rapd1",
@@ -341,6 +349,22 @@ class TestCli:
         from rapd.oracle import load_certificate
         cert = load_certificate(out)
         assert cert.certified and cert.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("case", ["missing", "not-npz", "other-size"])
+    def test_bad_certificate_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "cert.npz"
+        if case == "not-npz":
+            path.write_text("not a certificate\n")
+        elif case == "other-size":
+            # BASE_CFG is n = 8, d = 2; this certificate is for n = 16
+            save_certificate(path, SaddleCertificate(
+                x_star=np.zeros(16), y_star=np.zeros(2), kkt_residual=0.0,
+                method="linear-solve", tol=1e-12))
+        p = self._write_cfg(tmp_path, BASE_CFG + f"run.certificate = {path}\n")
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        prefix = "invalid setup:" if case == "other-size" else "config error:"
+        assert len(err) == 1 and err[0].startswith(prefix) and str(path) in err[0]
 
     def test_parameter_error_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, BASE_CFG + "method.c_tau = 2\n")

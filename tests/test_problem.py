@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from rapd.blockcore import BlockPartition
-from rapd.bregman import IndicatorBall, L1, SquaredL2, Zero
+from rapd.bregman import ConeDualBall, Zero
 from rapd.exceptions import ParameterError
 from rapd.harness.config import parse_config
 from rapd.harness.suites import (bilinear_game, build_problem_from_config,
                                  part1_suite_problem, part2_suite_problem)
 from rapd.kernel_learning import (KernelProblem, build_kernel_problem, dual_start,
                                   synth_dataset)
-from rapd.problem import (BilinearProblem, QuadraticMap, ZERO_COUPLING_FLOOR,
+from rapd.problem import (BilinearProblem, QuadraticGameProblem, ZERO_COUPLING_FLOOR,
                           build_bilinear_erm, build_constrained, build_quadratic_game,
                           grad_check, lipschitz_spot_check, spectral_norm)
 from rapd.oracle import kkt_residual, solve_high_accuracy
@@ -251,10 +251,8 @@ class TestSmoothnessSpotChecks:
 class TestConstrained:
     def _scalar_problem(self, B=10.0):
         # min 0.5 x^2  s.t.  x - 1 <= 0; multiplier cone is the orthant
-        part = BlockPartition([1])
-        gmap = QuadraticMap(linear=np.array([[1.0]]), offset=np.array([-1.0]))
-        return build_constrained((np.array([[1.0]]), np.zeros(1)), gmap,
-                                 "nonneg", B, part)
+        return build_constrained(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]),
+                                 np.array([-1.0]), B, BlockPartition([1]))
 
     def test_affine_constants_ignore_dual_bound(self):
         p1 = self._scalar_problem(B=10.0)
@@ -274,21 +272,24 @@ class TestConstrained:
 
     def test_active_constraint_multiplier(self):
         # min 0.5 (x - 3)^2 s.t. x <= 1: solution x = 1, multiplier y = 2
-        part = BlockPartition([1])
-        gmap = QuadraticMap(linear=np.array([[1.0]]), offset=np.array([-1.0]))
-        prob = build_constrained((np.array([[1.0]]), np.array([-3.0])), gmap,
-                                 "nonneg", 10.0, part)
+        prob = build_constrained(np.array([[1.0]]), np.array([-3.0]), np.array([[1.0]]),
+                                 np.array([-1.0]), 10.0, BlockPartition([1]))
         assert kkt_residual(prob, np.array([1.0]), np.array([2.0])) <= 1e-12
         cert = solve_high_accuracy(prob, tol=1e-10)
         assert cert.x_star[0] == pytest.approx(1.0, abs=1e-7)
         assert cert.y_star[0] == pytest.approx(2.0, abs=1e-7)
+
+    def test_quadratic_game_with_capped_orthant(self):
+        prob = self._scalar_problem(B=7.0)
+        assert isinstance(prob, QuadraticGameProblem)
+        assert np.array_equal(prob.Q, np.zeros((1, 1)))
+        assert np.array_equal(prob.q, [1.0])
+        assert isinstance(prob.h, ConeDualBall) and prob.h.bound == 7.0
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ParameterError):
             self._scalar_problem(B=0.0)
 
     def test_unsupported_cone(self):
-        part = BlockPartition([1])
-        gmap = QuadraticMap(linear=np.array([[1.0]]), offset=np.zeros(1))
         with pytest.raises(ParameterError):
-            build_constrained((np.eye(1), np.zeros(1)), gmap, "soc", 1.0, part)
+            ConeDualBall("soc", 1.0)

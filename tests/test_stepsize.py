@@ -180,6 +180,13 @@ class TestNonuniform:
             with pytest.raises(ParameterError):
                 nonuniform_weights(c, 2, 1.0, p, regime="part1")
 
+    def test_nonpositive_alpha_rejected(self):
+        c = consts([1.0, 1.0], [1.0, 1.0], mu=[1.0, 1.0])
+        for regime in ("part1", "part2"):
+            for alpha in (0.0, -1.0):
+                with pytest.raises(ParameterError):
+                    nonuniform_weights(c, 2, alpha, [0.75, 0.25], regime=regime)
+
     def test_checker_passes_both_regimes(self):
         c = consts([1.0, 0.5, 2.0], [1.0, 2.0, 0.7], mu=[1.0, 2.0, 0.5])
         p = [0.5, 0.3, 0.2]
