@@ -12,7 +12,8 @@ import numpy as np
 from rapd import RunOptions, run
 from rapd.baselines import mirror_prox_run, pdhg_run
 from rapd.harness.metrics import slope_fit
-from rapd.harness.suites import _part1_certificate, bilinear_game, part1_suite_problem
+from rapd.harness.suites import bilinear_game, part1_suite_problem
+from rapd.oracle import solve_high_accuracy
 from rapd.stepsize import default_alpha, part1_schedule
 
 # 1. exact equivalence on a bilinear game
@@ -31,7 +32,7 @@ print(f"randomized(m=1) vs deterministic primal-dual, 100 iterations: "
 
 # 2. mirror-prox on the quadratic game: ergodic O(L/k) decay
 problem, _, _ = part1_suite_problem()
-cert = _part1_certificate(problem)
+cert = solve_high_accuracy(problem, tol=1e-10)
 pts = sorted(set(int(v) for v in np.round(np.logspace(1, 4, 16))))
 tr = mirror_prox_run(problem, None, 10_000, record_at=pts, reference=cert)
 slope, r2 = slope_fit([tr], "gap", (100, 10_000))

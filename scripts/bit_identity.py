@@ -1,0 +1,169 @@
+"""Bit-identity artefacts: everything a refactor must leave unchanged.
+
+Writes into one directory what this tree computes on a fixed matrix:
+
+- configured runs (``run_from_config``) of rapd1, rapd2, pdhg and
+  mirror_prox, K = 3000, seeds 0 and 1, with metrics against a 1e-8
+  certificate, on six configs: the quadratic game (plain and strongly
+  convex), bilinear ERM (uniform and non-uniform ``method.p``; the
+  non-uniform one only for rapd1 and rapd2, which read it), the
+  constrained program and the kernel problem at n = 40.  Per run:
+  ``<config>/<method>_seed<s>.csv``, the trace CSV body without its ``#``
+  header lines; ``<config>/<method>_seed<s>_<name>.npy`` for ``final_x``,
+  ``final_y``, ``ergodic_x`` and ``ergodic_y``; or, for a run that raises,
+  ``<config>/<method>_seed<s>.err`` with one line;
+- ``suite_<name>.txt``: the fields of the four named suite reports,
+  without wall times;
+- ``instances/*.npy``: the rate suites' two quadratic-game instances and
+  the exact certificate of the second.
+
+The script imports ``rapd`` from ``PYTHONPATH`` when it is set there, so
+the same file compares any two trees:
+
+    PYTHONPATH=src python3 scripts/bit_identity.py --out /tmp/new
+    PYTHONPATH=/path/to/other/src python3 scripts/bit_identity.py --out /tmp/old
+    diff -r /tmp/old /tmp/new
+
+The suites take about a minute of the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# PYTHONPATH comes first on sys.path, so this tree's src is only a fallback
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "src"))
+
+import numpy as np  # noqa: E402
+
+import rapd  # noqa: E402
+from rapd.harness.config import parse_config  # noqa: E402
+from rapd.harness.suites import (build_problem_from_config,  # noqa: E402
+                                 part1_suite_problem, part2_suite_certificate,
+                                 part2_suite_problem, run_from_config,
+                                 suite_by_name, write_trace_csv)
+from rapd.oracle import save_certificate, solve_high_accuracy  # noqa: E402
+
+METHODS = ("rapd1", "rapd2", "pdhg", "mirror_prox")
+SEEDS = (0, 1)
+K = 3000
+
+_QUADRATIC = ("problem.type = quadratic_game\nproblem.seed = 3\nproblem.n = 32\n"
+              "problem.d = 8\nproblem.blocks = 8\n")
+_BILINEAR = ("problem.type = bilinear_erm\nproblem.seed = 4\nproblem.n = 32\n"
+             "problem.d = 8\nproblem.blocks = 4\nproblem.f = sql2\n"
+             "problem.f_param = 0.5\nproblem.h = simplex\n")
+#: label -> (config text without the method keys, methods to run)
+CONFIGS = {
+    "quadratic": (_QUADRATIC + "problem.f = l1\nproblem.h = ball\n", METHODS),
+    "quadratic_sc": (_QUADRATIC + "problem.strongly_convex = true\nproblem.f = sql2\n"
+                     "problem.f_param = 0.5\nproblem.h = sql2\nproblem.h_param = 0.5\n",
+                     METHODS),
+    "bilinear": (_BILINEAR, METHODS),
+    "bilinear_p": (_BILINEAR + "method.p = 0.4,0.3,0.2,0.1\n", ("rapd1", "rapd2")),
+    "constrained": ("problem.type = constrained\nproblem.seed = 5\nproblem.n = 32\n"
+                    "problem.d = 6\nproblem.blocks = 4\nproblem.f = sql2\n"
+                    "problem.f_param = 0.5\n", METHODS),
+    "kernel": ("problem.type = kernel\nproblem.seed = 6\nproblem.n = 40\nproblem.d = 5\n"
+               "problem.blocks = 4\n", METHODS),
+}
+
+#: report fields that hold measured wall time
+WALL_FIELDS = ("oracle_seconds", "seconds")
+
+
+def _fmt(v) -> str:
+    """Exact text of a report value (floats by ``repr``, which round-trips)."""
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k!r}: {_fmt(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_fmt(x) for x in v) + "]"
+    if isinstance(v, np.ndarray):
+        return _fmt(v.tolist())
+    if isinstance(v, (bool, np.bool_)):
+        return repr(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return repr(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if dataclasses.is_dataclass(v):
+        return _fmt({f.name: getattr(v, f.name) for f in dataclasses.fields(v)})
+    return repr(v)
+
+
+def write_runs(out: Path, tmp: Path) -> None:
+    for label, (text, methods) in CONFIGS.items():
+        (out / label).mkdir(parents=True, exist_ok=True)
+        base = parse_config(text + "method.name = rapd1\n")
+        problem, x0, y0 = build_problem_from_config(base)
+        cert = solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
+        cert_path = tmp / f"{label}.npz"
+        save_certificate(cert_path, cert)
+        for method in methods:
+            cfg = parse_config(text + f"method.name = {method}\nrun.K = {K}\n"
+                               f"run.certificate = {cert_path}\n")
+            for seed in SEEDS:
+                stem = out / label / f"{method}_seed{seed}"
+                try:
+                    trace = run_from_config(cfg, seed)
+                except Exception as exc:  # noqa: BLE001 - the error is the artefact
+                    stem.with_suffix(".err").write_text(f"{type(exc).__name__}: {exc}\n")
+                    continue
+                csv = tmp / "trace.csv"
+                write_trace_csv(csv, trace)
+                body = [line for line in csv.read_text().splitlines(keepends=True)
+                        if not line.startswith("#")]
+                stem.with_suffix(".csv").write_text("".join(body))
+                for name in ("final_x", "final_y", "ergodic_x", "ergodic_y"):
+                    np.save(f"{stem}_{name}.npy", getattr(trace, name))
+
+
+def write_instances(out: Path) -> None:
+    inst = out / "instances"
+    inst.mkdir(parents=True, exist_ok=True)
+    for label, build in (("part1", part1_suite_problem), ("part2", part2_suite_problem)):
+        problem, x0, y0 = build()
+        arrays = {"P": problem.P, "Q": problem.Q, "C": problem.C, "p": problem.p,
+                  "q": problem.q, "x0": x0, "y0": y0}
+        for name, arr in arrays.items():
+            np.save(inst / f"{label}_{name}.npy", arr)
+        (inst / f"{label}_constants.txt").write_text(_fmt(problem.constants) + "\n")
+        if label == "part2":
+            cert = part2_suite_certificate(problem)
+            np.save(inst / "part2_cert_x_star.npy", cert.x_star)
+            np.save(inst / "part2_cert_y_star.npy", cert.y_star)
+            (inst / "part2_cert.txt").write_text(
+                _fmt({"kkt_residual": cert.kkt_residual, "tol": cert.tol}) + "\n")
+
+
+def write_suites(out: Path) -> None:
+    for name in ("bilinear", "quadratic", "strongly-convex", "kernel"):
+        report = suite_by_name(name)
+        lines = [f"{f.name}={_fmt(getattr(report, f.name))}"
+                 for f in dataclasses.fields(report) if f.name not in WALL_FIELDS]
+        (out / f"suite_{name}.txt").write_text("\n".join(lines) + "\n")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="write the artefacts that two trees "
+                                 "must agree on bit for bit (compare with diff -r)")
+    ap.add_argument("--out", required=True, type=Path, help="output directory")
+    args = ap.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)
+    print(f"rapd from {os.path.dirname(rapd.__file__)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_runs(args.out, Path(tmp))
+    write_instances(args.out)
+    write_suites(args.out)
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,6 +27,7 @@ class BlockPartition:
 
     sizes: tuple
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _slices: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, sizes):
         sizes = tuple(int(s) for s in sizes)
@@ -35,6 +36,8 @@ class BlockPartition:
         object.__setattr__(self, "sizes", sizes)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_slices", tuple(
+            slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])))
 
     @property
     def m(self) -> int:
@@ -47,10 +50,10 @@ class BlockPartition:
     def block_slice(self, i: int) -> slice:
         if not 0 <= i < self.m:
             raise DimensionError(f"block index {i} out of range [0, {self.m})")
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return self._slices[i]
 
-    def slices(self):
-        return [self.block_slice(i) for i in range(self.m)]
+    def slices(self) -> tuple:
+        return self._slices
 
     @staticmethod
     def even(n: int, m: int) -> "BlockPartition":

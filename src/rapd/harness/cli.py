@@ -7,8 +7,8 @@ Subcommands:
 - ``bench``  a named suite (bilinear | quadratic | strongly-convex |
              kernel); prints the rate report, nonzero exit on failure.
 - ``check``  validates the configured setup: step-size condition over a
-             schedule prefix, gradient consistency, sampled smoothness
-             bounds.
+             schedule prefix (or mirror-prox's estimated constant),
+             gradient consistency, sampled smoothness bounds.
 - ``oracle`` computes and persists a saddle certificate (.npz).
 
 Exit codes: 0 ok, 1 config error or invalid parameters, dimensions or
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..baselines import estimate_operator_lipschitz
 from ..exceptions import (ConfigError, DimensionError, DivergenceError,
                           DomainError, ParameterError, RegimeError)
 from ..oracle import save_certificate, solve_high_accuracy
@@ -53,10 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="execute a named suite")
     p_bench.add_argument("--suite", required=True)
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the seeds of the quadratic and "
-                              "strongly-convex suites; bilinear and kernel run "
-                              "serially and reject N > 1")
     p_bench.add_argument("--out", type=Path, default=None)
 
     p_check = sub.add_parser("check", help="validate a configuration")
@@ -100,7 +97,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = suite_by_name(args.suite, jobs=args.jobs)
+    report = suite_by_name(args.suite)
     for line in report.lines():
         print(line)
     if args.out is not None:
@@ -122,6 +119,9 @@ def _cmd_check(args) -> int:
         print(report)
         if not report.satisfied:
             failures.append("step-size condition")
+    elif cfg["method.name"] == "mirror_prox" and cfg["method.L"] == 0:
+        # the run would estimate L; a coupling without an estimate fails here
+        print(f"mirror-prox constant: estimated L = {estimate_operator_lipschitz(problem):.6g}")
 
     gerr = grad_check(problem, num_points=5, epsilon=1e-5)
     print(f"gradient check: max relative error {gerr:.3e}")

@@ -42,7 +42,8 @@ _SCHEMA = {
     "method.lipschitz_scale": (float, 1.0),    # multiplies every smoothness constant
     "method.tau": (float, 0.0),                # pdhg primal step; 0 = derive
     "method.sigma": (float, 0.0),              # pdhg dual step; 0 = derive
-    "method.L": (float, 0.0),                  # mirror-prox constant; 0 = estimate
+    "method.L": (float, 0.0),                  # mirror-prox constant; 0 = estimate, for
+                                               # bilinear_erm|quadratic_game|constrained
 
     "run.K": (int, 1000),
     "run.seeds": (str, "0"),                   # "a:b" range or comma list
@@ -57,6 +58,16 @@ _SCHEMA = {
 #: keys whose 0 selects a default; a negative value is a typo, not a default
 _ZERO_MEANS_DEFAULT = ("problem.B", "method.alpha", "method.tau", "method.sigma",
                        "method.L", "run.metric_cadence")
+
+#: the method keys each method reads; the others must keep their defaults
+#: (``method.lipschitz_scale`` reaches every method through ``rapd check``)
+_METHOD_READS = {
+    "rapd1": ("method.alpha", "method.c_tau", "method.c_sigma", "method.p"),
+    "rapd2": ("method.alpha", "method.c_sigma", "method.p"),
+    "pdhg": ("method.alpha", "method.c_tau", "method.c_sigma", "method.tau",
+             "method.sigma"),
+    "mirror_prox": ("method.L",),
+}
 
 
 @dataclass
@@ -136,13 +147,18 @@ def _validate(cfg: ExperimentConfig):
     v = cfg.values
     if v["problem.type"] not in ("quadratic_game", "bilinear_erm", "constrained", "kernel"):
         raise ConfigError(f"unknown problem.type {v['problem.type']!r}")
-    if v["method.name"] not in ("rapd1", "rapd2", "pdhg", "mirror_prox"):
-        raise ConfigError(f"unknown method.name {v['method.name']!r}")
+    name = v["method.name"]
+    if name not in _METHOD_READS:
+        raise ConfigError(f"unknown method.name {name!r}")
     if v["run.K"] < 1:
         raise ConfigError("run.K must be >= 1")
     for key in _ZERO_MEANS_DEFAULT:
         if not v[key] >= 0:
             raise ConfigError(f"{key} must be >= 0 (0 = default), got {v[key]}")
+    for key in sorted(set().union(*_METHOD_READS.values()) - set(_METHOD_READS[name])):
+        if v[key] != _SCHEMA[key][1]:
+            raise ConfigError(f"{key} = {v[key]} does nothing for method.name = {name}; "
+                              f"leave it at its default {_SCHEMA[key][1]!r}")
     try:
         seeds = cfg.seeds()
     except ValueError as exc:

@@ -34,17 +34,16 @@ def kkt_residual(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
     """Unit-step natural residual at ``(x, y)`` (Euclidean proxes)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rx = x - _prox_f_blocks(problem.f, problem.partition.slices(), x,
-                            problem.grad_x(x, y), 1.0)
+    rx = x - _prox_f_blocks(problem, x, problem.grad_x(x, y), 1.0)
     ry = y - problem.h.prox_euclidean(1.0, y + problem.grad_y(x, y))
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
 
 
-def _prox_f_blocks(f: list, slices: list, x: np.ndarray, grad: np.ndarray,
+def _prox_f_blocks(problem: SaddleProblem, x: np.ndarray, grad: np.ndarray,
                    step: float) -> np.ndarray:
     """Blockwise Euclidean ``prox_{step f_i}(x_i - step grad_i)``, as a new array."""
     out = np.empty_like(x)
-    for fi, sl in zip(f, slices):
+    for fi, sl in zip(problem.f, problem.partition.slices()):
         out[sl] = fi.prox_euclidean(step, x[sl] - step * grad[sl])
     return out
 
@@ -104,10 +103,9 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     """
     if tol < 1e-14:
         raise ParameterError(f"tolerance {tol} below attainable accuracy")
-    slices = problem.partition.slices()
     x, y = problem.initial_point(x0, y0)
     # start inside the domains
-    for i, sl in enumerate(slices):
+    for i, sl in enumerate(problem.partition.slices()):
         x[sl] = problem.f[i].project_domain(x[sl])
     y = problem.h.project_domain(y)
 
@@ -128,7 +126,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     while it < max_iters and best[0] > tol:
         it += 1
         gx, gy = problem.grad_x(x, y), problem.grad_y(x, y)
-        xh = _prox_f_blocks(problem.f, slices, x, gx, eta)
+        xh = _prox_f_blocks(problem, x, gx, eta)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
         gxh, gyh = problem.grad_x(xh, yh), problem.grad_y(xh, yh)
         move = np.sqrt(np.sum((xh - x) ** 2) + np.sum((yh - y) ** 2))
@@ -137,7 +135,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             eta = max(eta * 0.5, floor)
             streak = 0
             continue
-        x = _prox_f_blocks(problem.f, slices, x, gxh, eta)
+        x = _prox_f_blocks(problem, x, gxh, eta)
         y = problem.h.prox_euclidean(eta, y + eta * gyh)
         res = kkt_residual(problem, x, y)
         if res < best[0]:

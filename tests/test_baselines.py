@@ -6,7 +6,7 @@ from rapd.baselines import (estimate_operator_lipschitz, mirror_prox_run,
 from rapd.blockcore import BlockPartition
 from rapd.bregman import SquaredL2, Zero
 from rapd.exceptions import DivergenceError, ParameterError
-from rapd.oracle import solve_quadratic_game_exact
+from rapd.oracle import solve_high_accuracy, solve_quadratic_game_exact
 from rapd.problem import build_bilinear_erm, build_quadratic_game
 
 
@@ -100,9 +100,9 @@ class TestMirrorProx:
             mirror_prox_run(scalar_bilinear(), 0.0, 5)
 
     def test_best_gap_running_minimum(self):
-        from rapd.harness.suites import part1_suite_problem, _part1_certificate
+        from rapd.harness.suites import part1_suite_problem
         prob, _, _ = part1_suite_problem()
-        cert = _part1_certificate(prob)
+        cert = solve_high_accuracy(prob, tol=1e-10)
         pts = [int(v) for v in np.unique(np.round(np.logspace(1, 3, 10)))]
         tr = mirror_prox_run(prob, None, 1000, record_at=pts, reference=cert)
         best = np.minimum.accumulate(tr.column("gap"))

@@ -83,6 +83,41 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(BASE_CFG + f"{key} = -1\n")
 
+    #: a value other than the schema default for each method key
+    METHOD_VALUES = {"method.alpha": "2", "method.c_tau": "0.5", "method.c_sigma": "0.5",
+                     "method.p": "0.75,0.25", "method.lipschitz_scale": "0.5",
+                     "method.tau": "0.1", "method.sigma": "0.1", "method.L": "3"}
+
+    def _with_method_key(self, method, key):
+        return (BASE_CFG.replace("method.name = rapd1", f"method.name = {method}")
+                + f"{key} = {self.METHOD_VALUES[key]}\n")
+
+    def test_method_keys_the_method_never_reads_rejected(self):
+        rejected = [("method.c_tau", "rapd2"), ("method.p", "pdhg")]
+        rejected += [(k, "mirror_prox") for k in ("method.alpha", "method.c_tau",
+                                                  "method.c_sigma", "method.p")]
+        rejected += [(k, m) for k in ("method.tau", "method.sigma")
+                     for m in ("rapd1", "rapd2", "mirror_prox")]
+        rejected += [("method.L", m) for m in ("rapd1", "rapd2", "pdhg")]
+        for key, method in rejected:
+            with pytest.raises(ConfigError, match=f"{key} .*method.name = {method}"):
+                parse_config(self._with_method_key(method, key))
+
+    def test_method_keys_the_method_reads_accepted(self):
+        accepted = [(k, "rapd1") for k in ("method.alpha", "method.c_tau",
+                                           "method.c_sigma", "method.p")]
+        accepted += [(k, "rapd2") for k in ("method.alpha", "method.c_sigma", "method.p")]
+        accepted += [(k, "pdhg") for k in ("method.alpha", "method.c_tau", "method.c_sigma",
+                                           "method.tau", "method.sigma")]
+        accepted += [("method.L", "mirror_prox")]
+        accepted += [("method.lipschitz_scale", m)
+                     for m in ("rapd1", "rapd2", "pdhg", "mirror_prox")]
+        for key, method in accepted:
+            parse_config(self._with_method_key(method, key))
+        # a key the method does not read may still be written at its default
+        parse_config(BASE_CFG.replace("method.name = rapd1", "method.name = mirror_prox")
+                     + "method.c_tau = 0.99\nmethod.p = uniform\n")
+
     def test_probabilities(self):
         cfg = parse_config(BASE_CFG.replace("method.name = rapd1",
                                             "method.name = rapd1\nmethod.p = 0.75,0.25"))
@@ -385,16 +420,29 @@ class TestCli:
         p = self._write_cfg(tmp_path, BILINEAR_CFG + "method.lipschitz_scale = 0\n")
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
 
+    def test_check_estimates_mirror_prox_constant(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path, BILINEAR_CFG.replace("method.name = rapd1",
+                                                           "method.name = mirror_prox"))
+        assert cli_main(["check", "--config", str(p)]) == 0
+        assert "mirror-prox constant: estimated L = " in capsys.readouterr().out
+
+    def test_check_fails_where_mirror_prox_has_no_estimate(self, tmp_path, capsys):
+        # the kernel coupling has no built-in estimate; check says so before run does
+        cfg = BASE_CFG.replace("problem.type = quadratic_game", "problem.type = kernel")
+        cfg = cfg.replace("method.name = rapd1", "method.name = mirror_prox")
+        cfg = cfg.replace("problem.n = 8", "problem.n = 40").replace(
+            "problem.blocks = 2", "problem.blocks = 4")
+        p = self._write_cfg(tmp_path, cfg)
+        for command in (["check"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli_main(command + ["--config", str(p)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("invalid setup: no built-in Lipschitz estimate")
+
     def test_dimension_error_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, BASE_CFG.replace("problem.blocks = 2",
                                                        "problem.blocks = 9"))
         assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
-
-    def test_serial_suite_rejects_jobs(self, capsys):
-        # the bilinear and kernel suites do not fan out; N > 1 must not pass silently
-        for suite in ("bilinear", "kernel"):
-            assert cli_main(["bench", "--suite", suite, "--jobs", "2"]) == 1
-            assert capsys.readouterr().err.startswith("invalid setup:")
 
     def test_module_entry_point(self):
         import os
@@ -418,3 +466,17 @@ class TestCli:
         p = self._write_cfg(tmp_path, cfg)
         assert cli_main(["run", "--config", str(p), "--seed", "0",
                          "--out", str(tmp_path)]) == 3
+
+
+class TestSuites:
+    def test_workers_leave_reports_unchanged(self, monkeypatch):
+        # the rate ensembles spread their seeds over the usable CPUs; two
+        # workers and one must give every report field bit for bit
+        from dataclasses import asdict
+        from rapd.harness import suites
+        runs = (lambda: suites.quadratic_game_suite(S=2),
+                lambda: suites.strongly_convex_suite(S=2))
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        spread = [repr(asdict(suite())) for suite in runs]
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+        assert [repr(asdict(suite())) for suite in runs] == spread
