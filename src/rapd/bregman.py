@@ -16,6 +16,9 @@ so that for the Euclidean geometry and ``f = 0`` the minimizer is exactly
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, ParameterError
@@ -208,16 +211,26 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Euclidean projection onto ``{x >= 0, sum x = scale}``.
 
     Sort-and-threshold; ties in the sorted order are resolved by index,
-    which the arithmetic makes irrelevant to the result.
+    which the arithmetic makes irrelevant to the result.  The threshold
+    condition holds on a prefix of the sorted order, so counting it finds
+    the last index where it holds.
     """
     u = np.asarray(u, dtype=float)
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - scale
-    ks = np.arange(1, u.size + 1)
-    cond = srt - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(u - theta, 0.0)
+    cond = srt - css / _ranks(u.size) > 0
+    # the first rank always qualifies in exact arithmetic
+    rho = max(int(np.count_nonzero(cond)), 1)
+    out = u - css[rho - 1] / float(rho)
+    return np.maximum(out, 0.0, out=out)
+
+
+@functools.lru_cache(maxsize=8)
+def _ranks(n: int) -> np.ndarray:
+    """The read-only ranks ``1..n`` as floats."""
+    ks = np.arange(1.0, n + 1.0)
+    ks.setflags(write=False)
+    return ks
 
 
 class IndicatorSimplex(ProxFriendlyFunction):
@@ -237,7 +250,7 @@ class IndicatorSimplex(ProxFriendlyFunction):
 
     def prox_entropy(self, t, w):
         s = float(w.sum())
-        if s <= 0 or not np.isfinite(s):
+        if s <= 0 or not math.isfinite(s):
             raise DomainError("entropy simplex update lost all mass")
         return w * (self.scale / s)
 
@@ -328,11 +341,20 @@ class BregmanGeometry:
         if dim < 1:
             raise DimensionError(f"geometry dimension must be >= 1, got {dim}")
         self.dim = int(dim)
+        self._shape = (self.dim,)
 
     def dist(self, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
 
     def prox(self, f: ProxFriendlyFunction, t: float, s: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+        """The generalized prox (see :func:`bregman_prox`), after checking
+        the shapes and ``t > 0``."""
+        s, xbar = self._inputs(t, s, xbar)
+        return self._step(f, t, s, xbar)
+
+    def _step(self, f, t, s, xbar):
+        """The prox on float vectors of this geometry's shape, ``t > 0``,
+        without checking either."""
         raise NotImplementedError
 
     def ref_norm(self, u: np.ndarray) -> float:
@@ -345,6 +367,16 @@ class BregmanGeometry:
                 raise DimensionError(
                     f"{self.kind} geometry of dim {self.dim} got shape {np.asarray(v).shape}"
                 )
+
+    def _inputs(self, t, s, xbar):
+        """``s`` and ``xbar`` as float arrays, after checking their shapes
+        and ``t > 0``."""
+        s, xbar = np.asarray(s, dtype=float), np.asarray(xbar, dtype=float)
+        if s.shape != self._shape or xbar.shape != self._shape:
+            self._check(s, xbar)
+        if not t > 0:
+            raise ParameterError(f"prox step must be > 0, got {t}")
+        return s, xbar
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim}>"
@@ -363,12 +395,8 @@ class EuclideanGeometry(BregmanGeometry):
     def ref_norm(self, u):
         return float(np.linalg.norm(u))
 
-    def prox(self, f, t, s, xbar):
-        self._check(s, xbar)
-        if not t > 0:
-            raise ParameterError(f"prox step must be > 0, got {t}")
-        u = np.asarray(xbar, dtype=float) - t * np.asarray(s, dtype=float)
-        return f.prox_euclidean(t, u)
+    def _step(self, f, t, s, xbar):
+        return f.prox_euclidean(t, xbar - t * s)
 
 
 class EntropyGeometry(BregmanGeometry):
@@ -397,18 +425,15 @@ class EntropyGeometry(BregmanGeometry):
     def ref_norm(self, u):
         return float(np.abs(u).sum())
 
-    def prox(self, f, t, s, xbar):
-        self._check(s, xbar)
-        if not t > 0:
-            raise ParameterError(f"prox step must be > 0, got {t}")
-        xbar = np.asarray(xbar, dtype=float)
-        if np.any(xbar <= 0):
+    def _step(self, f, t, s, xbar):
+        if (xbar <= 0).any():
             raise DomainError("entropy prox center must be strictly positive")
         # stationarity: log(x/xbar) + t*s + t*f' = 0 -> multiplicative update
-        expo = -t * np.asarray(s, dtype=float)
+        expo = -t * s
         if f.entropy_scale_invariant:
-            expo = expo - expo.max()  # overflow guard; result is renormalized
-        w = np.maximum(xbar, _ENTROPY_FLOOR) * np.exp(expo)
+            expo -= expo.max()  # overflow guard; result is renormalized
+        w = np.maximum(xbar, _ENTROPY_FLOOR)
+        w *= np.exp(expo, out=expo)
         return f.prox_entropy(t, w)
 
 
@@ -424,11 +449,13 @@ class ProductGeometry(BregmanGeometry):
     def __init__(self, parts):
         self.parts = list(parts)
         super().__init__(sum(g.dim for g in self.parts))
-        self._offsets = np.concatenate([[0], np.cumsum([g.dim for g in self.parts])])
+        ends = np.cumsum([g.dim for g in self.parts]).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        self._plan = None   # (function, steps) of the last prox
 
     def _split(self, x):
         x = np.asarray(x, dtype=float)
-        return [x[self._offsets[j]:self._offsets[j + 1]] for j in range(len(self.parts))]
+        return [x[sl] for sl in self._slices]
 
     def dist(self, u, v):
         self._check(u, v)
@@ -439,19 +466,30 @@ class ProductGeometry(BregmanGeometry):
         return float(np.sqrt(sum(g.ref_norm(seg) ** 2 for g, seg in zip(self.parts, self._split(u)))))
 
     def prox(self, f, t, s, xbar):
-        self._check(s, xbar)
+        s, xbar = self._inputs(t, s, xbar)
+        plan = self._plan_for(f)
+        out = np.empty(self.dim)
+        for g, fj, sl in plan:
+            out[sl] = g._step(fj, t, s[sl], xbar[sl])
+        return out
+
+    def _plan_for(self, f):
+        """The per-part ``(geometry, function, slice)`` steps for ``f``,
+        checked when ``f`` is first seen and kept while it stays the same
+        object."""
+        if self._plan is not None and self._plan[0] is f:
+            return self._plan[1]
         if isinstance(f, Separable):
             pieces = f.parts
         elif isinstance(f, Zero):
-            pieces = [(Zero(), g.dim) for g in self.parts]
+            pieces = [(f, g.dim) for g in self.parts]
         else:
             raise DomainError("product geometry needs a separable function")
         if [sz for _, sz in pieces] != [g.dim for g in self.parts]:
             raise DimensionError("separable part sizes do not match product geometry")
-        out = []
-        for g, (fj, _), sj, xj in zip(self.parts, pieces, self._split(s), self._split(xbar)):
-            out.append(g.prox(fj, t, sj, xj))
-        return np.concatenate(out)
+        self._plan = (f, [(g, fj, sl) for g, (fj, _), sl
+                          in zip(self.parts, pieces, self._slices)])
+        return self._plan[1]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +507,7 @@ def bregman_prox(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
 
     Euclidean geometry with ``f = 0`` returns ``xbar - t*s`` exactly.
     """
-    return geom.prox(f, t, np.asarray(s, dtype=float), np.asarray(xbar, dtype=float))
+    return geom.prox(f, t, s, xbar)
 
 
 def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,

@@ -69,6 +69,18 @@ _METHOD_READS = {
     "mirror_prox": ("method.L",),
 }
 
+#: the problem keys each problem type reads besides ``problem.seed``,
+#: ``problem.n``, ``problem.d`` and ``problem.blocks``; the others must keep
+#: their defaults
+_PROBLEM_READS = {
+    "quadratic_game": ("problem.f", "problem.f_param", "problem.h", "problem.h_param",
+                       "problem.strongly_convex"),
+    "bilinear_erm": ("problem.f", "problem.f_param", "problem.h", "problem.h_param"),
+    "constrained": ("problem.f", "problem.f_param", "problem.B"),
+    "kernel": ("problem.lam", "problem.B", "problem.separation", "problem.bandwidth",
+               "problem.dual_geometry"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -145,8 +157,9 @@ def load_config(path) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig):
     v = cfg.values
-    if v["problem.type"] not in ("quadratic_game", "bilinear_erm", "constrained", "kernel"):
-        raise ConfigError(f"unknown problem.type {v['problem.type']!r}")
+    kind = v["problem.type"]
+    if kind not in _PROBLEM_READS:
+        raise ConfigError(f"unknown problem.type {kind!r}")
     name = v["method.name"]
     if name not in _METHOD_READS:
         raise ConfigError(f"unknown method.name {name!r}")
@@ -155,10 +168,22 @@ def _validate(cfg: ExperimentConfig):
     for key in _ZERO_MEANS_DEFAULT:
         if not v[key] >= 0:
             raise ConfigError(f"{key} must be >= 0 (0 = default), got {v[key]}")
-    for key in sorted(set().union(*_METHOD_READS.values()) - set(_METHOD_READS[name])):
-        if v[key] != _SCHEMA[key][1]:
-            raise ConfigError(f"{key} = {v[key]} does nothing for method.name = {name}; "
-                              f"leave it at its default {_SCHEMA[key][1]!r}")
+    method_reads, method = set(_METHOD_READS[name]), f"method.name = {name}"
+    if name == "pdhg":
+        # pdhg derives tau from alpha and c_tau, and sigma from alpha and
+        # c_sigma, only where the step is 0
+        given = [k for k in ("method.tau", "method.sigma") if v[k] > 0]
+        method_reads -= {k.replace("method.", "method.c_") for k in given}
+        if len(given) == 2:
+            method_reads.discard("method.alpha")
+        if given:
+            method += " given " + " and ".join(given)
+    for table, reads, where in ((_PROBLEM_READS, _PROBLEM_READS[kind], f"problem.type = {kind}"),
+                                (_METHOD_READS, method_reads, method)):
+        for key in sorted(set().union(*table.values()) - set(reads)):
+            if v[key] != _SCHEMA[key][1]:
+                raise ConfigError(f"{key} = {v[key]} does nothing for {where}; "
+                                  f"leave it at its default {_SCHEMA[key][1]!r}")
     try:
         seeds = cfg.seeds()
     except ValueError as exc:

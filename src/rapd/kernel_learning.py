@@ -163,6 +163,8 @@ class KernelProblem(SaddleProblem):
         self.B = float(B)
         self.M = M
         self._slices = slices
+        self._coef2 = 2.0 * coef
+        self._b_blocks = [self.b[sl] for sl in slices]
 
     def phi_value(self, x, yz):
         y, z = yz[:self.M], yz[self.M]
@@ -170,17 +172,15 @@ class KernelProblem(SaddleProblem):
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
     def grad_x_block(self, i, x, yz):
-        sl = self._slices[i]
-        return self._block_gradient(sl, self.G_list[:, sl] @ x, yz)
+        return self._block_gradient(i, self.G_list[:, self._slices[i]] @ x, yz)
 
     def grad_x_block_cached(self, i, w, x, yz):
-        sl = self._slices[i]
-        return self._block_gradient(sl, w[:, sl], yz)
+        return self._block_gradient(i, w[:, self._slices[i]], yz)
 
-    def _block_gradient(self, sl, Gx_block, yz):
-        """The primal gradient on ``sl`` from the rows ``G_l[sl] x``."""
-        y, z = yz[:self.M], yz[self.M]
-        return -2.0 + (2.0 * self.coef * y) @ Gx_block + z * self.b[sl]
+    def _block_gradient(self, i, Gx_block, yz):
+        """The primal gradient on block ``i`` from the rows ``G_l[sl] x``."""
+        M = self.M
+        return -2.0 + (self._coef2 * yz[:M]) @ Gx_block + yz[M] * self._b_blocks[i]
 
     def primal_product(self, x):
         """``w = G x``: the ``(M, n)`` array of the products ``G_l x``."""
@@ -191,7 +191,11 @@ class KernelProblem(SaddleProblem):
         w += dx @ self.G_list[:, self._slices[i]]
 
     def grad_y_cached(self, w, x, yz):
-        return np.concatenate([self.coef * (w @ x), [self.b @ x]])
+        M = self.M
+        g = np.empty(M + 1)
+        np.multiply(self.coef, w @ x, out=g[:M])
+        g[M] = self.b @ x
+        return g
 
     def project_primal_domain(self, x):
         """Nonnegative orthant scaled into the ball of radius B (the

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import ParameterError
+
 _MASK = (1 << 64) - 1
+_HALF_MASK = (1 << 32) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -51,18 +54,26 @@ def sample_index(rng: CounterRng, m: int, p: np.ndarray | None = None) -> int:
     return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, m - 1))
 
 
-def sample_indices(seed: int, m: int, count: int, p: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized variant of :func:`sample_index` for statistical tests.
+def sample_indices(seed: int, m: int, count: int, p: np.ndarray | None = None,
+                   start: int = 0) -> np.ndarray:
+    """Vectorized :func:`sample_index`: draws ``start + 1 .. start + count``
+    of the stream.
 
-    Produces exactly the sequence a fresh ``CounterRng(seed)`` would.
+    Produces exactly the sequence a fresh ``CounterRng(seed)`` would after
+    ``start`` draws.  Uniform sampling needs ``m < 2^32 - 1``: it forms
+    ``(z * m) >> 64`` in uint64 from the 32-bit halves of ``z``.
     """
-    counters = (np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
-    z = counters
+    if p is None and not 0 < m < _HALF_MASK:
+        raise ParameterError(f"uniform sampling needs 0 < m < 2^32 - 1, got {m}")
+    z = (np.uint64(int(seed) & _MASK)
+         + np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     if p is None:
-        # floor(z * m / 2^64) without overflow: use object ints only at the end
-        return ((z.astype(object) * m) >> 64).astype(np.int64)
+        # z m = hi m 2^32 + lo m with 32-bit halves hi, lo: no product overflows
+        m64, half = np.uint64(m), np.uint64(32)
+        low = ((z & np.uint64(_HALF_MASK)) * m64) >> half
+        return (((z >> half) * m64 + low) >> half).astype(np.int64)
     u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.searchsorted(np.cumsum(p), u, side="right").clip(0, m - 1).astype(np.int64)

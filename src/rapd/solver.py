@@ -6,15 +6,16 @@ grad_y(x^{k-1}, y^{k-1})``:
 1. momentum direction  ``s^k = (1 + m theta^k) g_k - m theta^k g_prev``
 2. dual ascent prox    ``y^{k+1} = argmin_y h(y) - <s^k, y - y^k>
                           + D_Y(y, y^k)/sigma^k``
-3. sample one block    ``i_k`` (uniform or per given probabilities)
+3. sample one block    ``i_k`` (uniform or per given probabilities; a run
+                       draws its indices ``DRAW_CHUNK`` at a time)
 4. primal block prox   on block ``i_k`` only, at ``grad_{x_i} phi(x^k, y^{k+1})``,
                        written into ``x`` in place
 
 then the dual-gradient cache moves forward and the schedule advances.
 The convention ``(x^{-1}, y^{-1}) = (x^0, y^0)`` makes ``s^0 = g_0``.
 
-Per-iteration cost: O(block) for the primal side plus the dual-side work
-on ``y``, which every iteration does in full.  ``run`` keeps the
+Per-iteration cost: O(block) for the primal side plus the dual prox on
+the whole of ``y`` and O(1) Python work.  ``run`` keeps the
 coupling's linear primal product ``w = K x`` (see ``SaddleProblem``),
 updates it from the changed block alone, reads the dual gradient and the
 block gradient off it, and recomputes it and checks the cached gradient
@@ -22,7 +23,9 @@ against a fresh one every ``CACHE_RESYNC_SWEEPS * m`` iterations.  The
 bookkeeping is O(block) too: a running ``||x||^2`` for the divergence
 guard and ergodic sums that bring a block up to date only when it
 changes or when an average is read.  The accelerated schedule advances
-in O(m) vector work, with no validation after the first state.
+as Python floats (``part2_scalars``), with no validation after the first
+state; an iteration computes only the sampled block's step, and a full
+``StepSchedule`` is built only at record points.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
@@ -41,8 +44,9 @@ from .bregman import bregman_prox
 from .exceptions import DivergenceError, ParameterError, RegimeError
 from .harness import metrics
 from .problem import SaddleProblem
-from .rng import CounterRng, sample_index
-from .stepsize import StepSchedule
+# sample_index stays importable from here: the benchmark's tracer wraps it
+from .rng import sample_index, sample_indices  # noqa: F401
+from .stepsize import StepSchedule, part2_scalars, part2_state
 
 DIVERGENCE_LIMIT = 1e12
 #: an incrementally updated dual-gradient cache is recomputed in full and
@@ -50,6 +54,8 @@ DIVERGENCE_LIMIT = 1e12
 CACHE_RESYNC_SWEEPS = 64
 #: relative drift of the cached dual gradient that fails a run
 CACHE_DRIFT_LIMIT = 1e-10
+#: block indices drawn at a time
+DRAW_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +328,33 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
 
     ref = opts.reference
     mu = problem.constants.mu
+    accelerated = schedule.regime == "part2"
+    # the current state as scalars; part2 advances them and rebuilds a
+    # StepSchedule only at record points
+    theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
+    clamped = schedule.theta_clamped
+    used = None         # the scalars of the state the last iteration used; None = schedule
+    tau0 = schedule.tau.tolist()
+    scale = None        # 1 + 1/taut once the accelerated steps follow from taut
+    if accelerated:
+        mu_p, mu_s = schedule.mu_p.tolist(), schedule.mu.tolist()
 
     def describe(k, wall_s):
-        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=sched.sigma,
-                          theta=sched.theta, tau_min=float(sched.tau.min()),
-                          tau_max=float(sched.tau.max()), t=sched.t)
+        prev = schedule if used is None else part2_state(schedule, *used)
+        cur = part2_state(schedule, theta, sigma, taut, t, clamped) if accelerated else schedule
+        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=cur.sigma,
+                          theta=cur.theta, tau_min=float(cur.tau.min()),
+                          tau_max=float(cur.tau.max()), t=cur.t)
         if ref is not None:
-            weights = 1.0 / tau_used + (1.0 - 1.0 / m) * mu
+            weights = 1.0 / prev.tau + (1.0 - 1.0 / m) * mu
             rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, weights)
-            rec.t_prev = t_used
+            rec.t_prev = prev.t
         return rec
 
     monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,
                        opts, seed=seed)
     trace = monitor.trace
     x, y = monitor.start
-    rng = CounterRng(seed)
-    sched = schedule
     slices = part.slices()
     grad_block = problem.grad_x_block_cached
     grad_y_at = problem.grad_y_cached
@@ -346,22 +362,27 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     # the primal product w = K x, moved forward block by block
     w = problem.primal_product(x)
     g_cur = g_prev = grad_y_at(w, x, y)
+    s, s_prev = np.empty_like(g_cur), np.empty_like(g_cur)
     resync_every = CACHE_RESYNC_SWEEPS * m
 
-    for done in range(1, K + 1):
+    for done, i_k in enumerate(_block_draws(seed, m, K, p_arr), start=1):
         # momentum direction s^k = (1 + m theta) g_k - m theta g_{k-1}
-        s = (1.0 + m * sched.theta) * g_cur - (m * sched.theta) * g_prev
-        y = dual_step(problem, y, s, sched.sigma)
-        i_k = sample_index(rng, m, p_arr)
+        np.multiply(g_cur, 1.0 + m * theta, out=s)
+        np.subtract(s, np.multiply(g_prev, m * theta, out=s_prev), out=s)
+        y = dual_step(problem, y, s, sigma)
         sl = slices[i_k]
         old = x[sl].copy()
-        new = _block_prox(problem, i_k, sched.tau[i_k], grad_block(i_k, w, x, y), old)
+        tau_i = tau0[i_k] if scale is None else 1.0 / (mu_p[i_k] * scale - mu_s[i_k])
+        new = _block_prox(problem, i_k, tau_i, grad_block(i_k, w, x, y), old)
         x[sl] = new
         incr(w, i_k, new - old)
         g_prev, g_cur = g_cur, grad_y_at(w, x, y)
 
-        tau_used, t_used = sched.tau, sched.t
-        sched = sched.advance()
+        if accelerated:
+            used = (theta, sigma, taut, t, clamped)
+            theta, sigma, taut, clamped = part2_scalars(sigma, taut, m, clamped)
+            t /= theta
+            scale = 1.0 + 1.0 / taut
 
         if done % resync_every == 0:
             # the fresh gradient comes from the stateless oracle, so the
@@ -379,3 +400,11 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             break
 
     return monitor.finish(x, y)
+
+
+def _block_draws(seed: int, m: int, K: int, p: np.ndarray | None):
+    """The ``K`` block indices of a run, the stream of ``sample_index`` on
+    a fresh ``CounterRng(seed)``, drawn ``DRAW_CHUNK`` at a time."""
+    for start in range(0, K, DRAW_CHUNK):
+        yield from sample_indices(seed, m, min(DRAW_CHUNK, K - start), p,
+                                  start=start).tolist()

@@ -153,36 +153,47 @@ def _part2_tau(mu: np.ndarray, pi: np.ndarray, taut: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def part2_advance(s: StepSchedule) -> StepSchedule:
-    """One step of the accelerated recursion (returns a new state).
-
-    The reciprocal steps are not checked again: ``taut`` only decreases,
-    so the positivity that :func:`part2_init` checked at ``taut^0`` holds
-    at every later state.
-    """
-    if s.regime != "part2":
-        raise RegimeError("part2_advance needs a part2 schedule")
-    m = s.tau.size
-    theta_next = 1.0 / math.sqrt(1.0 + s.tau_tilde)
-    clamped = s.theta_clamped
+def part2_scalars(sigma: float, taut: float, m: int, clamped: bool) -> tuple:
+    """The scalar step of the accelerated recursion: from ``sigma^k``,
+    ``taut^k`` and whether the momentum floor has bound so far, returns
+    ``(theta^(k+1), sigma^(k+1), taut^(k+1), clamped)``."""
+    theta_next = 1.0 / math.sqrt(1.0 + taut)
     floor = 1.0 - 1.0 / m
     if theta_next < floor:
         # the recursion keeps theta above 1 - 1/m for every taut^0 it can
         # produce itself; the clamp guards externally constructed states
         theta_next = floor
         clamped = True
-    sigma_next = s.sigma / theta_next
-    taut_next = theta_next * s.tau_tilde
-    # a frozen-dataclass copy without __init__: every field but these
-    # carries over, mu_p included
+    return theta_next, sigma / theta_next, theta_next * taut, clamped
+
+
+def part2_state(s0: StepSchedule, theta: float, sigma: float, taut: float, t: float,
+                clamped: bool) -> StepSchedule:
+    """The part2 state with the given scalars; every other field carries
+    over from ``s0``, ``mu_p`` included, and the steps follow from ``taut``.
+
+    The reciprocal steps are not checked again: ``taut`` only decreases,
+    so the positivity that :func:`part2_init` checked at ``taut^0`` holds
+    at every later state.
+    """
+    m = s0.tau.size
+    # a frozen-dataclass copy without __init__
     nxt = object.__new__(StepSchedule)
-    nxt.__dict__.update(s.__dict__)
+    nxt.__dict__.update(s0.__dict__)
     nxt.__dict__.update(
-        tau=1.0 / (s.mu_p * (1.0 + 1.0 / taut_next) - s.mu), sigma=sigma_next,
-        theta=theta_next, t=s.t / theta_next,
-        alpha=s.c_sigma / (m * theta_next * sigma_next), tau_tilde=taut_next,
+        tau=1.0 / (s0.mu_p * (1.0 + 1.0 / taut) - s0.mu), sigma=sigma,
+        theta=theta, t=t, alpha=s0.c_sigma / (m * theta * sigma), tau_tilde=taut,
         theta_clamped=clamped)
     return nxt
+
+
+def part2_advance(s: StepSchedule) -> StepSchedule:
+    """One step of the accelerated recursion (returns a new state)."""
+    if s.regime != "part2":
+        raise RegimeError("part2_advance needs a part2 schedule")
+    theta, sigma, taut, clamped = part2_scalars(s.sigma, s.tau_tilde, s.tau.size,
+                                                s.theta_clamped)
+    return part2_state(s, theta, sigma, taut, s.t / theta, clamped)
 
 
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,

@@ -7,7 +7,7 @@ from rapd.bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry,
                           ProductGeometry, Separable, SquaredL2, Zero,
                           bregman_dist, bregman_prox, project_simplex,
                           three_point_check)
-from rapd.exceptions import DomainError, ParameterError
+from rapd.exceptions import DimensionError, DomainError, ParameterError
 
 
 def brute_force_prox_1d(f_value, t, s, xbar, lo=-50.0, hi=50.0):
@@ -263,3 +263,81 @@ class TestProductGeometry:
         h = Separable([(IndicatorSimplex(1.0), 1), (Zero(), 2)])
         with pytest.raises(Exception):
             bregman_prox(pg, h, 1.0, np.zeros(3), np.array([0.5, 0.5, 1.0]))
+
+    def dual_pair(self):
+        """The kernel problem's dual geometry and function, at M = 3."""
+        pg = ProductGeometry([EntropyGeometry(3), EuclideanGeometry(1)])
+        return pg, Separable([(IndicatorSimplex(1.0), 3), (Zero(), 1)])
+
+    def test_prox_equals_the_parts(self):
+        # one output array, bit for bit the part proxes side by side
+        pg, h = self.dual_pair()
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            s = rng.standard_normal(4) * 5
+            y = np.append(rng.dirichlet(np.ones(3)), rng.standard_normal())
+            t = float(10 ** rng.uniform(-2, 1))
+            expect = np.concatenate([
+                bregman_prox(EntropyGeometry(3), IndicatorSimplex(1.0), t, s[:3], y[:3]),
+                bregman_prox(EuclideanGeometry(1), Zero(), t, s[3:], y[3:])])
+            assert np.array_equal(bregman_prox(pg, h, t, s, y), expect)
+
+    def test_prox_error_paths(self):
+        pg, h = self.dual_pair()
+        y = np.array([0.2, 0.3, 0.5, 1.0])
+        with pytest.raises(DomainError, match="separable"):
+            bregman_prox(pg, L1(1.0), 1.0, np.zeros(4), y)
+        with pytest.raises(DimensionError):
+            bregman_prox(pg, h, 1.0, np.zeros(3), y)
+        with pytest.raises(DimensionError):
+            bregman_prox(pg, h, 1.0, np.zeros(4), y[:3])
+        with pytest.raises(DimensionError, match="part sizes"):
+            bregman_prox(pg, Separable([(IndicatorSimplex(1.0), 2), (Zero(), 2)]), 1.0,
+                         np.zeros(4), y)
+        for t in (0.0, -1.0, np.nan):
+            with pytest.raises(ParameterError):
+                bregman_prox(pg, h, t, np.zeros(4), y)
+        with pytest.raises(DomainError, match="strictly positive"):
+            bregman_prox(pg, h, 1.0, np.zeros(4), np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(DomainError, match="lost all mass"):
+            bregman_prox(pg, h, 1.0, np.array([np.nan, 0, 0, 0]), y)
+
+    def test_cached_plan_serves_one_function(self):
+        # the plan is kept for the function it was checked for; every
+        # other function is checked and served its own parts
+        pg, h = self.dual_pair()
+        s, y = np.array([0.5, -0.5, 0.0, 2.0]), np.array([0.2, 0.3, 0.5, 1.0])
+        first = bregman_prox(pg, h, 1.0, s, y)
+        h2 = Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1)])
+        assert bregman_prox(pg, h2, 1.0, s, y)[:3].sum() == pytest.approx(2.0)
+        with pytest.raises(DimensionError):
+            bregman_prox(pg, Separable([(IndicatorSimplex(1.0), 1), (Zero(), 3)]), 1.0, s, y)
+        with pytest.raises(DomainError):
+            bregman_prox(pg, IndicatorSimplex(1.0), 1.0, s, y)
+        zero = bregman_prox(pg, Zero(), 1.0, s, y)
+        assert zero[:3] == pytest.approx(y[:3] * np.exp(-s[:3]))
+        assert np.array_equal(bregman_prox(pg, h, 1.0, s, y), first)
+
+
+def project_simplex_by_last_index(u, scale=1.0):
+    """Sort-and-threshold that takes the last index where the threshold
+    condition holds, the way the projection was first written."""
+    srt = np.sort(u)[::-1]
+    css = np.cumsum(srt) - scale
+    cond = srt - css / np.arange(1, u.size + 1) > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    return np.maximum(u - css[rho] / (rho + 1.0), 0.0)
+
+
+def test_project_simplex_counts_the_prefix():
+    # counting the condition gives the last index where it holds, bit for
+    # bit, with ties and at the sizes the ranks cache sees
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 7, 512):
+        for _ in range(100):
+            u = rng.standard_normal(n) * 3
+            if n > 2:
+                u[rng.integers(n, size=2)] = u[0]
+            scale = float(10 ** rng.uniform(-1, 1))
+            assert np.array_equal(project_simplex(u, scale),
+                                  project_simplex_by_last_index(u, scale))

@@ -38,6 +38,16 @@ BILINEAR_CFG = BASE_CFG.replace("problem.type = quadratic_game",
                                 "problem.h = ball", "problem.h = simplex")
 
 
+def without_keys(text, *keys):
+    """``text`` without the assignments to ``keys``."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split("=", 1)[0].strip() not in keys)
+
+
+#: the block and dual function keys of BASE_CFG
+FH_KEYS = ("problem.f", "problem.f_param", "problem.h", "problem.h_param")
+
+
 class TestConfig:
     def test_parse_and_defaults(self):
         cfg = parse_config(BASE_CFG)
@@ -118,6 +128,49 @@ class TestConfig:
         parse_config(BASE_CFG.replace("method.name = rapd1", "method.name = mirror_prox")
                      + "method.c_tau = 0.99\nmethod.p = uniform\n")
 
+    #: a value other than the schema default for each problem key a type may read
+    PROBLEM_VALUES = {"problem.f": "sql2", "problem.f_param": "0.5", "problem.h": "sql2",
+                      "problem.h_param": "0.5", "problem.strongly_convex": "true",
+                      "problem.lam": "2", "problem.B": "5", "problem.separation": "3",
+                      "problem.bandwidth": "0.2", "problem.dual_geometry": "euclidean"}
+    PROBLEM_READS = {
+        "quadratic_game": FH_KEYS + ("problem.strongly_convex",),
+        "bilinear_erm": FH_KEYS,
+        "constrained": ("problem.f", "problem.f_param", "problem.B"),
+        "kernel": ("problem.lam", "problem.B", "problem.separation", "problem.bandwidth",
+                   "problem.dual_geometry"),
+    }
+
+    def test_problem_keys_the_type_never_reads_rejected(self):
+        for kind, reads in self.PROBLEM_READS.items():
+            base = f"problem.type = {kind}\nmethod.name = rapd1\n"
+            for key, value in self.PROBLEM_VALUES.items():
+                text = base + f"{key} = {value}\n"
+                if key in reads:
+                    assert parse_config(text)[key] != parse_config(base)[key]
+                else:
+                    with pytest.raises(ConfigError,
+                                       match=f"{key} .*problem.type = {kind}; leave it"):
+                        parse_config(text)
+                # any key may be written at its default
+                default = str(parse_config(base)[key])
+                parse_config(base + f"{key} = {default}\n")
+
+    def test_pdhg_step_keys_a_given_step_silences_rejected(self):
+        pdhg = BASE_CFG.replace("method.name = rapd1", "method.name = pdhg")
+        both = pdhg + "method.tau = 0.1\nmethod.sigma = 0.2\n"
+        for key in ("method.alpha", "method.c_tau", "method.c_sigma"):
+            with pytest.raises(ConfigError, match=f"{key} .*method.name = pdhg given "
+                                                  "method.tau and method.sigma; leave it"):
+                parse_config(both + f"{key} = {self.METHOD_VALUES[key]}\n")
+        # one given step silences only its own constant
+        for given, silent, read in (("method.tau", "method.c_tau", "method.c_sigma"),
+                                    ("method.sigma", "method.c_sigma", "method.c_tau")):
+            text = pdhg + f"{given} = 0.1\n"
+            with pytest.raises(ConfigError, match=f"{silent} .*given {given};"):
+                parse_config(text + f"{silent} = 0.5\n")
+            parse_config(text + f"{read} = 0.5\nmethod.alpha = 2\n")
+
     def test_probabilities(self):
         cfg = parse_config(BASE_CFG.replace("method.name = rapd1",
                                             "method.name = rapd1\nmethod.p = 0.75,0.25"))
@@ -127,9 +180,10 @@ class TestConfig:
             cfg.probabilities(3)
 
     def test_lipschitz_scale_every_type(self):
-        for kind in ("quadratic_game", "bilinear_erm", "constrained", "kernel"):
-            text = BILINEAR_CFG.replace("bilinear_erm", kind).replace(
-                "problem.n = 8", "problem.n = 12")
+        for kind, unread in (("quadratic_game", ()), ("bilinear_erm", ()),
+                             ("constrained", FH_KEYS[2:]), ("kernel", FH_KEYS)):
+            text = without_keys(BILINEAR_CFG.replace("bilinear_erm", kind).replace(
+                "problem.n = 8", "problem.n = 12"), *unread)
             default, _, _ = build_problem_from_config(parse_config(text))
             half, _, _ = build_problem_from_config(
                 parse_config(text + "method.lipschitz_scale = 0.5\n"))
@@ -334,6 +388,13 @@ class TestCli:
         p.write_text(text)
         return p
 
+    def test_silent_pdhg_key_exit_code(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path, BASE_CFG.replace("method.name = rapd1",
+                                                       "method.name = pdhg")
+                            + "method.tau = 0.1\nmethod.sigma = 0.1\nmethod.alpha = 5\n")
+        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert "method.alpha = 5.0 does nothing" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         p = self._write_cfg(tmp_path, "problem.typ = nope\n")
         assert cli_main(["run", "--config", str(p)]) == 1
@@ -428,7 +489,8 @@ class TestCli:
 
     def test_check_fails_where_mirror_prox_has_no_estimate(self, tmp_path, capsys):
         # the kernel coupling has no built-in estimate; check says so before run does
-        cfg = BASE_CFG.replace("problem.type = quadratic_game", "problem.type = kernel")
+        cfg = without_keys(BASE_CFG, *FH_KEYS).replace("problem.type = quadratic_game",
+                                                       "problem.type = kernel")
         cfg = cfg.replace("method.name = rapd1", "method.name = mirror_prox")
         cfg = cfg.replace("problem.n = 8", "problem.n = 40").replace(
             "problem.blocks = 2", "problem.blocks = 4")

@@ -16,11 +16,13 @@ from rapd.oracle import kkt_residual, solve_high_accuracy
 
 
 def config_problem(kind, n=12, m=3):
-    """The ``rapd run`` builder's problem of type ``kind``."""
+    """The ``rapd run`` builder's problem of type ``kind``, with ``f`` and
+    ``h`` set where the type reads them."""
+    f = "" if kind == "kernel" else "problem.f = l1\nproblem.f_param = 0.1\n"
+    h = "" if kind in ("kernel", "constrained") else "problem.h = ball\nproblem.h_param = 1.0\n"
     return build_problem_from_config(parse_config(
         f"problem.type = {kind}\nproblem.seed = 3\nproblem.n = {n}\nproblem.d = 4\n"
-        f"problem.blocks = {m}\nproblem.f = l1\nproblem.f_param = 0.1\n"
-        "problem.h = ball\nproblem.h_param = 1.0\nmethod.name = rapd1\n"
+        f"problem.blocks = {m}\n{f}{h}method.name = rapd1\n"
         "run.K = 10\nrun.seeds = 0\noutput.dir = out\n"))[0]
 
 

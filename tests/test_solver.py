@@ -14,9 +14,10 @@ from rapd.harness.metrics import lagrangian_gap
 from rapd.harness.suites import build_problem_from_config
 from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
-from rapd.solver import (CACHE_RESYNC_SWEEPS, RunOptions, dual_step, ergodic_average,
-                         primal_block_step, run)
-from rapd.stepsize import default_alpha, part1_schedule, part2_init
+from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, _block_draws,
+                         dual_step, ergodic_average, primal_block_step, run)
+from rapd.stepsize import (default_alpha, nonuniform_weights, part1_schedule, part2_init,
+                           schedule_prefix)
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
 
 
@@ -141,6 +142,35 @@ class TestSampling:
         vec = sample_indices(seed=13, m=4, count=200, p=p)
         assert np.array_equal(seq, vec)
 
+    @staticmethod
+    def scalar_stream(seed, m, count, p=None):
+        rng = CounterRng(seed)
+        return [sample_index(rng, m, p) for _ in range(count)]
+
+    def test_chunked_draws_match_scalar_stream(self):
+        # a run's draws cross three chunk boundaries and stop mid-chunk
+        K = 3 * DRAW_CHUNK + 77
+        for m in (1, 3, 10, 256, 2**31 - 1):
+            for seed in (0, 9, -3):
+                draws = list(_block_draws(seed, m, K, None))
+                assert draws == self.scalar_stream(seed, m, K), (m, seed)
+                assert all(type(i) is int for i in draws[:3])
+        p = np.array([0.05, 0.5, 0.15, 0.3])
+        assert list(_block_draws(4, 4, K, p)) == self.scalar_stream(4, 4, K, p)
+        with pytest.raises(ParameterError):
+            sample_indices(0, 2**32 - 1, 10)
+
+    def test_run_samples_the_scalar_stream(self):
+        # K below one chunk and K across a chunk boundary, uniform and not
+        prob = small_bilinear(n=6, m=3)
+        c = prob.constants
+        p = np.array([0.2, 0.5, 0.3])
+        for K, probs in ((40, None), (DRAW_CHUNK + 40, None), (40, p)):
+            sched = part1_schedule(c, 3, default_alpha(c)) if probs is None else \
+                nonuniform_weights(c, 3, default_alpha(c), probs)
+            tr = run(prob, sched, K, seed=17, options=RunOptions(record_at=range(1, K + 1)))
+            assert [r.i_k for r in tr.records] == self.scalar_stream(17, 3, K, probs)
+
     def test_nonuniform_frequencies(self):
         p = np.array([0.7, 0.2, 0.1])
         draws = sample_indices(seed=3, m=3, count=100_000, p=p)
@@ -246,6 +276,30 @@ class TestRun:
         assert np.array_equal(tr1.final_x, tr2.final_x)
         assert np.array_equal(tr1.final_y, tr2.final_y)
         assert [r.i_k for r in tr1.records] == [r.i_k for r in tr2.records]
+
+    def test_accelerated_records_match_schedule_prefix(self):
+        # the scalar schedule in run is bit for bit the StepSchedule
+        # recursion, at every k, for uniform and non-uniform sampling
+        from rapd.harness.suites import part2_suite_certificate, part2_suite_problem
+        prob, x0, y0 = part2_suite_problem()
+        cert = part2_suite_certificate(prob)
+        c, m, K = prob.constants, prob.partition.m, 300
+        p = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
+        for s0 in (part2_init(c, m, default_alpha(c)),
+                   nonuniform_weights(c, m, default_alpha(c), p, regime="part2")):
+            xs = {}
+            opts = RunOptions(record_at=range(1, K + 1), reference=cert,
+                              iterate_hook=lambda k, x, y: xs.__setitem__(k, x.copy()))
+            tr = run(prob, s0, K, seed=5, x0=x0, y0=y0, options=opts)
+            prefix = schedule_prefix(s0, K)
+            for r in tr.records:
+                cur, prev = prefix[r.k], prefix[r.k - 1]
+                weights = 1.0 / prev.tau + (1.0 - 1.0 / m) * c.mu
+                wdist = 0.5 * weighted_norm_sq_raw(xs[r.k] - cert.x_star, prob.partition,
+                                                   weights)
+                assert (r.sigma, r.theta, r.tau_min, r.tau_max, r.t, r.wdist_sq, r.t_prev) \
+                    == (cur.sigma, cur.theta, float(cur.tau.min()), float(cur.tau.max()),
+                        cur.t, wdist, prev.t), r.k
 
     def test_different_seeds_differ(self):
         from rapd.rng import sample_indices
