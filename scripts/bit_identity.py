@@ -24,6 +24,14 @@ the same file compares any two trees:
     PYTHONPATH=/path/to/other/src python3 scripts/bit_identity.py --out /tmp/old
     diff -r /tmp/old /tmp/new
 
+``--compare OLD NEW`` says how far two such directories differ: the
+largest absolute deviation of each differing ``.npy`` file, the largest
+relative deviation ``|a - b| / max(|a|, |b|)`` of each differing CSV
+column, and the name of any other file that differs or exists on one
+side only.  It exits 1 when anything differs:
+
+    python3 scripts/bit_identity.py --compare /tmp/old /tmp/new
+
 The suites take about a minute of the run.
 """
 
@@ -150,11 +158,72 @@ def write_suites(out: Path) -> None:
         (out / f"suite_{name}.txt").write_text("\n".join(lines) + "\n")
 
 
+def _csv_columns(path: Path) -> dict:
+    """Column name -> list of cell texts."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _rel_dev(a: str, b: str) -> float:
+    """Relative deviation of two numeric cells; inf when only one parses,
+    or one is NaN and they are unequal text; 0 for equal text, NaNs
+    included, and for equal values such as ``0.0`` and ``-0.0``."""
+    if a == b:
+        return 0.0
+    try:
+        fa, fb = float(a), float(b)
+    except ValueError:
+        return np.inf
+    if np.isnan(fa) or np.isnan(fb):
+        return np.inf
+    if fa == fb:   # equal values written differently, 0.0 and -0.0 among them
+        return 0.0
+    return abs(fa - fb) / max(abs(fa), abs(fb))
+
+
+def compare(old: Path, new: Path) -> list:
+    """One line per difference between two artefact directories."""
+    names = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    names_new = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    lines = [f"{name}: only in {side}" for side, only in ((old, names - names_new),
+                                                          (new, names_new - names))
+             for name in sorted(only)]
+    for name in sorted(names & names_new):
+        a, b = old / name, new / name
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if name.suffix == ".npy":
+            xa, xb = np.load(a), np.load(b)
+            if xa.shape != xb.shape:
+                lines.append(f"{name}: shape {xa.shape} -> {xb.shape}")
+            else:
+                lines.append(f"{name}: max abs deviation {np.abs(xa - xb).max():.3e}")
+        elif name.suffix == ".csv":
+            ca, cb = _csv_columns(a), _csv_columns(b)
+            if list(ca) != list(cb) or any(len(ca[c]) != len(cb[c]) for c in ca):
+                lines.append(f"{name}: columns or rows differ")
+                continue
+            devs = {c: max(map(_rel_dev, ca[c], cb[c]), default=0.0) for c in ca}
+            lines.append(f"{name}: max rel deviation " + ", ".join(
+                f"{c} {d:.3e}" for c, d in devs.items() if d > 0))
+        else:
+            lines.append(f"{name}: differs")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="write the artefacts that two trees "
-                                 "must agree on bit for bit (compare with diff -r)")
-    ap.add_argument("--out", required=True, type=Path, help="output directory")
+                                 "must agree on bit for bit, or compare two such "
+                                 "directories")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="output directory")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                      help="report how far two output directories differ")
     args = ap.parse_args(argv)
+    if args.compare:
+        lines = compare(*args.compare)
+        print("\n".join(lines) if lines else "identical")
+        return 1 if lines else 0
     args.out.mkdir(parents=True, exist_ok=True)
     print(f"rapd from {os.path.dirname(rapd.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:

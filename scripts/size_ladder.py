@@ -1,19 +1,28 @@
-"""Size ladder: rapd's cost per iteration against the block size.
+"""Size ladder: rapd's cost per iteration against a full pass.
 
-Runs the bilinear coupling of the benchmark's bilinear-large workload
-(n = 16384, d = 512, A Gaussian / sqrt(n), f_i = SquaredL2(0.5), h the unit
-simplex) at m = 64, 128 and 256 blocks, so the block size n_i = n/m halves
-at each rung while n and d stay fixed.  For each rung it reports
+Two ladders, each a problem at several sizes:
+
+- ``bilinear``: the coupling of the benchmark's bilinear-large workload
+  (n = 16384, d = 512, A Gaussian / sqrt(n), f_i = SquaredL2(0.5), h the
+  unit simplex) at m = 64, 128 and 256 blocks, so the block size
+  n_i = n/m halves at each rung while n and d stay fixed;
+- ``kernel``: the benchmark's kernel-desk problem (multiple-kernel SVM,
+  d = 10, three kernels, lam = 1, entropy dual, constants scaled by 0.1,
+  dataset seed 7) at n = 200, 400, 800 and 1600 points and m = 10
+  blocks.
+
+For each rung it reports
 
 - the block phases alone, each averaged over 2000 random blocks: the
   block gradient read off the cached primal product, the product's
   update from one block, and the block prox;
 - the fastest and the median per-iteration chunk of ``run`` in both step
-  regimes (records every 50 iterations);
-- one full primal product ``A x``, the work of a full pass.
-
-The block phases should halve with n_i; the whole iteration also holds
-the dual step on the d-vector, which does not depend on m.
+  regimes (records every 50 iterations) and of ``pdhg_run``, the
+  deterministic full pass, with the benchmark's steps for it;
+- one full primal product, the largest part of a full pass;
+- ``epoch_over_pass``: ``m * rapd1_iter_us_min / pdhg_iter_us_min``, the
+  cost of m rapd iterations (one epoch, a pass worth of blocks) over one
+  pdhg iteration; the paper's cost claim is that it is about 1.
 
 Run from the repository root:
 
@@ -40,13 +49,21 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from rapd import (IndicatorSimplex, RunOptions, SquaredL2, build_bilinear_erm,  # noqa: E402
-                  default_alpha, part1_schedule, part2_init, run)
+                  build_kernel_problem, default_alpha, part1_schedule, part2_init,
+                  pdhg_run, run, synth_dataset)
 from rapd.blockcore import BlockPartition  # noqa: E402
 from rapd.bregman import bregman_prox  # noqa: E402
+from rapd.kernel_learning import dual_start  # noqa: E402
+from rapd.problem import spectral_norm  # noqa: E402
 
 N, D = 16384, 512
-RUNGS = (64, 128, 256)
+BILINEAR_RUNGS = (64, 128, 256)
+KERNEL_RUNGS = (200, 400, 800, 1600)
+KERNEL_BLOCKS = 10
 PHASE_CALLS = 2000
+CADENCE = 50
+#: pdhg iterations per timed run and its record cadence, per ladder
+PDHG_RUN = {"bilinear": (200, 10), "kernel": (1000, 20)}
 
 
 def per_call_us(fn, blocks, repeats=3) -> float:
@@ -66,66 +83,106 @@ def chunk_us(trace) -> list:
     return list(np.diff(wall) / np.diff(k) * 1e6)
 
 
-def rung(A, m: int, K: int, seed: int) -> dict:
-    part = BlockPartition.even(N, m)
-    f = [SquaredL2(0.5) for _ in range(m)]
-    problem = build_bilinear_erm([A[:, sl] for sl in part.slices()], f,
-                                 IndicatorSimplex(1.0), partition=part)
+def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
+    """Block phases, ``run`` in both regimes and ``pdhg_run`` on one problem."""
+    part = problem.partition
+    m, n = part.m, part.n
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(N) / np.sqrt(N)
-    y = problem.h.project_domain(rng.standard_normal(D))
+    x = np.abs(rng.standard_normal(n)) / np.sqrt(n)
     w = problem.primal_product(x)
     blocks = rng.integers(m, size=PHASE_CALLS)
     slices = part.slices()
     dx = rng.standard_normal(part.sizes[0]) * 1e-12
-    geom = problem.primal_geometry[0]
+    geom, f = problem.primal_geometry[0], problem.f
     out = {
-        "m": m, "n_i": part.sizes[0],
+        "n": n, "m": m, "n_i": part.sizes[0],
         "block_gradient_us": per_call_us(
-            lambda i: problem.grad_x_block_cached(i, w, x, y), blocks),
+            lambda i: problem.grad_x_block_cached(i, w, x, y0), blocks),
         "product_update_us": per_call_us(
-            lambda i: problem.grad_y_incremental(w, i, dx), blocks),
+            lambda i: problem.grad_y_incremental(w, i, dx[:part.sizes[i]]), blocks),
         "block_prox_us": per_call_us(
-            lambda i: bregman_prox(geom, f[i], 0.1, dx, x[slices[i]]), blocks),
+            lambda i: bregman_prox(geom, f[i], 0.1, dx[:part.sizes[i]], x[slices[i]]),
+            blocks),
         "full_product_us": per_call_us(lambda i: problem.primal_product(x), blocks[:20]),
     }
-    y0 = problem.h.project_domain(np.zeros(D))
     c = problem.constants
     for name, sched in (("rapd1", part1_schedule(c, m, default_alpha(c))),
                         ("rapd2", part2_init(c, m, default_alpha(c)))):
-        run(problem, sched, 500, seed, x0=np.zeros(N), y0=y0)  # warm-up
-        tr = run(problem, sched, K, seed, x0=np.zeros(N), y0=y0,
-                 options=RunOptions(record_at=range(50, K + 1, 50)))
+        run(problem, sched, 500, seed, x0=x0, y0=y0)  # warm-up
+        tr = run(problem, sched, K, seed, x0=x0, y0=y0,
+                 options=RunOptions(record_at=range(CADENCE, K + 1, CADENCE)))
         chunks = chunk_us(tr)
         out[f"{name}_iter_us_min"] = min(chunks)
         out[f"{name}_iter_us_p50"] = statistics.median(chunks)
+    K_pdhg, every = pdhg_run_len
+    pdhg_run(problem, *pdhg_steps, 5, x0=x0, y0=y0)  # warm-up
+    chunks = chunk_us(pdhg_run(problem, *pdhg_steps, K_pdhg, x0=x0, y0=y0,
+                               record_at=range(every, K_pdhg + 1, every)))
+    out["pdhg_iter_us_min"] = min(chunks)
+    out["pdhg_iter_us_p50"] = statistics.median(chunks)
+    out["epoch_over_pass"] = m * out["rapd1_iter_us_min"] / out["pdhg_iter_us_min"]
     return out
+
+
+def bilinear_ladder(K: int, seed: int):
+    A = np.random.default_rng(seed).standard_normal((D, N)) / np.sqrt(N)
+    step = 0.95 / spectral_norm(A)   # the benchmark's pdhg steps
+    for m in BILINEAR_RUNGS:
+        part = BlockPartition.even(N, m)
+        problem = build_bilinear_erm([A[:, sl] for sl in part.slices()],
+                                     [SquaredL2(0.5) for _ in range(m)],
+                                     IndicatorSimplex(1.0), partition=part)
+        y0 = problem.h.project_domain(np.zeros(D))
+        yield rung(problem, np.zeros(N), y0, (step, step), PDHG_RUN["bilinear"], K, seed)
+
+
+def kernel_ladder(K: int, seed: int):
+    for n in KERNEL_RUNGS:
+        problem = build_kernel_problem(synth_dataset(n_tr=n, d=10, seed=7), lam=1.0,
+                                       m_blocks=KERNEL_BLOCKS, dual_geometry="entropy",
+                                       lipschitz_scale=0.1)
+        c, m = problem.constants, problem.partition.m
+        s1 = part1_schedule(c, m, default_alpha(c))
+        # the benchmark's pdhg steps: rapd1's smallest primal step, m times its dual step
+        steps = (float(s1.tau.min()), s1.sigma * m)
+        yield rung(problem, np.zeros(n), dual_start(problem), steps, PDHG_RUN["kernel"],
+                   K, seed)
+
+
+LADDERS = {
+    "bilinear": (bilinear_ladder, {"n": N, "d": D, "coupling": "bilinear, A Gaussian / sqrt(n)",
+                                   "f_i": "SquaredL2(0.5)", "h": "unit simplex",
+                                   "pdhg_steps": "tau = sigma = 0.95 / ||A||"}),
+    "kernel": (kernel_ladder, {"coupling": "multiple-kernel SVM (poly2, gauss, linear)",
+                               "d": 10, "m": KERNEL_BLOCKS, "lam": 1.0, "dual": "entropy",
+                               "lipschitz_scale": 0.1, "dataset_seed": 7,
+                               "pdhg_steps": "tau = min tau_i, sigma = m sigma (rapd1)"}),
+}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--iterations", type=int, default=10_000,
-                    help="iterations per timed run (default 10000)")
+                    help="rapd iterations per timed run (default 10000)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="write the results as JSON here")
     args = ap.parse_args(argv)
-    A = np.random.default_rng(args.seed).standard_normal((D, N)) / np.sqrt(N)
-    rungs = []
-    for m in RUNGS:
-        res = rung(A, m, args.iterations, args.seed)
-        rungs.append(res)
-        print(" ".join(f"{k}={v:.1f}" if isinstance(v, float) else f"{k}={v}"
-                       for k, v in res.items()), flush=True)
+    ladders = {}
+    for name, (ladder, problem) in LADDERS.items():
+        rungs = []
+        for res in ladder(args.iterations, args.seed):
+            rungs.append(res)
+            print(name, " ".join(f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}"
+                                 for k, v in res.items()), flush=True)
+        ladders[name] = {"problem": problem, "rungs": rungs}
     result = {
         "script": "scripts/size_ladder.py",
-        "problem": {"n": N, "d": D, "coupling": "bilinear, A Gaussian / sqrt(n)",
-                    "f_i": "SquaredL2(0.5)", "h": "unit simplex"},
         "iterations": args.iterations, "seed": args.seed,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "blas_threads": BLAS_THREADS,
                         "nproc": len(os.sched_getaffinity(0)),
                         "machine": platform.machine()},
-        "rungs": rungs,
+        "ladders": ladders,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,6 +9,11 @@ m = 1, which the tests exploit as an oracle.
 half-step at the current point, then a proximal correction step from the
 original point using the half-point's gradients, both with step 1/L; the
 ergodic average of the half-points is the rate-carrying output.
+
+Both make full passes with one call per oracle: the primal product
+``w = K x`` once per point, both gradients read off it, and the primal
+prox as one whole-vector prox when the problem allows it
+(:meth:`SaddleProblem.whole_primal_prox`), block by block otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
 
 
 def _full_primal_prox(problem, x, grad, tau):
+    whole = problem.whole_primal_prox()
+    if whole is not None:
+        return bregman_prox(*whole, tau, grad, x)
     out = np.empty_like(x)
     for i, sl in enumerate(problem.partition.slices()):
         out[sl] = bregman_prox(problem.primal_geometry[i], problem.f[i],
@@ -41,7 +49,8 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
     """Extrapolated primal-dual with constant steps.
 
     Dual ascent at the extrapolated dual gradient ``2 g_k - g_{k-1}``,
-    then a full primal prox-descent at ``grad_x phi(x^k, y^{k+1})``.
+    then a full primal prox-descent at ``grad_x phi(x^k, y^{k+1})``; both
+    gradients are read off one primal product at ``x^k``.
     Initialization uses ``g_{-1} = g_0``.
     """
     if not (tau > 0 and sigma > 0):
@@ -50,12 +59,15 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
                        RunOptions(record_at=record_at, reference=reference,
                                   iterate_hook=iterate_hook))
     x, y = monitor.start
-    g_prev = problem.grad_y(x, y)
+    g_prev = None
     for _ in range(K):
-        g = problem.grad_y(x, y)
+        w = problem.primal_product(x)
+        g = problem.grad_y_cached(w, x, y)
+        if g_prev is None:
+            g_prev = g
         s = 2.0 * g - g_prev
         y = bregman_prox(problem.dual_geometry, problem.h, sigma, -s, y)
-        x = _full_primal_prox(problem, x, problem.grad_x(x, y), tau)
+        x = _full_primal_prox(problem, x, problem.grad_x_cached(w, x, y), tau)
         g_prev = g
         monitor.step(x, y)
     return monitor.finish(x, y)
@@ -92,10 +104,14 @@ def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,
     x, y = monitor.start
     for _ in range(K):
         # half step at the current point
-        xh = _full_primal_prox(problem, x, problem.grad_x(x, y), eta)
-        yh = bregman_prox(problem.dual_geometry, problem.h, eta, -problem.grad_y(x, y), y)
+        w = problem.primal_product(x)
+        xh = _full_primal_prox(problem, x, problem.grad_x_cached(w, x, y), eta)
+        yh = bregman_prox(problem.dual_geometry, problem.h, eta,
+                          -problem.grad_y_cached(w, x, y), y)
         # correction step from the current point, gradients at the half point
-        x = _full_primal_prox(problem, x, problem.grad_x(xh, yh), eta)
-        y = bregman_prox(problem.dual_geometry, problem.h, eta, -problem.grad_y(xh, yh), y)
+        wh = problem.primal_product(xh)
+        x = _full_primal_prox(problem, x, problem.grad_x_cached(wh, xh, yh), eta)
+        y = bregman_prox(problem.dual_geometry, problem.h, eta,
+                         -problem.grad_y_cached(wh, xh, yh), y)
         monitor.step(x, y, xh, yh)
     return monitor.finish(x, y)

@@ -42,6 +42,9 @@ class ProxFriendlyFunction:
     modulus = 0.0
     kind = "abstract"
     entropy_scale_invariant = False  # whether prox_entropy ignores rescaling of w
+    #: whether the Euclidean prox acts on each coordinate alone, so that
+    #: one prox on a concatenation equals the proxes of its pieces
+    coordinatewise = False
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -67,6 +70,7 @@ class ProxFriendlyFunction:
 
 class Zero(ProxFriendlyFunction):
     kind = "zero"
+    coordinatewise = True
 
     def value(self, x):
         return 0.0
@@ -82,6 +86,7 @@ class L1(ProxFriendlyFunction):
     """``lam * ||x||_1`` (soft thresholding)."""
 
     kind = "l1"
+    coordinatewise = True
 
     def __init__(self, lam: float):
         if not np.isfinite(lam) or lam < 0:
@@ -100,6 +105,7 @@ class SquaredL2(ProxFriendlyFunction):
     """``lam * ||x||^2``; strong-convexity modulus ``2*lam``."""
 
     kind = "squared-l2"
+    coordinatewise = True
 
     def __init__(self, lam: float):
         if not np.isfinite(lam) or lam < 0:
@@ -122,6 +128,7 @@ class NonnegQuadratic(ProxFriendlyFunction):
     """
 
     kind = "nonneg-squared-l2"
+    coordinatewise = True
 
     def __init__(self, lam: float):
         if not np.isfinite(lam) or lam < 0:
@@ -144,6 +151,7 @@ class NonnegQuadratic(ProxFriendlyFunction):
 
 class IndicatorNonneg(ProxFriendlyFunction):
     kind = "indicator-nonneg"
+    coordinatewise = True
 
     def value(self, x):
         return 0.0
@@ -163,6 +171,7 @@ class IndicatorNonneg(ProxFriendlyFunction):
 
 class IndicatorBox(ProxFriendlyFunction):
     kind = "indicator-box"
+    coordinatewise = True
 
     def __init__(self, lo: float, hi: float):
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:

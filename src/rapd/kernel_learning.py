@@ -16,7 +16,9 @@ regime applicable.
 
 The primal product a solver keeps is ``G x``, one ``(M, n)`` array: a
 block step moves it at ``O(M n n_i)`` cost, and the dual gradient
-``(coef * (G x)'x, b'x)`` reads off it at ``O(M n)``.
+``(coef * (G x)'x, b'x)`` and the primal gradient
+``-2 + (2 coef * y)'(G x) + z b`` read off it at ``O(M n)``, so a full
+pass computes ``G x`` once per point.
 
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
@@ -172,15 +174,20 @@ class KernelProblem(SaddleProblem):
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
     def grad_x_block(self, i, x, yz):
-        return self._block_gradient(i, self.G_list[:, self._slices[i]] @ x, yz)
+        sl = self._slices[i]
+        return self._primal_gradient(self.G_list[:, sl] @ x, yz, self._b_blocks[i])
 
     def grad_x_block_cached(self, i, w, x, yz):
-        return self._block_gradient(i, w[:, self._slices[i]], yz)
+        return self._primal_gradient(w[:, self._slices[i]], yz, self._b_blocks[i])
 
-    def _block_gradient(self, i, Gx_block, yz):
-        """The primal gradient on block ``i`` from the rows ``G_l[sl] x``."""
+    def grad_x_cached(self, w, x, yz):
+        return self._primal_gradient(w, yz, self.b)
+
+    def _primal_gradient(self, Gx, yz, b):
+        """The primal gradient on the coordinates of the columns ``Gx`` of
+        ``G x`` and the labels ``b`` there: one block or all of them."""
         M = self.M
-        return -2.0 + (self._coef2 * yz[:M]) @ Gx_block + yz[M] * self._b_blocks[i]
+        return -2.0 + (self._coef2 * yz[:M]) @ Gx + yz[M] * b
 
     def primal_product(self, x):
         """``w = G x``: the ``(M, n)`` array of the products ``G_l x``."""

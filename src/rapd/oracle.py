@@ -6,6 +6,11 @@ The certification metric is the unit-step prox fixed-point residual
 
 which is computable for nonsmooth f, h and vanishes exactly at saddle
 points of the supported problem classes.
+
+Every point costs one primal product ``w = K x``, off which both
+gradients are read, and one prox per side: the primal prox is one
+whole-vector prox when the problem allows it
+(:meth:`SaddleProblem.whole_primal_prox`), block by block otherwise.
 """
 
 from __future__ import annotations
@@ -34,14 +39,29 @@ def kkt_residual(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
     """Unit-step natural residual at ``(x, y)`` (Euclidean proxes)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rx = x - _prox_f_blocks(problem, x, problem.grad_x(x, y), 1.0)
-    ry = y - problem.h.prox_euclidean(1.0, y + problem.grad_y(x, y))
+    return _residual(problem, x, y, *_gradients(problem, x, y))
+
+
+def _gradients(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
+    """``(grad_x, grad_y)`` at ``(x, y)``, read off one primal product."""
+    w = problem.primal_product(x)
+    return problem.grad_x_cached(w, x, y), problem.grad_y_cached(w, x, y)
+
+
+def _residual(problem, x, y, gx, gy) -> float:
+    """The natural residual at ``(x, y)`` from the gradients there."""
+    rx = x - _prox_f_blocks(problem, x, gx, 1.0)
+    ry = y - problem.h.prox_euclidean(1.0, y + gy)
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
 
 
 def _prox_f_blocks(problem: SaddleProblem, x: np.ndarray, grad: np.ndarray,
                    step: float) -> np.ndarray:
-    """Blockwise Euclidean ``prox_{step f_i}(x_i - step grad_i)``, as a new array."""
+    """Blockwise Euclidean ``prox_{step f_i}(x_i - step grad_i)``, as a new
+    array; one prox on the whole vector when the problem allows it."""
+    whole = problem.whole_primal_prox()
+    if whole is not None:
+        return whole[1].prox_euclidean(step, x - step * grad)
     out = np.empty_like(x)
     for fi, sl in zip(problem.f, problem.partition.slices()):
         out[sl] = fi.prox_euclidean(step, x[sl] - step * grad[sl])
@@ -119,16 +139,17 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     eta = eta0
     floor = 1e-12
 
-    res = kkt_residual(problem, x, y)
+    # the gradients at the accepted point serve its residual and the next step
+    gx, gy = _gradients(problem, x, y)
+    res = _residual(problem, x, y, gx, gy)
     best = (res, x.copy(), y.copy())
     streak = 0
     it = 0
     while it < max_iters and best[0] > tol:
         it += 1
-        gx, gy = problem.grad_x(x, y), problem.grad_y(x, y)
         xh = _prox_f_blocks(problem, x, gx, eta)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
-        gxh, gyh = problem.grad_x(xh, yh), problem.grad_y(xh, yh)
+        gxh, gyh = _gradients(problem, xh, yh)
         move = np.sqrt(np.sum((xh - x) ** 2) + np.sum((yh - y) ** 2))
         drift = np.sqrt(np.sum((gxh - gx) ** 2) + np.sum((gyh - gy) ** 2))
         if eta * drift > _NU * move and eta > floor and move > 0:
@@ -137,7 +158,8 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             continue
         x = _prox_f_blocks(problem, x, gxh, eta)
         y = problem.h.prox_euclidean(eta, y + eta * gyh)
-        res = kkt_residual(problem, x, y)
+        gx, gy = _gradients(problem, x, y)
+        res = _residual(problem, x, y, gx, gy)
         if res < best[0]:
             best = (res, x.copy(), y.copy())
         streak += 1

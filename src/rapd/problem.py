@@ -2,10 +2,15 @@
 
 A :class:`SaddleProblem` bundles everything the solvers consume: block
 partition, per-block nonsmooth terms ``f_i`` with their moduli, the dual
-term ``h``, the coupling value ``phi``, per-block primal gradients, the
-dual gradient, the primal product that lets a solver keep both gradients
-up to date block by block, Lipschitz constants, and the Bregman
-geometries of both sides.
+term ``h``, the coupling value ``phi``, per-block and whole-vector primal
+gradients, the dual gradient, the primal product that lets a solver keep
+both gradients up to date block by block, Lipschitz constants, and the
+Bregman geometries of both sides.
+
+A full pass (the baselines, the certificate oracle) makes one call per
+oracle: one primal product per point, both gradients read off it, and
+one prox on the whole primal vector when the blocks allow it
+(:meth:`SaddleProblem.whole_primal_prox`).
 
 Builders: bilinear empirical-risk coupling, quadratic two-player game,
 and the affinely constrained program reformulated with a dual-ball cap.
@@ -78,20 +83,26 @@ class SaddleProblem:
             EuclideanGeometry(sz) for sz in partition.sizes
         ]
         self.dual_geometry = dual_geometry or EuclideanGeometry(dual_dim)
+        self._whole_prox = None   # (f, primal_geometry, answer) of whole_primal_prox
 
     # -- coupling oracles ------------------------------------------------
     #
-    # The stateless oracles serve the baselines, the saddle oracle and the
-    # checkers.  ``run`` instead keeps the coupling's linear primal product
-    # ``w = K x``, which carries every part of ``grad_y`` and of a block
-    # gradient that costs more than one block: it moves ``w`` forward from
-    # the changed block alone and reads both gradients off it.
+    # The stateless oracles serve the checkers.  Every solver keeps the
+    # coupling's linear primal product ``w = K x``, which carries every
+    # part of ``grad_y`` and of ``grad_x`` that costs more than one block:
+    # ``run`` moves it forward from the changed block alone and reads the
+    # dual and block gradients off it; a full pass computes it once per
+    # point and reads both full gradients off it.
 
     def phi_value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
 
     def grad_x_block(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Full primal gradient at ``(x, y)``."""
+        return self.grad_x_cached(self.primal_product(x), x, y)
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Full dual gradient at ``(x, y)``."""
@@ -115,12 +126,29 @@ class SaddleProblem:
         """``grad_x_block(i, x, y)`` read off ``w = K x``."""
         raise NotImplementedError
 
+    def grad_x_cached(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``grad_x(x, y)`` read off ``w = K x``, in one call."""
+        raise NotImplementedError
+
     # -- convenience -----------------------------------------------------
 
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Full primal gradient (concatenated blocks)."""
-        return np.concatenate([self.grad_x_block(i, x, y)
-                               for i in range(self.partition.m)])
+    def whole_primal_prox(self):
+        """``(geometry, f)`` that make the blockwise primal prox one prox
+        on the whole vector, or None when it must run block by block.
+
+        The whole-vector prox is exact when every block is Euclidean and
+        every ``f_i`` is a coordinatewise function of the same type and
+        parameters as ``f[0]``.  Decided when first asked and kept while
+        ``f`` and ``primal_geometry`` stay the same objects."""
+        kept = self._whole_prox
+        if kept is None or kept[0] is not self.f or kept[1] is not self.primal_geometry:
+            f0 = self.f[0]
+            whole = (f0.coordinatewise
+                     and all(isinstance(g, EuclideanGeometry) for g in self.primal_geometry)
+                     and all(type(fi) is type(f0) and vars(fi) == vars(f0) for fi in self.f))
+            kept = self._whole_prox = (self.f, self.primal_geometry, (
+                EuclideanGeometry(self.partition.n), f0) if whole else None)
+        return kept[2]
 
     def f_value(self, x: np.ndarray) -> float:
         return sum(fi.value(x[sl]) for fi, sl in zip(self.f, self.partition.slices()))
@@ -192,8 +220,14 @@ class BilinearProblem(SaddleProblem):
         return g
 
     def grad_x_block_cached(self, i, w, x, y):
-        # the block gradient does not read A x
+        # the primal gradient does not read A x
         return self.grad_x_block(i, x, y)
+
+    def grad_x_cached(self, w, x, y):
+        g = self.A.T @ y
+        if self.p is not None:
+            g += self.p
+        return g
 
     def primal_product(self, x):
         return self.A @ x
@@ -252,11 +286,14 @@ class QuadraticGameProblem(SaddleProblem):
         return self._P_rows[i] @ x + self.p[sl] + self._C_cols[i].T @ y
 
     def grad_y(self, x, y):
-        # the direct formula, not the read-off: a full pass needs no P x
+        # the direct formula, not the read-off: it needs no P x
         return self.C @ x - self.Q @ y - self.q
 
     def grad_x_block_cached(self, i, w, x, y):
         return w[self._Px_rows[i]] + self._p_blocks[i] + self._C_cols[i].T @ y
+
+    def grad_x_cached(self, w, x, y):
+        return w[self.dual_dim:] + self.p + self.C.T @ y
 
     def primal_product(self, x):
         return self._K @ x
@@ -304,7 +341,9 @@ def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e
     """Central-difference check of the coupling gradients.
 
     Returns the worst relative error over random interior points; a
-    corrupted gradient shows up as an O(1) error.
+    corrupted gradient shows up as an O(1) error.  The primal side checks
+    both the whole-vector ``grad_x`` and the concatenated ``grad_x_block``,
+    which are separate code paths.
     """
     if not 1e-8 < epsilon < 1e-3:
         raise ParameterError(f"epsilon must be in (1e-8, 1e-3), got {epsilon}")
@@ -320,8 +359,8 @@ def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e
             e = np.zeros(part.n)
             e[j] = epsilon
             fd_g[j] = (problem.phi_value(x + e, y) - problem.phi_value(x - e, y)) / (2 * epsilon)
-        g = problem.grad_x(x, y)
-        worst = max(worst, _rel_err(fd_g, g))
+        blocks = np.concatenate([problem.grad_x_block(i, x, y) for i in range(part.m)])
+        worst = max(worst, _rel_err(fd_g, blocks), _rel_err(fd_g, problem.grad_x(x, y)))
         # dual side
         fd_h = np.zeros(problem.dual_dim)
         for j in range(problem.dual_dim):

@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
+from rapd.baselines import _full_primal_prox, mirror_prox_run, pdhg_run
 from rapd.blockcore import BlockPartition
-from rapd.bregman import ConeDualBall, Zero
+from rapd.bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry, IndicatorBall,
+                          IndicatorBox, IndicatorNonneg, IndicatorSimplex, L1,
+                          NonnegQuadratic, Separable, SquaredL2, Zero, bregman_prox)
 from rapd.exceptions import ParameterError
 from rapd.harness.config import parse_config
 from rapd.harness.suites import (bilinear_game, build_problem_from_config,
@@ -12,7 +17,7 @@ from rapd.kernel_learning import (KernelProblem, build_kernel_problem, dual_star
 from rapd.problem import (BilinearProblem, QuadraticGameProblem, ZERO_COUPLING_FLOOR,
                           build_bilinear_erm, build_constrained, build_quadratic_game,
                           grad_check, lipschitz_spot_check, spectral_norm)
-from rapd.oracle import kkt_residual, solve_high_accuracy
+from rapd.oracle import _prox_f_blocks, kkt_residual, solve_high_accuracy
 
 
 def config_problem(kind, n=12, m=3):
@@ -148,6 +153,113 @@ class TestBilinear:
                 gi = prob.grad_x_block(i, x, y)
                 assert np.linalg.norm(prob.grad_x_block_cached(i, w, x, y) - gi) \
                     <= 1e-12 * max(1.0, np.linalg.norm(gi)), name
+
+
+#: one instance of each coordinatewise kind, with parameters that bite
+COORDINATEWISE = [Zero(), L1(0.3), SquaredL2(0.7), NonnegQuadratic(0.4), IndicatorNonneg(),
+                  IndicatorBox(-0.5, 0.8)]
+
+
+def uneven_bilinear(f):
+    """A bilinear problem on the uneven partition (2, 3, 1, 4) with the
+    block functions ``f``."""
+    part = BlockPartition([2, 3, 1, 4])
+    A = np.random.default_rng(8).standard_normal((5, 10))
+    return build_bilinear_erm([A[:, sl] for sl in part.slices()], f, Zero(), partition=part)
+
+
+def block_loops(prob, x, g, t):
+    """The primal proxes of the baselines and of the oracle, one block at
+    a time."""
+    slices = prob.partition.slices()
+    geo, f = prob.primal_geometry, prob.f
+    return (np.concatenate([bregman_prox(geo[i], f[i], t, g[sl], x[sl])
+                            for i, sl in enumerate(slices)]),
+            np.concatenate([f[i].prox_euclidean(t, x[sl] - t * g[sl])
+                            for i, sl in enumerate(slices)]))
+
+
+class TestFullPass:
+    def test_whole_gradients_match_blocks(self):
+        # the full primal gradient, in one call or read off the primal
+        # product, equals the concatenated block gradients
+        rng = np.random.default_rng(5)
+        kern200 = build_kernel_problem(synth_dataset(n_tr=200, d=4, seed=3), lam=1.0,
+                                       m_blocks=7)
+        for prob, y in four_couplings() + [(kern200, None)]:
+            if isinstance(prob, KernelProblem):
+                # a simplex weight vector and a nonzero multiplier
+                y = np.concatenate([rng.dirichlet(np.ones(prob.M)), [rng.standard_normal()]])
+            x = np.abs(rng.standard_normal(prob.partition.n))
+            blocks = np.concatenate([prob.grad_x_block(i, x, y)
+                                     for i in range(prob.partition.m)])
+            name = f"{type(prob).__name__} n={prob.partition.n}"
+            for g in (prob.grad_x(x, y), prob.grad_x_cached(prob.primal_product(x), x, y)):
+                assert np.linalg.norm(g - blocks) <= 1e-12 * np.linalg.norm(blocks), name
+
+    def test_one_primal_product_per_point(self):
+        # the baselines and the oracle compute K x once per point they visit
+        for prob, y in four_couplings():
+            calls, product = [], prob.primal_product
+
+            def counted(x, calls=calls, product=product):
+                calls.append(x)
+                return product(x)
+            prob.primal_product = counted
+            x = np.ones(prob.partition.n)
+            pdhg_run(prob, 1e-3, 1e-3, 7, x0=x, y0=y)
+            mirror_prox_run(prob, 1e3, 5, x0=x, y0=y)
+            kkt_residual(prob, x, y)
+            name = type(prob).__name__
+            assert len(calls) == 7 + 2 * 5 + 1, name
+            # the start, each trial half point and each accepted point; an
+            # accepted point's gradients also give its residual
+            calls.clear()
+            cert = solve_high_accuracy(prob, tol=1e-10, max_iters=40, x0=x, y0=y)
+            assert 1 + cert.iterations < len(calls) <= 1 + 2 * cert.iterations, name
+
+    def test_coordinatewise_kinds(self):
+        assert all(f.coordinatewise for f in COORDINATEWISE)
+        for f in (IndicatorBall(1.0), IndicatorSimplex(), ConeDualBall("nonneg", 1.0),
+                  Separable([(Zero(), 2)])):
+            assert not f.coordinatewise, f.kind
+
+    @pytest.mark.parametrize("f", COORDINATEWISE, ids=lambda f: f.kind)
+    def test_whole_prox_equals_block_loop(self, f):
+        # equal functions that are different objects still share one prox
+        prob = uneven_bilinear([copy.deepcopy(f) for _ in range(4)])
+        geom, whole_f = prob.whole_primal_prox()
+        assert geom.dim == 10 and type(whole_f) is type(f)
+        rng = np.random.default_rng(6)
+        x, g = rng.standard_normal(10), rng.standard_normal(10)
+        loop_b, loop_o = block_loops(prob, x, g, 0.3)
+        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), loop_b)
+        assert np.array_equal(_prox_f_blocks(prob, x, g, 0.3), loop_o)
+
+    @pytest.mark.parametrize("f", [
+        [L1(0.3), L1(0.3), L1(0.5), L1(0.3)],
+        [L1(0.3), SquaredL2(0.3), L1(0.3), L1(0.3)],
+        [IndicatorBall(1.0)] * 4,
+    ], ids=["mixed-weights", "mixed-types", "ball"])
+    def test_block_loop_kept(self, f):
+        prob = uneven_bilinear(f)
+        assert prob.whole_primal_prox() is None
+        rng = np.random.default_rng(7)
+        x, g = rng.standard_normal(10), rng.standard_normal(10)
+        loop_b, loop_o = block_loops(prob, x, g, 0.3)
+        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), loop_b)
+        assert np.array_equal(_prox_f_blocks(prob, x, g, 0.3), loop_o)
+
+    def test_entropy_block_keeps_block_loop(self):
+        prob = uneven_bilinear([IndicatorNonneg() for _ in range(4)])
+        assert prob.whole_primal_prox() is not None
+        # a new geometry list is a new decision
+        prob.primal_geometry = [EuclideanGeometry(2), EntropyGeometry(3),
+                                EuclideanGeometry(1), EuclideanGeometry(4)]
+        assert prob.whole_primal_prox() is None
+        rng = np.random.default_rng(9)
+        x, g = np.abs(rng.standard_normal(10)) + 0.1, rng.standard_normal(10)
+        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), block_loops(prob, x, g, 0.3)[0])
 
 
 class TestQuadraticGame:
