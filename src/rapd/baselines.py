@@ -22,7 +22,7 @@ import numpy as np
 
 from .bregman import bregman_prox
 from .exceptions import ParameterError
-from .problem import SaddleProblem, spectral_norm
+from .problem import SaddleProblem, estimate_operator_lipschitz
 from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
 
 
@@ -71,19 +71,6 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
         g_prev = g
         monitor.step(x, y)
     return monitor.finish(x, y)
-
-
-def estimate_operator_lipschitz(problem: SaddleProblem) -> float:
-    """Lipschitz constant of the first-order map for (bi)linear-quadratic
-    couplings, via the spectral norm of the linearization."""
-    if hasattr(problem, "A"):
-        return spectral_norm(problem.A)
-    if hasattr(problem, "P"):
-        top = np.hstack([problem.P, problem.C.T])
-        bot = np.hstack([-problem.C, problem.Q])
-        return spectral_norm(np.vstack([top, bot]))
-    raise ParameterError("no built-in Lipschitz estimate for this coupling; "
-                         "pass L explicitly")
 
 
 def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,

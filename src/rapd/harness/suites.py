@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -340,63 +341,67 @@ def _fanout(task, seeds) -> list:
     """``[task(s) for s in seeds]`` over one worker process per usable CPU,
     at most one per seed, or serially with one CPU.  Workers are spawned:
     the BLAS threads make a fork unsafe, so a calling script needs the
-    ``__main__`` guard."""
+    ``__main__`` guard.  A spawned worker re-runs the caller's script from
+    its ``__file__``, so a script read from stdin (``<stdin>``) runs the
+    seeds serially too."""
     workers = min(_usable_cpus(), len(seeds))
-    if workers < 2:
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if workers < 2 or (main_file is not None and not os.path.isfile(main_file)):
         return [task(s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(task, seeds))
 
 
+def _rate_ensemble(S, build, certify, schedule, delta_of, *, shift, metric,
+                   slope_metric, weight, extras, **report) -> RateReport:
+    """The pipeline of both rate suites: instance, certificate, schedule at
+    the default coupling weight and ``Delta = delta_of(...)``, then ``S``
+    seeds recorded at the checkpoints plus ``shift``.  Reports the seed
+    mean of the record field ``metric`` and the bound ``m / weight * Delta``
+    (``weight`` a field of seed 0's record) at those points, the slope of
+    ``slope_metric``, and ``extras(Delta, traces)`` with the oracle residual."""
+    problem, x0, y0 = build()
+    cert = certify(problem)
+    m = problem.partition.m
+    sched = schedule(problem.constants, m, default_alpha(problem.constants))
+    delta = delta_of(problem, sched, x0, y0, cert)
+    K = _CHECKPOINTS[-1]
+    reads = [Kc + shift for Kc in _CHECKPOINTS]
+    opts = RunOptions(record_at=sorted(set(reads) | set(_SLOPE_POINTS)), reference=cert)
+    traces = _fanout(partial(run, problem, sched, K + shift, x0=x0, y0=y0, options=opts),
+                     range(S))
+    slope, r2 = slope_fit(traces, slope_metric, (100, K))
+    return RateReport(
+        seeds=S, checkpoints=list(_CHECKPOINTS),
+        mean_metric=[float(np.mean([getattr(tr.at(k), metric) for tr in traces]))
+                     for k in reads],
+        bound=[m / getattr(traces[0].at(k), weight) * delta for k in reads],
+        slack_factor=_slack(S), slope=slope, slope_r2=r2,
+        extras={**extras(delta, traces), "oracle_residual": cert.kkt_residual}, **report)
+
+
 def quadratic_game_suite(S: int = 50) -> RateReport:
     """Ergodic-gap bound and slope for the constant-step regime."""
-    problem, x0, y0 = part1_suite_problem()
-    cert = solve_high_accuracy(problem, tol=1e-10)
-    m = problem.partition.m
-    sched = part1_schedule(problem.constants, m, default_alpha(problem.constants))
-    delta1 = rate_bound_delta1(problem, sched, x0, y0, cert)
-    K = _CHECKPOINTS[-1]
-    opts = RunOptions(record_at=sorted(set(_CHECKPOINTS) | set(_SLOPE_POINTS)),
-                      reference=cert)
-    traces = _fanout(partial(run, problem, sched, K, x0=x0, y0=y0, options=opts),
-                     range(S))
-    mean_gap = [float(np.mean([tr.at(Kc).gap for tr in traces])) for Kc in _CHECKPOINTS]
-    bound = [m / Kc * delta1 for Kc in _CHECKPOINTS]
-    slope, r2 = slope_fit(traces, "gap", (100, K))
-    min_gap = min(float(tr.column("gap").min()) for tr in traces)
-    return RateReport(suite="quadratic", method="rapd1", seeds=S,
-                      checkpoints=list(_CHECKPOINTS), mean_metric=mean_gap,
-                      bound=bound, slack_factor=_slack(S), slope=slope,
-                      slope_r2=r2, slope_threshold=-0.8,
-                      extras={"delta1": delta1, "min_gap": min_gap,
-                              "gap_nonneg_ok": min_gap >= -1e-9,
-                              "oracle_residual": cert.kkt_residual})
+    def extras(delta1, traces):
+        min_gap = min(float(tr.column("gap").min()) for tr in traces)
+        return {"delta1": delta1, "min_gap": min_gap, "gap_nonneg_ok": min_gap >= -1e-9}
+
+    # the O(m/K) bound: the weight is the record's own k
+    return _rate_ensemble(S, part1_suite_problem, partial(solve_high_accuracy, tol=1e-10),
+                          part1_schedule, rate_bound_delta1, shift=0, metric="gap",
+                          slope_metric="gap", weight="k", extras=extras,
+                          suite="quadratic", method="rapd1", slope_threshold=-0.8)
 
 
 def strongly_convex_suite(S: int = 50) -> RateReport:
     """Weighted-distance bound at ``x^{K+1}`` and the distance slope for
     the accelerated regime."""
-    problem, x0, y0 = part2_suite_problem()
-    cert = part2_suite_certificate(problem)
-    m = problem.partition.m
-    sched = part2_init(problem.constants, m, default_alpha(problem.constants))
-    delta2 = rate_bound_delta2(problem, sched, x0, y0, cert)
-    K = _CHECKPOINTS[-1]
-    opts = RunOptions(record_at=sorted({k + 1 for k in _CHECKPOINTS} | set(_SLOPE_POINTS)),
-                      reference=cert)
-    traces = _fanout(partial(run, problem, sched, K + 1, x0=x0, y0=y0, options=opts),
-                     range(S))
-    mean_w = [float(np.mean([tr.at(Kc + 1).wdist_sq for tr in traces]))
-              for Kc in _CHECKPOINTS]
-    bound = [m / traces[0].at(Kc + 1).t_prev * delta2 for Kc in _CHECKPOINTS]
-    slope, r2 = slope_fit(traces, "dist_sq", (100, K))
-    return RateReport(suite="strongly-convex", method="rapd2", seeds=S,
-                      checkpoints=list(_CHECKPOINTS), mean_metric=mean_w,
-                      bound=bound, slack_factor=_slack(S), slope=slope,
-                      slope_r2=r2, slope_threshold=-1.7,
-                      extras={"delta2": delta2,
-                              "oracle_residual": cert.kkt_residual})
+    return _rate_ensemble(S, part2_suite_problem, part2_suite_certificate, part2_init,
+                          rate_bound_delta2, shift=1, metric="wdist_sq",
+                          slope_metric="dist_sq", weight="t_prev",
+                          extras=lambda delta2, traces: {"delta2": delta2},
+                          suite="strongly-convex", method="rapd2", slope_threshold=-1.7)
 
 
 def bilinear_suite() -> RateReport:

@@ -134,7 +134,7 @@ class KernelProblem(SaddleProblem):
     is the ``(M, n, n)`` stack of the Grams ``G_l``."""
 
     def __init__(self, G_list, b, lam, c, r, partition, B,
-                 dual_geometry="entropy", lipschitz_scale=1.0):
+                 dual_geometry="entropy"):
         G = np.ascontiguousarray(G_list, dtype=float)
         M = G.shape[0]
         coef = c / np.asarray(r, dtype=float)
@@ -147,7 +147,7 @@ class KernelProblem(SaddleProblem):
         constants = LipschitzConstants(
             L_xx=6.0 * col_norms.max(axis=0),
             L_yx=6.0 * np.sqrt(M) * B * (col_norms + diag_norms / m).max(axis=0),
-            L_yy=0.0, mu=np.array([fi.modulus for fi in f])).scaled(lipschitz_scale)
+            L_yy=0.0, mu=np.array([fi.modulus for fi in f]))
         h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
         if dual_geometry == "entropy":
             dg = ProductGeometry([EntropyGeometry(M), EuclideanGeometry(1)])
@@ -172,10 +172,6 @@ class KernelProblem(SaddleProblem):
         y, z = yz[:self.M], yz[self.M]
         quad = (self.G_list @ x) @ x
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
-
-    def grad_x_block(self, i, x, yz):
-        sl = self._slices[i]
-        return self._primal_gradient(self.G_list[:, sl] @ x, yz, self._b_blocks[i])
 
     def grad_x_block_cached(self, i, w, x, yz):
         return self._primal_gradient(w[:, self._slices[i]], yz, self._b_blocks[i])
@@ -228,7 +224,8 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
     """Assemble the saddle problem from a dataset.
 
     Gram matrices are normalized to unit diagonal, so each trace equals
-    ``n_tr`` and the default mixing constant is ``c = sum_l r_l``.
+    ``n_tr`` and the default mixing constant is ``c = sum_l r_l``.  The
+    smoothness constants are multiplied by ``lipschitz_scale``.
     """
     if not lam > 0:
         raise ParameterError(f"need lam > 0, got {lam}")
@@ -242,8 +239,10 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
     if not B_val > 0:
         raise ParameterError(f"need B > 0, got {B_val}")
     partition = BlockPartition.even(dataset.n_tr, m_blocks)
-    return KernelProblem(G, b, lam, c_val, r, partition, B_val,
-                         dual_geometry=dual_geometry, lipschitz_scale=lipschitz_scale)
+    problem = KernelProblem(G, b, lam, c_val, r, partition, B_val,
+                            dual_geometry=dual_geometry)
+    problem.constants = problem.constants.scaled(lipschitz_scale)
+    return problem
 
 
 def dual_start(problem: KernelProblem) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ParameterError
-from .problem import SaddleProblem
+from .problem import SaddleProblem, estimate_operator_lipschitz
 
 
 @dataclass
@@ -131,7 +131,6 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
 
     if L is None:
         try:
-            from .baselines import estimate_operator_lipschitz
             L = estimate_operator_lipschitz(problem)
         except ParameterError:
             L = None

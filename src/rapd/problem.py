@@ -2,10 +2,16 @@
 
 A :class:`SaddleProblem` bundles everything the solvers consume: block
 partition, per-block nonsmooth terms ``f_i`` with their moduli, the dual
-term ``h``, the coupling value ``phi``, per-block and whole-vector primal
-gradients, the dual gradient, the primal product that lets a solver keep
-both gradients up to date block by block, Lipschitz constants, and the
-Bregman geometries of both sides.
+term ``h``, the coupling, Lipschitz constants, and the Bregman geometries
+of both sides.
+
+A coupling implements six methods: ``phi_value``, the primal product
+``w = K x`` (``primal_product``) and its move from one block
+(``grad_y_incremental``), and the read-offs ``grad_y_cached``,
+``grad_x_block_cached`` and ``grad_x_cached`` of ``w``.  The stateless
+``grad_y``, ``grad_x_block`` and ``grad_x`` are derived from them (the
+quadratic game keeps a direct ``grad_y``, which needs no ``P x``), so a
+check of a stateless oracle checks the read-off a solver calls.
 
 A full pass (the baselines, the certificate oracle) makes one call per
 oracle: one primal product per point, both gradients read off it, and
@@ -87,18 +93,20 @@ class SaddleProblem:
 
     # -- coupling oracles ------------------------------------------------
     #
-    # The stateless oracles serve the checkers.  Every solver keeps the
-    # coupling's linear primal product ``w = K x``, which carries every
-    # part of ``grad_y`` and of ``grad_x`` that costs more than one block:
-    # ``run`` moves it forward from the changed block alone and reads the
+    # A coupling implements the six methods phi_value, primal_product,
+    # grad_y_incremental and the read-offs *_cached.  The primal product
+    # w = K x carries every part of grad_y and grad_x that costs more than
+    # one block: run moves it from the changed block alone and reads the
     # dual and block gradients off it; a full pass computes it once per
-    # point and reads both full gradients off it.
+    # point.  The stateless oracles the checkers call are derived from the
+    # product and the read-offs, so they check what the solvers call.
 
     def phi_value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
 
     def grad_x_block(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Primal gradient of block ``i`` at ``(x, y)``."""
+        return self.grad_x_block_cached(i, self.primal_product(x), x, y)
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Full primal gradient at ``(x, y)``."""
@@ -123,7 +131,7 @@ class SaddleProblem:
 
     def grad_x_block_cached(self, i: int, w: np.ndarray, x: np.ndarray,
                             y: np.ndarray) -> np.ndarray:
-        """``grad_x_block(i, x, y)`` read off ``w = K x``."""
+        """The primal gradient of block ``i`` at ``(x, y)``, read off ``w = K x``."""
         raise NotImplementedError
 
     def grad_x_cached(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,15 +221,12 @@ class BilinearProblem(SaddleProblem):
             val = val - float(self.q @ y)
         return val
 
-    def grad_x_block(self, i, x, y):
+    def grad_x_block_cached(self, i, w, x, y):
+        # the primal gradient does not read A x
         g = self.A_blocks[i].T @ y
         if self.p is not None:
             g = g + self.p[self.partition.block_slice(i)]
         return g
-
-    def grad_x_block_cached(self, i, w, x, y):
-        # the primal gradient does not read A x
-        return self.grad_x_block(i, x, y)
 
     def grad_x_cached(self, w, x, y):
         g = self.A.T @ y
@@ -269,7 +274,6 @@ class QuadraticGameProblem(SaddleProblem):
         )
         super().__init__(partition, d, f, h, constants, **kw)
         self.P, self.Q, self.C, self.p, self.q = P, Q, C, p, q
-        self._P_rows = [P[sl, :] for sl in slices]
         self._C_cols = [C[:, sl] for sl in slices]
         self._K = np.vstack([C, P])
         self._K_cols = [self._K[:, sl] for sl in slices]
@@ -280,10 +284,6 @@ class QuadraticGameProblem(SaddleProblem):
     def phi_value(self, x, y):
         return float(0.5 * x @ (self.P @ x) + self.p @ x + y @ (self.C @ x)
                      - 0.5 * y @ (self.Q @ y) - self.q @ y)
-
-    def grad_x_block(self, i, x, y):
-        sl = self.partition.block_slice(i)
-        return self._P_rows[i] @ x + self.p[sl] + self._C_cols[i].T @ y
 
     def grad_y(self, x, y):
         # the direct formula, not the read-off: it needs no P x
@@ -306,6 +306,19 @@ class QuadraticGameProblem(SaddleProblem):
         if self._dual_curved:
             g = g - self.Q @ y
         return g - self.q
+
+
+def estimate_operator_lipschitz(problem: SaddleProblem) -> float:
+    """Lipschitz constant of the first-order map for (bi)linear-quadratic
+    couplings, via the spectral norm of the linearization."""
+    if isinstance(problem, BilinearProblem):
+        return spectral_norm(problem.A)
+    if isinstance(problem, QuadraticGameProblem):
+        top = np.hstack([problem.P, problem.C.T])
+        bot = np.hstack([-problem.C, problem.Q])
+        return spectral_norm(np.vstack([top, bot]))
+    raise ParameterError("no built-in Lipschitz estimate for this coupling; "
+                         "pass L explicitly")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +356,7 @@ def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e
     Returns the worst relative error over random interior points; a
     corrupted gradient shows up as an O(1) error.  The primal side checks
     both the whole-vector ``grad_x`` and the concatenated ``grad_x_block``,
-    which are separate code paths.
+    which read ``w = K x`` through separate read-offs.
     """
     if not 1e-8 < epsilon < 1e-3:
         raise ParameterError(f"epsilon must be in (1e-8, 1e-3), got {epsilon}")

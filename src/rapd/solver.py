@@ -24,8 +24,8 @@ bookkeeping is O(block) too: a running ``||x||^2`` for the divergence
 guard and ergodic sums that bring a block up to date only when it
 changes or when an average is read.  The accelerated schedule advances
 as Python floats (``part2_scalars``), with no validation after the first
-state; an iteration computes only the sampled block's step, and a full
-``StepSchedule`` is built only at record points.
+state; an iteration computes only the sampled block's step, and a record
+reads the step vector off ``part2_tau``.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
@@ -46,7 +46,7 @@ from .harness import metrics
 from .problem import SaddleProblem
 # sample_index stays importable from here: the benchmark's tracer wraps it
 from .rng import sample_index, sample_indices  # noqa: F401
-from .stepsize import StepSchedule, part2_scalars, part2_state
+from .stepsize import StepSchedule, part2_scalars, part2_tau
 
 DIVERGENCE_LIMIT = 1e12
 #: an incrementally updated dual-gradient cache is recomputed in full and
@@ -329,8 +329,8 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     ref = opts.reference
     mu = problem.constants.mu
     accelerated = schedule.regime == "part2"
-    # the current state as scalars; part2 advances them and rebuilds a
-    # StepSchedule only at record points
+    # the current state as scalars; part2 advances them and a record reads
+    # the step vector off part2_tau
     theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
     clamped = schedule.theta_clamped
     used = None         # the scalars of the state the last iteration used; None = schedule
@@ -340,15 +340,16 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         mu_p, mu_s = schedule.mu_p.tolist(), schedule.mu.tolist()
 
     def describe(k, wall_s):
-        prev = schedule if used is None else part2_state(schedule, *used)
-        cur = part2_state(schedule, theta, sigma, taut, t, clamped) if accelerated else schedule
-        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=cur.sigma,
-                          theta=cur.theta, tau_min=float(cur.tau.min()),
-                          tau_max=float(cur.tau.max()), t=cur.t)
+        tau = part2_tau(schedule, taut) if accelerated else schedule.tau
+        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=sigma, theta=theta,
+                          tau_min=float(tau.min()), tau_max=float(tau.max()), t=t)
         if ref is not None:
-            weights = 1.0 / prev.tau + (1.0 - 1.0 / m) * mu
+            # the state the last iteration used
+            tau_prev, t_prev = (schedule.tau, schedule.t) if used is None else (
+                part2_tau(schedule, used[2]), used[3])
+            weights = 1.0 / tau_prev + (1.0 - 1.0 / m) * mu
             rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, weights)
-            rec.t_prev = prev.t
+            rec.t_prev = t_prev
         return rec
 
     monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,

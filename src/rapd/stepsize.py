@@ -12,6 +12,13 @@ linear in the dual) runs the accelerated recursion
 with ``t^(k+1) theta^(k+1) = t^k`` and gives the O(m/K^2) distance decay.
 ``p_i`` is the block-sampling probability (1/m when uniform).
 
+A state is an immutable :class:`StepSchedule`.  The step vector of the
+recursion comes from :func:`part2_tau` alone and the scalars from
+:func:`part2_scalars` alone; :func:`part2_advance` combines the two into
+the next state.  ``run`` advances the scalars itself, computes only the
+sampled block's step, and reads a record's step vector off
+:func:`part2_tau`.
+
 The :func:`check_assumption2` diagnostic replays a schedule prefix
 against the step-size condition; for non-uniform sampling the per-block
 inequalities use the sampling-weighted constants ``m p_i alpha`` and
@@ -21,7 +28,8 @@ inequalities use the sampling-weighted constants ``m p_i alpha`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,18 +54,16 @@ class StepSchedule:
     t: float                    # acceleration weight, t^0 = 1
     alpha: float                # certificate alpha^k for the condition checker
     beta: float                 # certificate beta^k
-    c_tau: float
     c_sigma: float
     tau_tilde: float | None = None   # part2 only
     mu: np.ndarray | None = None     # part2 only (moduli drive the recursion)
     p: np.ndarray | None = None      # sampling probabilities; None = uniform
     theta_clamped: bool = False      # True if the momentum floor ever bound
-    # mu_i p_i, which the accelerated recursion scales every step
-    mu_p: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.mu is not None:
-            object.__setattr__(self, "mu_p", self.mu * self.probabilities())
+    @cached_property
+    def mu_p(self) -> np.ndarray:
+        """``mu_i p_i``, which the accelerated recursion scales every step."""
+        return self.mu * self.probabilities()
 
     @property
     def m(self) -> int:
@@ -110,7 +116,7 @@ def _constant_schedule(constants, m, alpha, p, c_tau, c_sigma) -> StepSchedule:
     sigma = c_sigma / (m * (alpha + 2.0 * constants.L_yy))
     return StepSchedule(regime="part1", tau=tau, sigma=float(sigma), theta=1.0,
                         t=1.0, alpha=float(alpha), beta=constants.L_yy,
-                        c_tau=c_tau, c_sigma=c_sigma, mu=constants.mu.copy(), p=p)
+                        c_sigma=c_sigma, mu=constants.mu.copy(), p=p)
 
 
 def part2_init(constants: LipschitzConstants, m: int, alpha: float,
@@ -137,20 +143,26 @@ def part2_init(constants: LipschitzConstants, m: int, alpha: float,
     taut0 = float(np.min(mu * pi / (constants.L_xx + constants.L_yx ** 2 / (pi * m * alpha)
                                     + (1.0 - pi) * mu)))
     sigma0 = c_sigma / (m * alpha)
-    sched = StepSchedule(regime="part2", tau=_part2_tau(mu, pi, taut0),
-                         sigma=float(sigma0), theta=1.0, t=1.0,
-                         alpha=float(alpha), beta=0.0, c_tau=1.0,
-                         c_sigma=c_sigma, tau_tilde=taut0, mu=mu.copy(),
-                         p=p_arr)
-    return sched
-
-
-def _part2_tau(mu: np.ndarray, pi: np.ndarray, taut: float) -> np.ndarray:
-    denom = mu * pi * (1.0 + 1.0 / taut) - mu
-    if np.any(denom <= 0):
+    # the steps follow from taut^0; an empty vector stands in until then
+    s0 = StepSchedule(regime="part2", tau=np.empty(m), sigma=float(sigma0), theta=1.0,
+                      t=1.0, alpha=float(alpha), beta=0.0, c_sigma=c_sigma,
+                      tau_tilde=taut0, mu=mu.copy(), p=p_arr)
+    with np.errstate(divide="ignore"):   # a zero reciprocal step is rejected below
+        tau = part2_tau(s0, taut0)
+    if not np.all(np.isfinite(tau) & (tau > 0)):
         raise RegimeError("accelerated step recursion produced a nonpositive "
                           "reciprocal step; taut must stay below p_i/(1-p_i)")
-    return 1.0 / denom
+    return replace(s0, tau=tau)
+
+
+def part2_tau(s0: StepSchedule, taut: float) -> np.ndarray:
+    """The accelerated primal steps ``tau_i = (mu_i p_i (1 + 1/taut) - mu_i)^(-1)``
+    of the recursion that ``s0`` belongs to.
+
+    Checked once, by :func:`part2_init` at ``taut^0``: ``taut`` only
+    decreases, so every later step is positive too.
+    """
+    return 1.0 / (s0.mu_p * (1.0 + 1.0 / taut) - s0.mu)
 
 
 def part2_scalars(sigma: float, taut: float, m: int, clamped: bool) -> tuple:
@@ -167,33 +179,14 @@ def part2_scalars(sigma: float, taut: float, m: int, clamped: bool) -> tuple:
     return theta_next, sigma / theta_next, theta_next * taut, clamped
 
 
-def part2_state(s0: StepSchedule, theta: float, sigma: float, taut: float, t: float,
-                clamped: bool) -> StepSchedule:
-    """The part2 state with the given scalars; every other field carries
-    over from ``s0``, ``mu_p`` included, and the steps follow from ``taut``.
-
-    The reciprocal steps are not checked again: ``taut`` only decreases,
-    so the positivity that :func:`part2_init` checked at ``taut^0`` holds
-    at every later state.
-    """
-    m = s0.tau.size
-    # a frozen-dataclass copy without __init__
-    nxt = object.__new__(StepSchedule)
-    nxt.__dict__.update(s0.__dict__)
-    nxt.__dict__.update(
-        tau=1.0 / (s0.mu_p * (1.0 + 1.0 / taut) - s0.mu), sigma=sigma,
-        theta=theta, t=t, alpha=s0.c_sigma / (m * theta * sigma), tau_tilde=taut,
-        theta_clamped=clamped)
-    return nxt
-
-
 def part2_advance(s: StepSchedule) -> StepSchedule:
     """One step of the accelerated recursion (returns a new state)."""
     if s.regime != "part2":
         raise RegimeError("part2_advance needs a part2 schedule")
-    theta, sigma, taut, clamped = part2_scalars(s.sigma, s.tau_tilde, s.tau.size,
-                                                s.theta_clamped)
-    return part2_state(s, theta, sigma, taut, s.t / theta, clamped)
+    theta, sigma, taut, clamped = part2_scalars(s.sigma, s.tau_tilde, s.m, s.theta_clamped)
+    return replace(s, tau=part2_tau(s, taut), sigma=sigma, theta=theta, t=s.t / theta,
+                   alpha=s.c_sigma / (s.m * theta * sigma), tau_tilde=taut,
+                   theta_clamped=clamped)
 
 
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,

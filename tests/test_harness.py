@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -542,3 +547,18 @@ class TestSuites:
         spread = [repr(asdict(suite())) for suite in runs]
         monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         assert [repr(asdict(suite())) for suite in runs] == spread
+
+    def test_script_on_stdin(self, tmp_path):
+        # spawned workers would re-run "<stdin>" as a file and die, so the
+        # seeds run in the calling process
+        script = tmp_path / "suite.py"
+        script.write_text("from rapd.harness import suites\n"
+                          "suites._usable_cpus = lambda: 2\n"
+                          "print(suites.quadratic_game_suite(S=2).seeds)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        with open(script, encoding="utf-8") as stdin:
+            done = subprocess.run([sys.executable, "-"], stdin=stdin, capture_output=True,
+                                  text=True, timeout=300, cwd=tmp_path,
+                                  env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "2"

@@ -196,8 +196,9 @@ class TestProblemAssembly:
     def test_lipschitz_scale(self):
         _, p1 = small_problem()
         _, p01 = small_problem(lipschitz_scale=0.1)
-        assert p01.constants.L_xx == pytest.approx(p1.constants.L_xx * 0.1)
-        assert p01.constants.L_yx == pytest.approx(p1.constants.L_yx * 0.1)
+        assert np.array_equal(p01.constants.L_xx, p1.constants.L_xx * 0.1)
+        assert np.array_equal(p01.constants.L_yx, p1.constants.L_yx * 0.1)
+        assert p01.constants.L_yy == p1.constants.L_yy * 0.1
         assert np.array_equal(p01.constants.mu, p1.constants.mu)
 
     def test_lam_validated(self):

@@ -332,6 +332,22 @@ class TestGradCheck:
         prob.grad_x_block = corrupted
         assert grad_check(prob, num_points=3, epsilon=1e-5) >= 0.1
 
+    def test_detects_corrupted_block_read_off(self):
+        # the block gradient run calls is the read-off of w = K x; the
+        # stateless grad_x_block is derived from it, so grad_check sees it
+        problems = [bilinear_game(instance_seed=5, n=4, m=2)[0], part1_suite_problem()[0],
+                    build_kernel_problem(synth_dataset(n_tr=20, d=3, seed=1), lam=1.0,
+                                         m_blocks=4)]
+        for prob in problems:
+            broken = prob.grad_x_block_cached
+
+            def corrupted(i, w, x, y, broken=broken):
+                return 2.0 * broken(i, w, x, y) + 1.0
+
+            assert grad_check(prob, num_points=2, epsilon=1e-5) <= 1e-6
+            prob.grad_x_block_cached = corrupted
+            assert grad_check(prob, num_points=2, epsilon=1e-5) >= 0.1, type(prob)
+
     def test_epsilon_validated(self):
         part = BlockPartition([1])
         prob = build_quadratic_game(np.eye(1), np.zeros((1, 1)), np.eye(1),

@@ -1,5 +1,7 @@
 import importlib.util
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +9,18 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # size_ladder sets the BLAS thread variables when imported
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def bit_identity():
-    spec = importlib.util.spec_from_file_location("bit_identity",
-                                                  SCRIPTS / "bit_identity.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("bit_identity")
 
 
 class TestCompare:
@@ -35,3 +42,20 @@ class TestCompare:
         lines = bit_identity.compare(old, new)
         assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01",
                          "cfg/x.npy: max abs deviation 5.000e-01"]
+
+
+class TestSizeLadder:
+    def test_rung_reports_finite_values(self):
+        # the part-2 suite instance (n = 32), because rung times both step
+        # regimes and the part-1 instance has no accelerated one
+        from rapd.harness.suites import part2_suite_problem
+        ladder = load_script("size_ladder")
+        problem, x0, y0 = part2_suite_problem()
+        out = ladder.rung(problem, x0, y0, (0.1, 0.1), (20, 5), K=200, seed=0)
+        expected = {"n", "m", "n_i", "block_gradient_us", "product_update_us",
+                    "block_prox_us", "full_product_us", "pdhg_iter_us_min",
+                    "pdhg_iter_us_p50", "epoch_over_pass"}
+        expected |= {f"rapd{r}_iter_us_{s}" for r in (1, 2) for s in ("min", "p50")}
+        assert set(out) == expected
+        assert (out["n"], out["m"], out["n_i"]) == (32, 8, 4)
+        assert all(np.isfinite(v) and v >= 0 for v in out.values())

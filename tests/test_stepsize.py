@@ -78,6 +78,16 @@ class TestPart2:
         with pytest.raises(RegimeError):
             part2_init(consts([1.0], [1.0], L_yy=0.5, mu=[1.0]), 1, 1.0)
 
+    def test_rounding_to_a_zero_step_rejected(self):
+        # zero couplings (floored at 1e-12) and a large modulus round
+        # taut^0 to exactly 1, where the reciprocal step mu p (1 + 1/taut) - mu
+        # is 0 for m = 2
+        c = consts([0.0, 0.0], [0.0, 0.0], mu=[1e5, 1e5])
+        with pytest.raises(RegimeError, match="nonpositive reciprocal step"):
+            part2_init(c, 2, default_alpha(c))
+        c = consts([0.0, 0.0], [0.0, 0.0], mu=[1.0, 1.0])
+        assert np.all(part2_init(c, 2, default_alpha(c)).tau > 0)
+
     def test_weight_identities_to_1e4(self):
         prefix = schedule_prefix(part2_init(M2, 2, 1.0), 10_000)
         sigma0 = prefix[0].sigma
