@@ -16,6 +16,7 @@ For each rung it reports
 - the block phases alone, each averaged over 2000 random blocks: the
   block gradient read off the cached primal product, the product's
   update from one block, and the block prox;
+- the dual prox on the whole dual vector, averaged over as many calls;
 - the fastest and the median per-iteration chunk of ``run`` in both step
   regimes (records every 50 iterations) and of ``pdhg_run``, the
   deterministic full pass, with the benchmark's steps for it;
@@ -93,6 +94,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     blocks = rng.integers(m, size=PHASE_CALLS)
     slices = part.slices()
     dx = rng.standard_normal(part.sizes[0]) * 1e-12
+    dy = rng.standard_normal(y0.size)
     geom, f = problem.primal_geometry[0], problem.f
     out = {
         "n": n, "m": m, "n_i": part.sizes[0],
@@ -103,6 +105,8 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
         "block_prox_us": per_call_us(
             lambda i: bregman_prox(geom, f[i], 0.1, dx[:part.sizes[i]], x[slices[i]]),
             blocks),
+        "dual_prox_us": per_call_us(
+            lambda i: bregman_prox(problem.dual_geometry, problem.h, 0.1, dy, y0), blocks),
         "full_product_us": per_call_us(lambda i: problem.primal_product(x), blocks[:20]),
     }
     c = problem.constants

@@ -15,17 +15,18 @@ then the dual-gradient cache moves forward and the schedule advances.
 The convention ``(x^{-1}, y^{-1}) = (x^0, y^0)`` makes ``s^0 = g_0``.
 
 Per-iteration cost: O(block) for the primal side plus the dual prox on
-the whole of ``y`` and O(1) Python work.  ``run`` keeps the
-coupling's linear primal product ``w = K x`` (see ``SaddleProblem``),
-updates it from the changed block alone, reads the dual gradient and the
-block gradient off it, and recomputes it and checks the cached gradient
-against a fresh one every ``CACHE_RESYNC_SWEEPS * m`` iterations.  The
-bookkeeping is O(block) too: a running ``||x||^2`` for the divergence
-guard and ergodic sums that bring a block up to date only when it
-changes or when an average is read.  The accelerated schedule advances
-as Python floats (``part2_scalars``), with no validation after the first
-state; an iteration computes only the sampled block's step, and a record
-reads the step vector off ``part2_tau``.
+the whole of ``y`` (one fused step on the kernel dual) and O(1) Python
+work.  ``run`` keeps the coupling's linear primal product ``w = K x``
+(see ``SaddleProblem``), updates it from the changed block alone, reads
+the dual gradient and the block gradient off it, and recomputes it and
+checks the cached gradient against a fresh one every
+``CACHE_RESYNC_SWEEPS * m`` iterations.  The bookkeeping is O(block)
+too: a running ``||x||^2`` for the divergence guard, moved by one dot
+per iteration, and ergodic sums that bring a block up to date only when
+it changes or when an average is read.  The accelerated schedule
+advances as Python floats (``part2_scalars``), with no validation after
+the first state; an iteration computes only the sampled block's step,
+and a record reads the step vector off ``part2_tau``.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockcore import BlockPartition, weighted_norm_sq_raw
-from .bregman import bregman_prox
+from .bregman import ProductGeometry, bregman_prox
 from .exceptions import DivergenceError, ParameterError, RegimeError
 from .harness import metrics
 from .problem import SaddleProblem
@@ -165,21 +166,22 @@ class RunOptions:
 class _Monitor:
     """Bookkeeping shared by :func:`run` and the deterministic baselines.
 
-    A loop starts from ``monitor.start`` and calls :meth:`step` or, when
-    only one block of the live iterate changed, :meth:`step_block` once
-    per completed iteration, then returns :meth:`finish`.  The monitor
-    keeps the ergodic sums, guards against divergence, calls the iterate
-    hook, and at record points (``record_at`` and the last iteration)
-    appends the loop's ``describe(k, wall_s)`` record, filled in with the
-    metrics against the reference, then checks ``stop_when`` and the time
-    budget.
+    A loop starts from ``monitor.start`` and calls :meth:`step` (or, when
+    each iteration changes one block of the live iterate, :meth:`step_block`;
+    not a mix) once per completed iteration, then returns :meth:`finish`.
+    The monitor keeps the ergodic sums, guards against divergence, calls
+    the iterate hook, and at record points (``record_at`` and the last
+    iteration) appends the loop's ``describe(k, wall_s)`` record, filled in
+    with the metrics against the reference, then checks ``stop_when`` and
+    the time budget.
 
     The primal ergodic sum is lazy: ``x_sum`` holds block ``j``'s iterates
     up to iteration ``last[j]``, and the block has not changed since, so
     it is brought up to date when the block changes and, for every block,
     when an average is read.  ``x_sq`` is a running ``||x||^2`` for the
-    divergence guard, recomputed every ``CACHE_RESYNC_SWEEPS * m``
-    iterations.
+    divergence guard, moved by one dot per block step against the block
+    norms ``block_sq``; both are recomputed every
+    ``CACHE_RESYNC_SWEEPS * m`` iterations.
     """
 
     def __init__(self, problem: SaddleProblem, method: str, K: int, x0, y0,
@@ -200,7 +202,7 @@ class _Monitor:
         self.slices = part.slices()
         self.sizes = part.sizes
         self.last = [0] * part.m
-        self.x_sq = float(x @ x)
+        self._norms(x)
         self.resync_every = CACHE_RESYNC_SWEEPS * part.m
         self.done = 0
         self.trace = RunTrace(method=method, seed=seed, partition=part,
@@ -228,10 +230,16 @@ class _Monitor:
         self.last[i] = self.done
         self.done += 1
         if self.done % self.resync_every == 0:
-            self.x_sq = float(x @ x)
+            self._norms(x)
         else:
-            self.x_sq += float(new @ new) - float(old @ old)
+            new_sq = float(new @ new)
+            self.x_sq += new_sq - self.block_sq[i]
+            self.block_sq[i] = new_sq
         return self._close(x, y, y)
+
+    def _norms(self, x: np.ndarray) -> None:
+        self.x_sq = float(x @ x)
+        self.block_sq = [float(x[sl] @ x[sl]) for sl in self.slices]
 
     def _close(self, x, y, y_avg) -> bool:
         done = self.done
@@ -292,7 +300,9 @@ def _cache_drift(cached: np.ndarray, fresh: np.ndarray, k: int) -> float:
 
 def _geometry_note(problem) -> str:
     kinds = {g.kind for g in problem.primal_geometry}
-    return f"primal={'/'.join(sorted(kinds))}, dual={problem.dual_geometry.kind}"
+    dual = problem.dual_geometry
+    parts = dual.parts if isinstance(dual, ProductGeometry) else [dual]
+    return f"primal={'/'.join(sorted(kinds))}, dual={'+'.join(g.kind for g in parts)}"
 
 
 # ---------------------------------------------------------------------------

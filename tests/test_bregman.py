@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rapd import bregman
 from rapd.bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry,
                           IndicatorBall, IndicatorBox, IndicatorNonneg,
                           IndicatorSimplex, L1, NonnegQuadratic,
@@ -317,6 +318,137 @@ class TestProductGeometry:
         zero = bregman_prox(pg, Zero(), 1.0, s, y)
         assert zero[:3] == pytest.approx(y[:3] * np.exp(-s[:3]))
         assert np.array_equal(bregman_prox(pg, h, 1.0, s, y), first)
+
+
+def per_part_prox(M, scale, t, s, xbar):
+    """The kernel dual prox as its two part steps, side by side."""
+    return np.concatenate([
+        EntropyGeometry(M)._step(IndicatorSimplex(scale), t, s[:M].copy(), xbar[:M].copy()),
+        EuclideanGeometry(1)._step(Zero(), t, s[M:], xbar[M:])])
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the class and message of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFusedKernelDualProx:
+    """An entropic simplex part followed by one free Euclidean coordinate
+    takes one fused step; it must match the part steps bit for bit."""
+
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        calls = []
+        fused = bregman._simplex_and_free_step
+        monkeypatch.setattr(bregman, "_simplex_and_free_step",
+                            lambda *a: calls.append(1) or fused(*a))
+        return calls
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 5])
+    def test_bitwise_equal_to_the_parts(self, M, fused_calls):
+        rng = np.random.default_rng(100 + M)
+        scale = 2.5
+        pg = ProductGeometry([EntropyGeometry(M), EuclideanGeometry(1)])
+        h = Separable([(IndicatorSimplex(scale), M), (Zero(), 1)])
+        n = 2500
+        for j in range(n):
+            t = float(10 ** rng.uniform(-3, 1))
+            # |t s| up to 1e3 reaches the overflow guard
+            s = rng.standard_normal(M + 1) * rng.uniform(0, 1e3) / t
+            xbar = np.append(rng.dirichlet(np.ones(M)) * scale, rng.standard_normal())
+            if j % 4 == 0:   # at the floor, and below it where the floor applies
+                xbar[rng.integers(M)] = bregman._ENTROPY_FLOOR
+            elif j % 4 == 1:
+                xbar[rng.integers(M)] = 1e-320
+            got = bregman_prox(pg, h, t, s, xbar)
+            assert got.tobytes() == per_part_prox(M, scale, t, s, xbar).tobytes(), (t, s, xbar)
+        assert len(fused_calls) == n
+
+    def test_bad_centres_and_steps_raise_as_the_parts(self, fused_calls):
+        # the reference is the per-part path, which a product prox takes
+        # for a simplex subclass
+        class PartsOnly(IndicatorSimplex):
+            pass
+
+        pg = ProductGeometry([EntropyGeometry(3), EuclideanGeometry(1)])
+        h = Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1)])
+        parts = Separable([(PartsOnly(2.0), 3), (Zero(), 1)])
+        s, xbar = np.array([0.5, -1.0, 2.0, 0.3]), np.array([0.4, 0.6, 1.0, -1.0])
+        cases = [(1.0, s, xbar)]
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0):
+            for j in range(4):
+                for vec in (s, xbar):
+                    v = vec.copy()
+                    v[j] = bad
+                    cases.append((1.0, v, xbar) if vec is s else (1.0, s, v))
+            cases.append((bad, s, xbar))
+        # a NaN must not hide a nonpositive centre, in either order
+        cases += [(1.0, s, np.array([np.nan, -1.0, 0.5, 0.0])),
+                  (1.0, s, np.array([-1.0, np.nan, 0.5, 0.0])),
+                  (1e3, np.array([-1e306, 1e306, 0.0, 0.0]), xbar)]
+        raised = 0
+        for t, sv, xv in cases:
+            fused_calls.clear()
+            got = outcome(bregman_prox, pg, h, t, sv, xv)
+            expect = outcome(bregman_prox, pg, parts, t, sv, xv)
+            if isinstance(expect, tuple):
+                raised += 1
+                assert got == expect, (t, sv, xv)
+            else:
+                assert fused_calls
+                assert got.tobytes() == expect.tobytes(), (t, sv, xv)
+        assert raised >= 20
+
+    def test_other_products_take_the_parts(self, fused_calls):
+        s, xbar = np.array([0.5, -1.0, 2.0, 0.3, 0.1]), np.array([0.2, 0.3, 0.5, 1.0, 2.0])
+        ent3, euc1 = EntropyGeometry(3), EuclideanGeometry(1)
+        simplex, l1, zero = IndicatorSimplex(1.0), L1(0.5), Zero()
+        for geoms, h, fns in (
+                ([ent3, euc1], Separable([(simplex, 3), (l1, 1)]), [simplex, l1]),
+                ([ent3, euc1], zero, [zero, zero]),
+                ([ent3, EuclideanGeometry(2)], Separable([(simplex, 3), (zero, 2)]),
+                 [simplex, zero]),
+                ([euc1, ent3], Separable([(zero, 1), (simplex, 3)]), [zero, simplex])):
+            ends = np.cumsum([0] + [g.dim for g in geoms])
+            expect = np.concatenate([g._step(fj, 0.7, s[lo:hi], xbar[lo:hi])
+                                     for g, fj, lo, hi in zip(geoms, fns, ends, ends[1:])])
+            got = bregman_prox(ProductGeometry(geoms), h, 0.7, s[:ends[-1]], xbar[:ends[-1]])
+            assert np.array_equal(got, expect)
+        assert fused_calls == []
+
+    def test_eight_weights_take_the_parts(self, fused_calls):
+        # numpy sums 8 or more entries pairwise, not left to right
+        rng = np.random.default_rng(5)
+        pg = ProductGeometry([EntropyGeometry(8), EuclideanGeometry(1)])
+        h = Separable([(IndicatorSimplex(2.5), 8), (Zero(), 1)])
+        for _ in range(200):
+            s = rng.standard_normal(9) * 10
+            xbar = np.append(rng.dirichlet(np.ones(8)), 1.0)
+            assert (bregman_prox(pg, h, 0.5, s, xbar).tobytes()
+                    == per_part_prox(8, 2.5, 0.5, s, xbar).tobytes())
+        assert fused_calls == []
+
+    def test_swapped_function_replans(self, fused_calls):
+        pg = ProductGeometry([EntropyGeometry(3), EuclideanGeometry(1)])
+        s, xbar = np.array([0.5, -1.0, 2.0, 0.3]), np.array([0.2, 0.3, 0.5, 1.0])
+        h = Separable([(IndicatorSimplex(1.0), 3), (Zero(), 1)])
+        assert bregman_prox(pg, h, 1.0, s, xbar)[:3].sum() == pytest.approx(1.0)
+        # the scale is read at call time
+        h.parts[0][0].scale = 3.0
+        assert bregman_prox(pg, h, 1.0, s, xbar)[:3].sum() == pytest.approx(3.0)
+        assert len(fused_calls) == 2
+        h2 = Separable([(IndicatorSimplex(2.0), 3), (L1(0.5), 1)])
+        out = bregman_prox(pg, h2, 1.0, s, xbar)
+        assert len(fused_calls) == 2
+        assert out[3] == pytest.approx(L1(0.5).prox_euclidean(1.0, np.array([0.7]))[0])
+        h3 = Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1)])
+        assert np.array_equal(bregman_prox(pg, h3, 1.0, s, xbar),
+                              per_part_prox(3, 2.0, 1.0, s, xbar))
+        assert len(fused_calls) == 3
 
 
 def project_simplex_by_last_index(u, scale=1.0):

@@ -11,7 +11,7 @@ from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_resid
 from rapd.problem import BilinearProblem, build_bilinear_erm, build_quadratic_game
 from rapd.harness.config import parse_config
 from rapd.harness.metrics import lagrangian_gap
-from rapd.harness.suites import build_problem_from_config
+from rapd.harness.suites import build_problem_from_config, write_trace_csv
 from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, _block_draws,
@@ -415,6 +415,20 @@ class TestRun:
         prob.primal_geometry = [EuclideanGeometry(2), EntropyGeometry(2)]
         notes = {loop(3, np.ones(4)).geometry_note for loop in three_loops(prob).values()}
         assert notes == {"primal=euclidean/negative-entropy, dual=euclidean"}
+
+    def test_geometry_note_names_the_product_dual_parts(self, tmp_path):
+        # the kernel dual is entropy on the weights times a free scalar; the
+        # note and the CSV header name both parts, in both kinds of loop
+        prob = build_kernel_problem(synth_dataset(n_tr=40, d=3, seed=2), lam=1.0,
+                                    m_blocks=4)
+        sched = part1_schedule(prob.constants, 4, default_alpha(prob.constants))
+        y0 = dual_start(prob)
+        note = "primal=euclidean, dual=negative-entropy+euclidean"
+        traces = (run(prob, sched, 3, seed=0, y0=y0),
+                  pdhg_run(prob, float(sched.tau.min()), sched.sigma, 3, y0=y0))
+        assert [tr.geometry_note for tr in traces] == [note, note]
+        write_trace_csv(tmp_path / "run.csv", traces[0])
+        assert f"# geometry: {note}" in (tmp_path / "run.csv").read_text().splitlines()
 
     def test_part2_regime_validation(self):
         prob = small_bilinear()  # mu = 0 blocks
