@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from rapd import RunOptions, run
+from rapd.harness.suites import _KERNEL_LIPSCHITZ_SCALE
 from rapd.kernel_learning import (build_kernel_problem, dual_start,
                                   synth_dataset)
 from rapd.oracle import solve_high_accuracy
@@ -22,8 +23,9 @@ ds = synth_dataset(n_tr=120, d=10, seed=7, separation=2.0)
 print(f"dataset: {ds.n_tr} points in R^{ds.points.shape[1]}, "
       f"{int((ds.labels == 1).sum())} / {int((ds.labels == -1).sum())} labels")
 
-# constants deflated 10x for larger steps, as the experiment configuration
-problem = build_kernel_problem(ds, lam=1.0, m_blocks=8, lipschitz_scale=0.1)
+# constants deflated for larger steps, as the kernel suite runs them
+problem = build_kernel_problem(ds, lam=1.0, m_blocks=8,
+                               lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)
 print(f"blocked dual variable: n = {problem.partition.n} in "
       f"{problem.partition.m} blocks; kernel weights + free multiplier "
       f"as the {problem.dual_dim}-dim dual; B = {problem.B:.1f}\n")

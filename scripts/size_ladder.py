@@ -7,9 +7,9 @@ Two ladders, each a problem at several sizes:
   unit simplex) at m = 64, 128 and 256 blocks, so the block size
   n_i = n/m halves at each rung while n and d stay fixed;
 - ``kernel``: the benchmark's kernel-desk problem (multiple-kernel SVM,
-  d = 10, three kernels, lam = 1, entropy dual, constants scaled by 0.1,
-  dataset seed 7) at n = 200, 400, 800 and 1600 points and m = 10
-  blocks.
+  d = 10, three kernels, lam = 1, entropy dual, constants deflated by
+  the kernel suite's factor, dataset seed 7) at n = 200, 400, 800 and
+  1600 points and m = 10 blocks.
 
 For each rung it reports
 
@@ -23,7 +23,9 @@ For each rung it reports
 - one full primal product, the largest part of a full pass;
 - ``epoch_over_pass``: ``m * rapd1_iter_us_min / pdhg_iter_us_min``, the
   cost of m rapd iterations (one epoch, a pass worth of blocks) over one
-  pdhg iteration; the paper's cost claim is that it is about 1.
+  pdhg iteration; the paper's cost claim is that it is about 1;
+- ``blas_threads``: the BLAS threads every phase ran on.  One, so the
+  full pass and the block update run on equal cores.
 
 Run from the repository root:
 
@@ -40,7 +42,7 @@ import statistics
 import sys
 import time
 
-BLAS_THREADS = 2
+BLAS_THREADS = 1
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = str(BLAS_THREADS)
 
@@ -54,6 +56,7 @@ from rapd import (IndicatorSimplex, RunOptions, SquaredL2, build_bilinear_erm,  
                   pdhg_run, run, synth_dataset)
 from rapd.blockcore import BlockPartition  # noqa: E402
 from rapd.bregman import bregman_prox  # noqa: E402
+from rapd.harness.suites import _KERNEL_LIPSCHITZ_SCALE  # noqa: E402
 from rapd.kernel_learning import dual_start  # noqa: E402
 from rapd.problem import spectral_norm  # noqa: E402
 
@@ -97,7 +100,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     dy = rng.standard_normal(y0.size)
     geom, f = problem.primal_geometry[0], problem.f
     out = {
-        "n": n, "m": m, "n_i": part.sizes[0],
+        "n": n, "m": m, "n_i": part.sizes[0], "blas_threads": BLAS_THREADS,
         "block_gradient_us": per_call_us(
             lambda i: problem.grad_x_block_cached(i, w, x, y0), blocks),
         "product_update_us": per_call_us(
@@ -144,7 +147,7 @@ def kernel_ladder(K: int, seed: int):
     for n in KERNEL_RUNGS:
         problem = build_kernel_problem(synth_dataset(n_tr=n, d=10, seed=7), lam=1.0,
                                        m_blocks=KERNEL_BLOCKS, dual_geometry="entropy",
-                                       lipschitz_scale=0.1)
+                                       lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)
         c, m = problem.constants, problem.partition.m
         s1 = part1_schedule(c, m, default_alpha(c))
         # the benchmark's pdhg steps: rapd1's smallest primal step, m times its dual step
@@ -159,7 +162,8 @@ LADDERS = {
                                    "pdhg_steps": "tau = sigma = 0.95 / ||A||"}),
     "kernel": (kernel_ladder, {"coupling": "multiple-kernel SVM (poly2, gauss, linear)",
                                "d": 10, "m": KERNEL_BLOCKS, "lam": 1.0, "dual": "entropy",
-                               "lipschitz_scale": 0.1, "dataset_seed": 7,
+                               "lipschitz_scale": _KERNEL_LIPSCHITZ_SCALE,
+                               "dataset_seed": 7,
                                "pdhg_steps": "tau = min tau_i, sigma = m sigma (rapd1)"}),
 }
 

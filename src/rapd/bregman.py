@@ -550,7 +550,7 @@ def bregman_prox(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
 
 def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
                       xbar: np.ndarray, x_test: np.ndarray,
-                      s: np.ndarray | None = None, tol: float = 1e-10):
+                      s: np.ndarray | None = None):
     """Check the three-point inequality at ``x_test``.
 
     With ``x+ = bregman_prox(geom, f, t, s, xbar)`` and
@@ -560,7 +560,7 @@ def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
                                   + (mu/2)*||x - x+||^2
 
     in the geometry's reference norm.  Returns ``(passed, residual)`` with
-    ``residual = lhs - rhs`` (nonnegative when the inequality holds).
+    ``residual = lhs - rhs``, which passes from ``-1e-10`` (float error).
     """
     xbar = np.asarray(xbar, dtype=float)
     x_test = np.asarray(x_test, dtype=float)
@@ -575,5 +575,5 @@ def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
            + geom.dist(x_test, xp) / t
            + 0.5 * f.modulus * geom.ref_norm(x_test - xp) ** 2)
     residual = lhs - rhs
-    return bool(residual >= -tol), float(residual)
+    return bool(residual >= -1e-10), float(residual)
 

@@ -11,9 +11,9 @@ Subcommands:
              gradient consistency, sampled smoothness bounds.
 - ``oracle`` computes and persists a saddle certificate (.npz).
 
-Exit codes: 0 ok, 1 config error or invalid parameters, dimensions or
-domains, 2 regime violation, 3 divergence, 4 acceptance/verification
-failure.
+Exit codes: 0 ok, 1 config error, invalid parameters, dimensions or
+domains, or an output that cannot be written, 2 regime violation,
+3 divergence, 4 acceptance/verification failure.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ def _cmd_run(args) -> int:
     for seed in seeds:
         trace = run_from_config(cfg, seed)
         base = out_dir / f"{cfg['method.name']}_seed{seed}"
+        written = []
         if cfg["output.csv"]:
-            write_trace_csv(base.with_suffix(".csv"), trace)
+            written.append(base.with_suffix(".csv"))
+            write_trace_csv(written[-1], trace)
         if cfg["output.summary"]:
             entries = {
                 "method": cfg["method.name"],
@@ -90,9 +92,10 @@ def _cmd_run(args) -> int:
             if trace.records and not np.isnan(trace.records[-1].gap):
                 entries["final_gap"] = trace.records[-1].gap
                 entries["final_dist_sq"] = trace.records[-1].dist_sq
-            write_summary(base.with_suffix(".summary"), entries)
-        print(f"wrote {base}.csv ({trace.iterations} iterations, "
-              f"{trace.wall_total_s:.2f}s)")
+            written.append(base.with_suffix(".summary"))
+            write_summary(written[-1], entries)
+        print(f"wrote {', '.join(map(str, written)) or 'no files'} "
+              f"({trace.iterations} iterations, {trace.wall_total_s:.2f}s)")
     return EXIT_OK
 
 
@@ -128,8 +131,7 @@ def _cmd_check(args) -> int:
     if gerr > 1e-6:
         failures.append("gradient check")
 
-    project_x = getattr(problem, "project_primal_domain", None)
-    spot = lipschitz_spot_check(problem, draws=200, project_x=project_x)
+    spot = lipschitz_spot_check(problem, draws=200)
     worst = min(spot.values())
     print("smoothness spot-check worst slacks: "
           + ", ".join(f"{k}={v:.3e}" for k, v in spot.items()))
@@ -177,6 +179,11 @@ def cli_main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as exc:
+        # every read reports its own OSError as a config error, so this
+        # one comes from writing a trace, summary, report or certificate
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:

@@ -39,7 +39,6 @@ _SCHEMA = {
     "method.c_tau": (float, 0.99),
     "method.c_sigma": (float, 0.99),
     "method.p": (str, "uniform"),              # uniform or comma-separated weights
-    "method.lipschitz_scale": (float, 1.0),    # multiplies every smoothness constant
     "method.tau": (float, 0.0),                # pdhg primal step; 0 = derive
     "method.sigma": (float, 0.0),              # pdhg dual step; 0 = derive
     "method.L": (float, 0.0),                  # mirror-prox constant; 0 = estimate, for
@@ -60,7 +59,6 @@ _ZERO_MEANS_DEFAULT = ("problem.B", "method.alpha", "method.tau", "method.sigma"
                        "method.L", "run.metric_cadence")
 
 #: the method keys each method reads; the others must keep their defaults
-#: (``method.lipschitz_scale`` reaches every method through ``rapd check``)
 _METHOD_READS = {
     "rapd1": ("method.alpha", "method.c_tau", "method.c_sigma", "method.p"),
     "rapd2": ("method.alpha", "method.c_sigma", "method.p"),

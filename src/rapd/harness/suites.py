@@ -30,7 +30,7 @@ from ..blockcore import BlockPartition
 from ..bregman import (IndicatorBall, IndicatorNonneg, IndicatorSimplex, L1,
                        SquaredL2, Zero)
 from ..exceptions import ConfigError, DimensionError
-from ..kernel_learning import (build_kernel_problem, dual_start, gram_matrix,
+from ..kernel_learning import (KERNELS, build_kernel_problem, dual_start, gram_matrix,
                                normalize_gram, synth_dataset)
 from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
@@ -69,11 +69,11 @@ def _quadratic_game_data(rng, n: int, d: int, strongly_convex: bool):
     return P, Q, C, rng.standard_normal(n), rng.standard_normal(d)
 
 
-def part1_suite_problem(instance_seed: int = 11, n: int = 32, d: int = 8,
-                        m: int = 8):
-    """Quadratic game with l1 blocks and a dual ball; strongly monotone,
-    so the extragradient oracle certifies quickly."""
-    rng = np.random.default_rng(instance_seed)
+def part1_suite_problem():
+    """Quadratic game with l1 blocks and a dual ball (instance seed 11);
+    strongly monotone, so the extragradient oracle certifies quickly."""
+    n, d, m = 32, 8, 8
+    rng = np.random.default_rng(11)
     P, Q, C, p, q = _quadratic_game_data(rng, n, d, strongly_convex=False)
     part = BlockPartition.even(n, m)
     f = [L1(0.1) for _ in range(m)]
@@ -82,12 +82,12 @@ def part1_suite_problem(instance_seed: int = 11, n: int = 32, d: int = 8,
     return problem, np.zeros(n), np.zeros(d)
 
 
-def part2_suite_problem(instance_seed: int = 12, n: int = 32, d: int = 8,
-                        m: int = 8):
-    """Coupling linear in the dual with unit-modulus quadratic blocks;
-    the saddle point is available exactly by folding the quadratics into
-    the stationarity system."""
-    rng = np.random.default_rng(instance_seed)
+def part2_suite_problem():
+    """Coupling linear in the dual with unit-modulus quadratic blocks
+    (instance seed 12); the saddle point is available exactly by folding
+    the quadratics into the stationarity system."""
+    n, d, m = 32, 8, 8
+    rng = np.random.default_rng(12)
     P, Q, C, p, q = _quadratic_game_data(rng, n, d, strongly_convex=True)
     part = BlockPartition.even(n, m)
     f = [SquaredL2(0.5) for _ in range(m)]   # modulus 1 per block
@@ -137,7 +137,9 @@ def bilinear_game(instance_seed: int, n: int = 8, m: int = 1):
 
 def record_points(K: int, cadence: int = 0) -> list:
     """Update counts at which to snapshot metrics: every ``cadence``
-    iterations, or ~16 log-spaced points per decade when cadence is 0."""
+    iterations, or, when cadence is 0, 60 log-spaced points over
+    ``[1, K]`` (fewer after rounding merges the smallest): about 15 per
+    decade at K = 1e4 and about 9 at K = 4e6.  ``K`` itself is always in."""
     if cadence > 0:
         pts = list(range(cadence, K + 1, cadence))
     else:
@@ -214,14 +216,7 @@ def make_dual_function(kind: str, param: float):
 
 
 def build_problem_from_config(cfg: ExperimentConfig):
-    """Instantiate the configured problem, its smoothness constants
-    multiplied by ``method.lipschitz_scale``; returns (problem, x0, y0)."""
-    problem, x0, y0 = _build_unscaled(cfg)
-    problem.constants = problem.constants.scaled(cfg["method.lipschitz_scale"])
-    return problem, x0, y0
-
-
-def _build_unscaled(cfg: ExperimentConfig):
+    """Instantiate the configured problem; returns (problem, x0, y0)."""
     v = cfg.values
     kind = v["problem.type"]
     rng = np.random.default_rng(v["problem.seed"])
@@ -477,17 +472,19 @@ class KernelSuiteResult:
         return "\n".join(self.lines())
 
 
-#: The kernel suite deflates the global coupling constants by 0.1 for
-#: larger steps (the configuration the original experiment ran); the
-#: library default elsewhere stays at 1.0, which keeps the step-size
-#: condition intact.
+#: The kernel desk deflates its smoothness constants by this factor for
+#: larger steps (the configuration the original experiment ran), below
+#: the true bounds; the size ladder and the kernel demo read it from
+#: here, and the library default elsewhere stays at 1.0.
 _KERNEL_LIPSCHITZ_SCALE = 0.1
 
 
 def kernel_suite() -> KernelSuiteResult:
     """Desk-scale kernel experiment (200 training points in 10 dimensions,
     10 blocks, lam = 1, entropy dual geometry): certify a 1e-10 reference,
-    then time both step regimes to the relative-error target, 60 s each."""
+    then time both step regimes to the relative-error target, 60 s each.
+    The target is checked at ``record_points(4_000_000)``, about 9 points
+    per decade of iterations."""
     ds = synth_dataset(n_tr=200, d=10, seed=7)
     problem = build_kernel_problem(ds, lam=1.0, m_blocks=10,
                                    lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)
@@ -516,17 +513,16 @@ def kernel_suite() -> KernelSuiteResult:
     return result
 
 
-def _mapping_fidelity(problem, ds, draws: int = 20, seed: int = 3) -> float:
+def _mapping_fidelity(problem, ds) -> float:
     """Compare the assembled coupling against the formula evaluated from
-    raw ingredients (independent arithmetic path)."""
-    grams = [normalize_gram(gram_matrix(kind, ds.points))
-             for kind in ("poly2", "gauss", "linear")]
+    raw ingredients (independent arithmetic path) at 20 random points."""
+    grams = [normalize_gram(gram_matrix(kind, ds.points)) for kind in KERNELS]
     b = ds.labels
     r = np.array([np.trace(K) for K in grams])
     c = float(r.sum())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(20):
         x = np.abs(rng.standard_normal(ds.n_tr))
         y = rng.dirichlet(np.ones(len(grams)))
         z = float(rng.standard_normal())

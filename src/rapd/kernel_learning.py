@@ -35,6 +35,9 @@ from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
 from .exceptions import DimensionError, DomainError, ParameterError
 from .problem import LipschitzConstants, SaddleProblem, spectral_norm
 
+#: the kernels of the experiment, in the order of the dual weights
+KERNELS = ("poly2", "gauss", "linear")
+
 
 # ---------------------------------------------------------------------------
 # kernels and data
@@ -88,8 +91,6 @@ def normalize_gram(K: np.ndarray) -> np.ndarray:
 class KernelDataset:
     points: np.ndarray   # (n_tr, d)
     labels: np.ndarray   # entries in {-1, +1}
-    seed: int = 0
-    separation: float = 2.0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -120,8 +121,7 @@ def synth_dataset(n_tr: int, d: int, seed: int = 0, separation: float = 2.0) -> 
                      rng.standard_normal((sizes[1], d)) - mean])
     lbl = np.concatenate([np.ones(sizes[0]), -np.ones(sizes[1])])
     order = rng.permutation(n_tr)
-    return KernelDataset(points=pts[order], labels=lbl[order], seed=seed,
-                         separation=separation)
+    return KernelDataset(points=pts[order], labels=lbl[order])
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,13 @@ class KernelProblem(SaddleProblem):
     the simplex weights first and the free multiplier last.  ``G_list``
     is the ``(M, n, n)`` stack of the Grams ``G_l``."""
 
-    def __init__(self, G_list, b, lam, c, r, partition, B,
+    def __init__(self, G_list, b, lam, r, partition, B,
                  dual_geometry="entropy"):
         G = np.ascontiguousarray(G_list, dtype=float)
         M = G.shape[0]
-        coef = c / np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)
+        c = float(r.sum())
+        coef = c / r
         slices = partition.slices()
 
         col_norms = np.array([[spectral_norm(Gl[:, sl]) for sl in slices] for Gl in G])
@@ -159,8 +161,8 @@ class KernelProblem(SaddleProblem):
         self.G_list = G
         self.b = np.asarray(b, dtype=float)
         self.lam = float(lam)
-        self.c = float(c)
-        self.r = np.asarray(r, dtype=float)
+        self.c = c
+        self.r = r
         self.coef = coef
         self.B = float(B)
         self.M = M
@@ -217,31 +219,31 @@ def default_dual_bound(n_tr: int, lam: float) -> float:
 
 
 def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = None,
-                         m_blocks: int = 8, c: float | None = None,
-                         kernels=("poly2", "gauss", "linear"), bandwidth: float = 0.1,
+                         m_blocks: int = 8, bandwidth: float = 0.1,
                          dual_geometry: str = "entropy",
                          lipschitz_scale: float = 1.0) -> KernelProblem:
-    """Assemble the saddle problem from a dataset.
-
-    Gram matrices are normalized to unit diagonal, so each trace equals
-    ``n_tr`` and the default mixing constant is ``c = sum_l r_l``.  The
-    smoothness constants are multiplied by ``lipschitz_scale``.
+    """Assemble the saddle problem from a dataset, one Gram matrix per
+    entry of :data:`KERNELS`, normalized to unit diagonal, so each trace
+    equals ``n_tr`` and the mixing constant is ``c = sum_l r_l``.  The
+    smoothness constants, not the moduli, are multiplied by
+    ``lipschitz_scale``.
     """
     if not lam > 0:
         raise ParameterError(f"need lam > 0, got {lam}")
+    if not lipschitz_scale > 0:
+        raise ParameterError(f"Lipschitz scale must be > 0, got {lipschitz_scale}")
     b = dataset.labels
     G = np.stack([normalize_gram(gram_matrix(kind, dataset.points, bandwidth))
-                  for kind in kernels])
+                  for kind in KERNELS])
     r = np.array([np.trace(K) for K in G])
     G *= np.outer(b, b)
-    c_val = float(r.sum()) if c is None else float(c)
     B_val = default_dual_bound(dataset.n_tr, lam) if B is None else float(B)
     if not B_val > 0:
         raise ParameterError(f"need B > 0, got {B_val}")
     partition = BlockPartition.even(dataset.n_tr, m_blocks)
-    problem = KernelProblem(G, b, lam, c_val, r, partition, B_val,
-                            dual_geometry=dual_geometry)
-    problem.constants = problem.constants.scaled(lipschitz_scale)
+    problem = KernelProblem(G, b, lam, r, partition, B_val, dual_geometry=dual_geometry)
+    c, s = problem.constants, lipschitz_scale
+    problem.constants = LipschitzConstants(c.L_xx * s, c.L_yx * s, c.L_yy * s, c.mu)
     return problem
 
 

@@ -61,14 +61,6 @@ class LipschitzConstants:
         self.L_yy = float(self.L_yy)
         self.mu = np.asarray(self.mu, dtype=float)
 
-    def scaled(self, factor: float) -> "LipschitzConstants":
-        """Globally deflate/inflate the smoothness constants (the moduli
-        are properties of f and are left alone)."""
-        if not factor > 0:
-            raise ParameterError(f"Lipschitz scale must be > 0, got {factor}")
-        return LipschitzConstants(self.L_xx * factor, self.L_yx * factor,
-                                  self.L_yy * factor, self.mu.copy())
-
 
 class SaddleProblem:
     """Oracle bundle for ``min_x max_y  sum_i f_i(x_i) + phi(x, y) - h(y)``."""
@@ -76,7 +68,6 @@ class SaddleProblem:
     def __init__(self, partition: BlockPartition, dual_dim: int,
                  f: list, h: ProxFriendlyFunction,
                  constants: LipschitzConstants,
-                 primal_geometry: list | None = None,
                  dual_geometry: BregmanGeometry | None = None):
         if len(f) != partition.m:
             raise DimensionError(f"need {partition.m} block functions, got {len(f)}")
@@ -85,9 +76,7 @@ class SaddleProblem:
         self.f = list(f)
         self.h = h
         self.constants = constants
-        self.primal_geometry = primal_geometry or [
-            EuclideanGeometry(sz) for sz in partition.sizes
-        ]
+        self.primal_geometry = [EuclideanGeometry(sz) for sz in partition.sizes]
         self.dual_geometry = dual_geometry or EuclideanGeometry(dual_dim)
         self._whole_prox = None   # (f, primal_geometry, answer) of whole_primal_prox
 
@@ -164,6 +153,11 @@ class SaddleProblem:
     def lagrangian(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.f_value(x) + self.phi_value(x, y) - self.h.value(y)
 
+    def project_primal_domain(self, x: np.ndarray) -> np.ndarray:
+        """The region the smoothness constants are stated for: all of the
+        primal space unless a problem narrows it."""
+        return x
+
     def initial_point(self, x0=None, y0=None):
         """Float copies of ``(x0, y0)``; zeros where a start is not given."""
         x = np.zeros(self.partition.n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -182,7 +176,7 @@ class BilinearProblem(SaddleProblem):
     contiguous memory, and ``A`` is its transpose.  No reference to the
     caller's arrays is kept."""
 
-    def __init__(self, A_blocks, f, h, partition=None, p=None, q=None, **kw):
+    def __init__(self, A_blocks, f, h, partition=None, p=None, q=None):
         blocks = [np.atleast_2d(np.asarray(A, dtype=float)) for A in A_blocks]
         dual_dim = blocks[0].shape[0]
         if any(A.shape[0] != dual_dim for A in blocks):
@@ -205,7 +199,7 @@ class BilinearProblem(SaddleProblem):
             L_yy=0.0,
             mu=np.array([fi.modulus for fi in f]),
         )
-        super().__init__(partition, dual_dim, f, h, constants, **kw)
+        super().__init__(partition, dual_dim, f, h, constants)
         self.p = None if p is None else np.array(p, dtype=float)
         self.q = None if q is None else np.array(q, dtype=float)
         if self.p is not None and self.p.shape != (partition.n,):
@@ -249,7 +243,7 @@ class QuadraticGameProblem(SaddleProblem):
     symmetric PSD; strongly convex in x when P is definite and linear in
     y when Q = 0.  The primal product is ``w = (C x, P x)``."""
 
-    def __init__(self, P, Q, C, p, q, partition, f=None, h=None, **kw):
+    def __init__(self, P, Q, C, p, q, partition, f=None, h=None):
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
         C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -272,7 +266,7 @@ class QuadraticGameProblem(SaddleProblem):
             L_yy=spectral_norm(Q),
             mu=np.array([fi.modulus for fi in f]),
         )
-        super().__init__(partition, d, f, h, constants, **kw)
+        super().__init__(partition, d, f, h, constants)
         self.P, self.Q, self.C, self.p, self.q = P, Q, C, p, q
         self._C_cols = [C[:, sl] for sl in slices]
         self._K = np.vstack([C, P])
@@ -325,14 +319,14 @@ def estimate_operator_lipschitz(problem: SaddleProblem) -> float:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_bilinear_erm(A_blocks, f, h, **kw) -> BilinearProblem:
+def build_bilinear_erm(A_blocks, f, h, partition=None, p=None, q=None) -> BilinearProblem:
     """Risk-minimization style bilinear coupling ``phi = sum <A_i x_i, y>``."""
-    return BilinearProblem(A_blocks, f, h, **kw)
+    return BilinearProblem(A_blocks, f, h, partition=partition, p=p, q=q)
 
 
-def build_quadratic_game(P, Q, C, p, q, partition, f=None, h=None, **kw) -> QuadraticGameProblem:
+def build_quadratic_game(P, Q, C, p, q, partition, f=None, h=None) -> QuadraticGameProblem:
     """Convex-concave quadratic game; see :class:`QuadraticGameProblem`."""
-    return QuadraticGameProblem(P, Q, C, p, q, partition, f=f, h=h, **kw)
+    return QuadraticGameProblem(P, Q, C, p, q, partition, f=f, h=h)
 
 
 def build_constrained(P, p, A, b, B, partition, f=None) -> QuadraticGameProblem:
@@ -349,8 +343,7 @@ def build_constrained(P, p, A, b, B, partition, f=None) -> QuadraticGameProblem:
 # numerical validation
 # ---------------------------------------------------------------------------
 
-def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e-5,
-               seed: int = 0, x_scale: float = 1.0) -> float:
+def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e-5) -> float:
     """Central-difference check of the coupling gradients.
 
     Returns the worst relative error over random interior points; a
@@ -360,11 +353,11 @@ def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e
     """
     if not 1e-8 < epsilon < 1e-3:
         raise ParameterError(f"epsilon must be in (1e-8, 1e-3), got {epsilon}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     part = problem.partition
     worst = 0.0
     for _ in range(num_points):
-        x = rng.standard_normal(part.n) * x_scale
+        x = rng.standard_normal(part.n)
         y = _interior_dual_point(problem, rng)
         # primal blocks
         fd_g = np.zeros(part.n)
@@ -389,20 +382,20 @@ def _rel_err(a, b):
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
 
 
-def _interior_dual_point(problem, rng, scale: float = 1.0):
+def _interior_dual_point(problem, rng):
     """Random dual point in the interior of dom h (needed for convexity
     of couplings whose curvature depends on y, e.g. kernel weights)."""
-    y = rng.standard_normal(problem.dual_dim) * scale
-    return problem.h.project_domain(y)
+    return problem.h.project_domain(rng.standard_normal(problem.dual_dim))
 
 
 def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 0,
-                         x_scale: float = 1.0, v_scale: float = 1.0,
-                         project_x=None) -> dict:
+                         x_scale: float = 1.0, v_scale: float = 1.0) -> dict:
     """Sampled residuals for the coordinate-smoothness bounds.
 
-    For random ``(x, v, y, ybar)`` the four inequalities below must hold;
-    reported values are worst signed slacks (>= 0 means satisfied):
+    For random ``(x, v, y, ybar)``, ``x`` drawn through
+    :meth:`SaddleProblem.project_primal_domain`, the four inequalities
+    below must hold; reported values are worst signed slacks (>= 0 means
+    satisfied):
 
     - ``L_xx``:  L_xx_i*||v|| - ||grad_xi phi(x+U_i v, y) - grad_xi phi(x, y)||
     - ``L_yx``:  L_yy*||y-ybar|| + L_yx_i*||v||
@@ -419,9 +412,7 @@ def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 
     out = {"L_xx": np.inf, "L_yx": np.inf, "convexity_lo": np.inf,
            "convexity_hi": np.inf, "concavity_hi": np.inf, "concavity_lo": np.inf}
     for _ in range(draws):
-        x = rng.standard_normal(part.n) * x_scale
-        if project_x is not None:
-            x = project_x(x)
+        x = problem.project_primal_domain(rng.standard_normal(part.n) * x_scale)
         y = _interior_dual_point(problem, rng)
         ybar = _interior_dual_point(problem, rng)
         i = int(rng.integers(part.m))

@@ -231,8 +231,8 @@ class Assumption2Report:
         return f"step-size condition {status}; worst slack: {worst}"
 
 
-def check_assumption2(prefix: list, constants: LipschitzConstants, m: int,
-                      eq_tol: float = 1e-12) -> Assumption2Report:
+def check_assumption2(prefix: list, constants: LipschitzConstants,
+                      m: int) -> Assumption2Report:
     """Replay a schedule prefix against the step-size condition.
 
     Checks, for every k with a successor state in the prefix (blockwise,
@@ -245,7 +245,7 @@ def check_assumption2(prefix: list, constants: LipschitzConstants, m: int,
     - telescope: t^k (1/tau_i^k + mu_i)
                    >= t^{k+1} (1/tau_i^{k+1} + (1 - p_i) mu_i)
     - ratio:     t^k / sigma^k >= t^{k+1} / sigma^{k+1}
-    - weight:    t^{k+1} theta^{k+1} = t^k   (up to eq_tol, relative)
+    - weight:    t^{k+1} theta^{k+1} = t^k   (up to 1e-12, relative)
     - momentum:  theta^k in [1 - 1/m, 1]
 
     The telescope and ratio slacks are normalized by the magnitude of
@@ -285,7 +285,7 @@ def check_assumption2(prefix: list, constants: LipschitzConstants, m: int,
         lhs_ratio = s.t / s.sigma
         record("ratio", k, (lhs_ratio - s_next.t / s_next.sigma) / max(1.0, lhs_ratio))
         wt = abs(s_next.t * s_next.theta - s.t) / max(abs(s.t), 1.0)
-        record("weight", k, eq_tol - wt)
+        record("weight", k, 1e-12 - wt)
 
     satisfied = first is None
     return Assumption2Report(satisfied=satisfied, worst_slack=worst,

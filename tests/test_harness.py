@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dataclasses import replace
 from rapd.blockcore import BlockPartition
 from rapd.bregman import SquaredL2, Zero
 from rapd.exceptions import ConfigError, ParameterError, RegimeError
+from rapd.harness import cli
 from rapd.harness.cli import cli_main
 from rapd.harness.config import load_config, parse_config
 from rapd.harness.metrics import (fit_loglog, lagrangian_gap, rate_bound_delta1,
@@ -52,6 +54,11 @@ def without_keys(text, *keys):
 #: the block and dual function keys of BASE_CFG
 FH_KEYS = ("problem.f", "problem.f_param", "problem.h", "problem.h_param")
 
+#: BASE_CFG as a kernel problem of 40 points in 4 blocks
+KERNEL_CFG = without_keys(BASE_CFG, *FH_KEYS).replace(
+    "problem.type = quadratic_game", "problem.type = kernel").replace(
+    "problem.n = 8", "problem.n = 40").replace("problem.blocks = 2", "problem.blocks = 4")
+
 
 class TestConfig:
     def test_parse_and_defaults(self):
@@ -70,6 +77,13 @@ class TestConfig:
                          "problem.nn = 8\n")
         with pytest.raises(ConfigError, match="unknown key 'problem.fold_quadratic_into_f'"):
             parse_config(BASE_CFG + "problem.fold_quadratic_into_f = false\n")
+
+    def test_lipschitz_scale_key_rejected(self):
+        # the constants are not configurable: a deflated run would step past
+        # the bounds its step sizes rest on
+        with pytest.raises(ConfigError, match="line 3: unknown key 'method.lipschitz_scale'"):
+            parse_config("problem.type = bilinear_erm\nmethod.name = rapd1\n"
+                         "method.lipschitz_scale = 0.1\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -100,8 +114,8 @@ class TestConfig:
 
     #: a value other than the schema default for each method key
     METHOD_VALUES = {"method.alpha": "2", "method.c_tau": "0.5", "method.c_sigma": "0.5",
-                     "method.p": "0.75,0.25", "method.lipschitz_scale": "0.5",
-                     "method.tau": "0.1", "method.sigma": "0.1", "method.L": "3"}
+                     "method.p": "0.75,0.25", "method.tau": "0.1", "method.sigma": "0.1",
+                     "method.L": "3"}
 
     def _with_method_key(self, method, key):
         return (BASE_CFG.replace("method.name = rapd1", f"method.name = {method}")
@@ -125,8 +139,6 @@ class TestConfig:
         accepted += [(k, "pdhg") for k in ("method.alpha", "method.c_tau", "method.c_sigma",
                                            "method.tau", "method.sigma")]
         accepted += [("method.L", "mirror_prox")]
-        accepted += [("method.lipschitz_scale", m)
-                     for m in ("rapd1", "rapd2", "pdhg", "mirror_prox")]
         for key, method in accepted:
             parse_config(self._with_method_key(method, key))
         # a key the method does not read may still be written at its default
@@ -183,20 +195,6 @@ class TestConfig:
         assert p == pytest.approx([0.75, 0.25])
         with pytest.raises(ConfigError):
             cfg.probabilities(3)
-
-    def test_lipschitz_scale_every_type(self):
-        for kind, unread in (("quadratic_game", ()), ("bilinear_erm", ()),
-                             ("constrained", FH_KEYS[2:]), ("kernel", FH_KEYS)):
-            text = without_keys(BILINEAR_CFG.replace("bilinear_erm", kind).replace(
-                "problem.n = 8", "problem.n = 12"), *unread)
-            default, _, _ = build_problem_from_config(parse_config(text))
-            half, _, _ = build_problem_from_config(
-                parse_config(text + "method.lipschitz_scale = 0.5\n"))
-            a, b = default.constants, half.constants
-            assert np.array_equal(b.L_xx, 0.5 * a.L_xx), kind
-            assert np.array_equal(b.L_yx, 0.5 * a.L_yx), kind
-            assert b.L_yy == 0.5 * a.L_yy, kind
-            assert np.array_equal(b.mu, a.mu), kind
 
     def test_sampling_probabilities_reach_the_run(self):
         # non-uniform constant steps need a coupling linear in the dual
@@ -477,14 +475,56 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
-    def test_check_sees_deflated_constants(self, tmp_path):
-        # constants scaled below the true bounds fail the smoothness spot-check
+    def test_check_sees_deflated_constants(self, tmp_path, monkeypatch):
+        # the true constants pass the smoothness spot-check, the kernel's on
+        # the nonnegative B-ball its draws are projected into; constants
+        # below the true bounds fail it
+        from rapd.kernel_learning import KernelProblem
+        drawn = []
+        project = KernelProblem.project_primal_domain
+        monkeypatch.setattr(KernelProblem, "project_primal_domain",
+                            lambda self, x: drawn.append(x) or project(self, x))
+        assert cli_main(["check", "--config", str(self._write_cfg(tmp_path, KERNEL_CFG))]) == 0
+        assert len(drawn) == 200
         p = self._write_cfg(tmp_path, BILINEAR_CFG)
         assert cli_main(["check", "--config", str(p)]) == 0
-        p = self._write_cfg(tmp_path, BILINEAR_CFG + "method.lipschitz_scale = 0.1\n")
+
+        def deflated(cfg):
+            problem, x0, y0 = build_problem_from_config(cfg)
+            problem.constants = replace(problem.constants, L_yx=problem.constants.L_yx * 0.1)
+            return problem, x0, y0
+
+        monkeypatch.setattr(cli, "build_problem_from_config", deflated)
         assert cli_main(["check", "--config", str(p)]) == 4
-        p = self._write_cfg(tmp_path, BILINEAR_CFG + "method.lipschitz_scale = 0\n")
-        assert cli_main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+
+    def test_run_names_only_the_files_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for csv, summary, files in ((True, True, ["csv", "summary"]),
+                                    (False, True, ["summary"]),
+                                    (True, False, ["csv"]), (False, False, [])):
+            p = self._write_cfg(tmp_path, BASE_CFG + f"output.csv = {csv}\n"
+                                f"output.summary = {summary}\n")
+            assert cli_main(["run", "--config", str(p), "--seed", "0", "--out", str(out)]) == 0
+            line = capsys.readouterr().out.strip()
+            named = [str(out / f"rapd1_seed0.{ext}") for ext in files]
+            assert line.startswith(f"wrote {', '.join(named) or 'no files'} (50 iterations")
+            assert sorted(f.suffix[1:] for f in out.iterdir()) == files
+            for f in out.iterdir():
+                f.unlink()
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        p = self._write_cfg(tmp_path)
+        monkeypatch.setattr(cli, "suite_by_name",
+                            lambda name: SimpleNamespace(lines=lambda: ["report"], passed=True))
+        for command in (["run", "--config", str(p), "--out", str(blocker / "sub")],
+                        ["bench", "--suite", "bilinear", "--out", str(blocker / "sub")],
+                        ["oracle", "--config", str(p), "--out", str(blocker / "sub" / "c.npz")]):
+            assert cli_main(command) == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("cannot write output: "), command
+            assert str(blocker / "sub") in err[0], command
 
     def test_check_estimates_mirror_prox_constant(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path, BILINEAR_CFG.replace("method.name = rapd1",
@@ -494,12 +534,8 @@ class TestCli:
 
     def test_check_fails_where_mirror_prox_has_no_estimate(self, tmp_path, capsys):
         # the kernel coupling has no built-in estimate; check says so before run does
-        cfg = without_keys(BASE_CFG, *FH_KEYS).replace("problem.type = quadratic_game",
-                                                       "problem.type = kernel")
-        cfg = cfg.replace("method.name = rapd1", "method.name = mirror_prox")
-        cfg = cfg.replace("problem.n = 8", "problem.n = 40").replace(
-            "problem.blocks = 2", "problem.blocks = 4")
-        p = self._write_cfg(tmp_path, cfg)
+        p = self._write_cfg(tmp_path, KERNEL_CFG.replace("method.name = rapd1",
+                                                         "method.name = mirror_prox"))
         for command in (["check"], ["run", "--out", str(tmp_path / "out")]):
             assert cli_main(command + ["--config", str(p)]) == 1
             err = capsys.readouterr().err.splitlines()

@@ -15,13 +15,12 @@ def small_problem(**kw):
 
 def region_spot_check(prob, fraction):
     """Spot check on ``fraction`` of the region the coupling constants are
-    stated for: points ``~B/sqrt(n)`` per coordinate projected into the
-    nonnegative B-ball, block moves ``~B/m`` in norm."""
+    stated for: points ``~B/sqrt(n)`` per coordinate, which the check
+    projects into the nonnegative B-ball, block moves ``~B/m`` in norm."""
     n, m = prob.partition.n, prob.partition.m
     return lipschitz_spot_check(
         prob, draws=500, seed=0, x_scale=fraction * prob.B / np.sqrt(n),
-        v_scale=fraction * prob.B / m / np.sqrt(prob.partition.sizes[0]),
-        project_x=prob.project_primal_domain)
+        v_scale=fraction * prob.B / m / np.sqrt(prob.partition.sizes[0]))
 
 
 class TestKernelEval:
@@ -205,4 +204,9 @@ class TestProblemAssembly:
         ds = synth_dataset(60, 4, seed=2)
         with pytest.raises(ParameterError):
             build_kernel_problem(ds, lam=0.0)
+
+    def test_lipschitz_scale_validated(self):
+        for scale in (0.0, -0.1):
+            with pytest.raises(ParameterError, match="Lipschitz scale must be > 0"):
+                small_problem(lipschitz_scale=scale)
 
