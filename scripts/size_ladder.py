@@ -98,7 +98,6 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     slices = part.slices()
     dx = rng.standard_normal(part.sizes[0]) * 1e-12
     dy = rng.standard_normal(y0.size)
-    geom, f = problem.primal_geometry[0], problem.f
     out = {
         "n": n, "m": m, "n_i": part.sizes[0], "blas_threads": BLAS_THREADS,
         "block_gradient_us": per_call_us(
@@ -106,7 +105,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
         "product_update_us": per_call_us(
             lambda i: problem.grad_y_incremental(w, i, dx[:part.sizes[i]]), blocks),
         "block_prox_us": per_call_us(
-            lambda i: bregman_prox(geom, f[i], 0.1, dx[:part.sizes[i]], x[slices[i]]),
+            lambda i: problem.block_prox(i, 0.1, dx[:part.sizes[i]], x[slices[i]]),
             blocks),
         "dual_prox_us": per_call_us(
             lambda i: bregman_prox(problem.dual_geometry, problem.h, 0.1, dy, y0), blocks),

@@ -11,9 +11,8 @@ original point using the half-point's gradients, both with step 1/L; the
 ergodic average of the half-points is the rate-carrying output.
 
 Both make full passes with one call per oracle: the primal product
-``w = K x`` once per point, both gradients read off it, and the primal
-prox as one whole-vector prox when the problem allows it
-(:meth:`SaddleProblem.whole_primal_prox`), block by block otherwise.
+``w = K x`` once per point, both gradients read off it, and one
+:meth:`SaddleProblem.primal_prox`.
 """
 
 from __future__ import annotations
@@ -24,17 +23,6 @@ from .bregman import bregman_prox
 from .exceptions import ParameterError
 from .problem import SaddleProblem, estimate_operator_lipschitz
 from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
-
-
-def _full_primal_prox(problem, x, grad, tau):
-    whole = problem.whole_primal_prox()
-    if whole is not None:
-        return bregman_prox(*whole, tau, grad, x)
-    out = np.empty_like(x)
-    for i, sl in enumerate(problem.partition.slices()):
-        out[sl] = bregman_prox(problem.primal_geometry[i], problem.f[i],
-                               tau, grad[sl], x[sl])
-    return out
 
 
 def _constant_steps(tau: float, sigma: float):
@@ -67,7 +55,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
             g_prev = g
         s = 2.0 * g - g_prev
         y = bregman_prox(problem.dual_geometry, problem.h, sigma, -s, y)
-        x = _full_primal_prox(problem, x, problem.grad_x_cached(w, x, y), tau)
+        x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y), x)
         g_prev = g
         monitor.step(x, y)
     return monitor.finish(x, y)
@@ -92,12 +80,12 @@ def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,
     for _ in range(K):
         # half step at the current point
         w = problem.primal_product(x)
-        xh = _full_primal_prox(problem, x, problem.grad_x_cached(w, x, y), eta)
+        xh = problem.primal_prox(eta, problem.grad_x_cached(w, x, y), x)
         yh = bregman_prox(problem.dual_geometry, problem.h, eta,
                           -problem.grad_y_cached(w, x, y), y)
         # correction step from the current point, gradients at the half point
         wh = problem.primal_product(xh)
-        x = _full_primal_prox(problem, x, problem.grad_x_cached(wh, xh, yh), eta)
+        x = problem.primal_prox(eta, problem.grad_x_cached(wh, xh, yh), x)
         y = bregman_prox(problem.dual_geometry, problem.h, eta,
                          -problem.grad_y_cached(wh, xh, yh), y)
         monitor.step(x, y, xh, yh)

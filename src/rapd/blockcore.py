@@ -57,18 +57,19 @@ class BlockPartition:
 
     @staticmethod
     def even(n: int, m: int) -> "BlockPartition":
-        """Split ``n`` coordinates into ``m`` blocks, last block shorter
-        when ``m`` does not divide ``n``."""
+        """Split ``n`` coordinates into ``m`` blocks of ``ceil(n/m)`` from
+        the front, shortening blocks where fewer coordinates are left
+        than that and one for each block still to come: at most one size
+        lies strictly between 1 and ``ceil(n/m)``, and more than the last
+        block can be shorter (``even(10, 7)`` is ``2,2,2,1,1,1,1``)."""
         if not 1 <= m <= n:
             raise DimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
         base = -(-n // m)  # ceil
         sizes = []
         left = n
-        for _ in range(m):
-            take = min(base, left - 0)
+        for j in range(m):
             # keep exactly m nonempty blocks
-            remaining_blocks = m - len(sizes)
-            take = min(take, left - (remaining_blocks - 1))
+            take = min(base, left - (m - j - 1))
             sizes.append(take)
             left -= take
         return BlockPartition(sizes)

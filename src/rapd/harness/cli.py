@@ -100,11 +100,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # an unwritable directory fails before the suite runs
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
     report = suite_by_name(args.suite)
     for line in report.lines():
         print(line)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         with open(args.out / f"bench_{args.suite}.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(report.lines()) + "\n")
     return EXIT_OK if report.passed else EXIT_FAILURE
@@ -148,9 +150,10 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     problem, x0, y0 = build_problem_from_config(cfg)
-    cert = solve_high_accuracy(problem, tol=args.tol, x0=x0, y0=y0)
     out = args.out if args.out is not None else Path(cfg["output.dir"]) / "certificate.npz"
+    # an unwritable directory fails before the solve
     out.parent.mkdir(parents=True, exist_ok=True)
+    cert = solve_high_accuracy(problem, tol=args.tol, x0=x0, y0=y0)
     save_certificate(out, cert)
     print(f"certificate: residual {cert.kkt_residual:.3e} after {cert.iterations} "
           f"iterations (certified={cert.certified}) -> {out}")

@@ -8,9 +8,8 @@ which is computable for nonsmooth f, h and vanishes exactly at saddle
 points of the supported problem classes.
 
 Every point costs one primal product ``w = K x``, off which both
-gradients are read, and one prox per side: the primal prox is one
-whole-vector prox when the problem allows it
-(:meth:`SaddleProblem.whole_primal_prox`), block by block otherwise.
+gradients are read, and one prox per side: the primal side's is
+:meth:`SaddleProblem.primal_prox`.
 """
 
 from __future__ import annotations
@@ -50,22 +49,9 @@ def _gradients(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
 
 def _residual(problem, x, y, gx, gy) -> float:
     """The natural residual at ``(x, y)`` from the gradients there."""
-    rx = x - _prox_f_blocks(problem, x, gx, 1.0)
+    rx = x - problem.primal_prox(1.0, gx, x)
     ry = y - problem.h.prox_euclidean(1.0, y + gy)
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
-
-
-def _prox_f_blocks(problem: SaddleProblem, x: np.ndarray, grad: np.ndarray,
-                   step: float) -> np.ndarray:
-    """Blockwise Euclidean ``prox_{step f_i}(x_i - step grad_i)``, as a new
-    array; one prox on the whole vector when the problem allows it."""
-    whole = problem.whole_primal_prox()
-    if whole is not None:
-        return whole[1].prox_euclidean(step, x - step * grad)
-    out = np.empty_like(x)
-    for fi, sl in zip(problem.f, problem.partition.slices()):
-        out[sl] = fi.prox_euclidean(step, x[sl] - step * grad[sl])
-    return out
 
 
 def solve_quadratic_game_exact(P, Q, C, p, q) -> SaddleCertificate:
@@ -146,7 +132,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     it = 0
     while it < max_iters and best[0] > tol:
         it += 1
-        xh = _prox_f_blocks(problem, x, gx, eta)
+        xh = problem.primal_prox(eta, gx, x)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
         gxh, gyh = _gradients(problem, xh, yh)
         move = np.sqrt(np.sum((xh - x) ** 2) + np.sum((yh - y) ** 2))
@@ -155,7 +141,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             eta = max(eta * 0.5, floor)
             streak = 0
             continue
-        x = _prox_f_blocks(problem, x, gxh, eta)
+        x = problem.primal_prox(eta, gxh, x)
         y = problem.h.prox_euclidean(eta, y + eta * gyh)
         gx, gy = _gradients(problem, x, y)
         res = _residual(problem, x, y, gx, gy)

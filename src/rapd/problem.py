@@ -2,8 +2,10 @@
 
 A :class:`SaddleProblem` bundles everything the solvers consume: block
 partition, per-block nonsmooth terms ``f_i`` with their moduli, the dual
-term ``h``, the coupling, Lipschitz constants, and the Bregman geometries
-of both sides.
+term ``h``, the coupling, Lipschitz constants, the dual Bregman geometry
+and the primal prox.  The primal side is Euclidean, as in the paper:
+:meth:`SaddleProblem.block_prox` is the one primal prox formula, and
+:meth:`SaddleProblem.primal_prox` applies it to every block.
 
 A coupling implements six methods: ``phi_value``, the primal product
 ``w = K x`` (``primal_product``) and its move from one block
@@ -15,8 +17,8 @@ check of a stateless oracle checks the read-off a solver calls.
 
 A full pass (the baselines, the certificate oracle) makes one call per
 oracle: one primal product per point, both gradients read off it, and
-one prox on the whole primal vector when the blocks allow it
-(:meth:`SaddleProblem.whole_primal_prox`).
+one :meth:`SaddleProblem.primal_prox`, which is a single prox on the
+whole primal vector when the blocks allow it.
 
 Builders: bilinear empirical-risk coupling, quadratic two-player game,
 and the affinely constrained program reformulated with a dual-ball cap.
@@ -76,9 +78,13 @@ class SaddleProblem:
         self.f = list(f)
         self.h = h
         self.constants = constants
-        self.primal_geometry = [EuclideanGeometry(sz) for sz in partition.sizes]
         self.dual_geometry = dual_geometry or EuclideanGeometry(dual_dim)
-        self._whole_prox = None   # (f, primal_geometry, answer) of whole_primal_prox
+        # the f_i whose one prox on the whole vector is every block's prox:
+        # set when every f_i is a coordinatewise function of the type and
+        # parameters of f[0]; None = block by block
+        f0 = self.f[0]
+        self._whole_f = f0 if f0.coordinatewise and all(
+            type(fi) is type(f0) and vars(fi) == vars(f0) for fi in self.f) else None
 
     # -- coupling oracles ------------------------------------------------
     #
@@ -127,25 +133,31 @@ class SaddleProblem:
         """``grad_x(x, y)`` read off ``w = K x``, in one call."""
         raise NotImplementedError
 
+    # -- primal prox -----------------------------------------------------
+
+    def block_prox(self, i: int, step: float, grad: np.ndarray,
+                   x_i: np.ndarray) -> np.ndarray:
+        """The Euclidean prox step on block ``i``, as a new array:
+        ``argmin_u f_i(u) + <grad, u> + ||u - x_i||^2 / (2 step)``."""
+        if grad.shape != x_i.shape:
+            raise DimensionError(f"gradient of shape {grad.shape} for block {i} "
+                                 f"of shape {x_i.shape}")
+        return self.f[i].prox_euclidean(step, x_i - step * grad)
+
+    def primal_prox(self, step: float, grad: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """:meth:`block_prox` on every block at the whole gradient ``grad``,
+        as a new array; one prox on the whole vector when the blocks allow it."""
+        if grad.shape != x.shape:
+            raise DimensionError(f"gradient of shape {grad.shape} for the primal "
+                                 f"vector of shape {x.shape}")
+        if self._whole_f is not None:
+            return self._whole_f.prox_euclidean(step, x - step * grad)
+        out = np.empty_like(x)
+        for i, sl in enumerate(self.partition.slices()):
+            out[sl] = self.block_prox(i, step, grad[sl], x[sl])
+        return out
+
     # -- convenience -----------------------------------------------------
-
-    def whole_primal_prox(self):
-        """``(geometry, f)`` that make the blockwise primal prox one prox
-        on the whole vector, or None when it must run block by block.
-
-        The whole-vector prox is exact when every block is Euclidean and
-        every ``f_i`` is a coordinatewise function of the same type and
-        parameters as ``f[0]``.  Decided when first asked and kept while
-        ``f`` and ``primal_geometry`` stay the same objects."""
-        kept = self._whole_prox
-        if kept is None or kept[0] is not self.f or kept[1] is not self.primal_geometry:
-            f0 = self.f[0]
-            whole = (f0.coordinatewise
-                     and all(isinstance(g, EuclideanGeometry) for g in self.primal_geometry)
-                     and all(type(fi) is type(f0) and vars(fi) == vars(f0) for fi in self.f))
-            kept = self._whole_prox = (self.f, self.primal_geometry, (
-                EuclideanGeometry(self.partition.n), f0) if whole else None)
-        return kept[2]
 
     def f_value(self, x: np.ndarray) -> float:
         return sum(fi.value(x[sl]) for fi, sl in zip(self.f, self.partition.slices()))

@@ -78,14 +78,8 @@ def primal_block_step(problem: SaddleProblem, x: np.ndarray, y_next: np.ndarray,
         raise ParameterError(f"primal step must be > 0, got {tau_i}")
     sl = problem.partition.block_slice(i)
     out = x.copy()
-    out[sl] = _block_prox(problem, i, tau_i, problem.grad_x_block(i, x, y_next), x[sl])
+    out[sl] = problem.block_prox(i, tau_i, problem.grad_x_block(i, x, y_next), x[sl])
     return out
-
-
-def _block_prox(problem: SaddleProblem, i: int, tau_i: float, g: np.ndarray,
-                x_i: np.ndarray) -> np.ndarray:
-    """The prox of ``f_i`` in block ``i``'s geometry at gradient ``g``."""
-    return bregman_prox(problem.primal_geometry[i], problem.f[i], tau_i, g, x_i)
 
 
 def ergodic_average(xs_sum: np.ndarray, ys_sum: np.ndarray, count: int):
@@ -299,10 +293,9 @@ def _cache_drift(cached: np.ndarray, fresh: np.ndarray, k: int) -> float:
 
 
 def _geometry_note(problem) -> str:
-    kinds = {g.kind for g in problem.primal_geometry}
     dual = problem.dual_geometry
     parts = dual.parts if isinstance(dual, ProductGeometry) else [dual]
-    return f"primal={'/'.join(sorted(kinds))}, dual={'+'.join(g.kind for g in parts)}"
+    return f"primal=euclidean, dual={'+'.join(g.kind for g in parts)}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +319,6 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     if schedule.regime == "part2":
         if np.any(problem.constants.mu <= 0) or problem.constants.L_yy != 0:
             raise RegimeError("accelerated schedule needs mu_i > 0 and L_yy = 0")
-        for g in problem.primal_geometry:
-            if g.kind != "euclidean":
-                raise RegimeError("accelerated schedule is proven for the "
-                                  "euclidean primal geometry only")
     # constant steps stay as given and accelerated ones only grow in
     # reciprocal, so the first state's check covers every iteration
     if not np.all(schedule.tau > 0):
@@ -368,6 +357,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     x, y = monitor.start
     slices = part.slices()
     grad_block = problem.grad_x_block_cached
+    block_prox = problem.block_prox
     grad_y_at = problem.grad_y_cached
     incr = problem.grad_y_incremental
     # the primal product w = K x, moved forward block by block
@@ -384,7 +374,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         sl = slices[i_k]
         old = x[sl].copy()
         tau_i = tau0[i_k] if scale is None else 1.0 / (mu_p[i_k] * scale - mu_s[i_k])
-        new = _block_prox(problem, i_k, tau_i, grad_block(i_k, w, x, y), old)
+        new = block_prox(i_k, tau_i, grad_block(i_k, w, x, y), old)
         x[sl] = new
         incr(w, i_k, new - old)
         g_prev, g_cur = g_cur, grad_y_at(w, x, y)

@@ -94,12 +94,18 @@ class TestPartition:
         assert list(part.offsets) == [0, 2, 5, 6]
 
     def test_even_split(self):
-        # ceil-sized blocks, last block shorter when m does not divide n
-        part = BlockPartition.even(10, 4)
-        assert sum(part.sizes) == 10 and part.m == 4
-        assert part.sizes[-1] == min(part.sizes)
-        assert all(s == part.sizes[0] for s in part.sizes[:-1])
+        # ceil-sized blocks from the front; the properties fix the sizes
+        for n in range(1, 65):
+            for m in range(1, n + 1):
+                sizes = BlockPartition.even(n, m).sizes
+                base = -(-n // m)
+                assert len(sizes) == m and sum(sizes) == n and min(sizes) >= 1, (n, m)
+                assert list(sizes) == sorted(sizes, reverse=True), (n, m)
+                assert sizes[0] == base, (n, m)
+                assert sum(1 < s < base for s in sizes) <= 1, (n, m)
         assert BlockPartition.even(12, 4).sizes == (3, 3, 3, 3)
+        assert BlockPartition.even(10, 4).sizes == (3, 3, 3, 1)
+        assert BlockPartition.even(10, 7).sizes == (2, 2, 2, 1, 1, 1, 1)
 
     def test_bad_sizes(self):
         with pytest.raises(DimensionError):

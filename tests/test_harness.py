@@ -516,8 +516,13 @@ class TestCli:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         p = self._write_cfg(tmp_path)
-        monkeypatch.setattr(cli, "suite_by_name",
-                            lambda name: SimpleNamespace(lines=lambda: ["report"], passed=True))
+        # the work a command would write out must not run
+        ran = []
+        monkeypatch.setattr(cli, "suite_by_name", lambda name: ran.append(name) or (
+            SimpleNamespace(lines=lambda: ["report"], passed=True)))
+        solve = cli.solve_high_accuracy
+        monkeypatch.setattr(cli, "solve_high_accuracy",
+                            lambda *a, **kw: ran.append("oracle") or solve(*a, **kw))
         for command in (["run", "--config", str(p), "--out", str(blocker / "sub")],
                         ["bench", "--suite", "bilinear", "--out", str(blocker / "sub")],
                         ["oracle", "--config", str(p), "--out", str(blocker / "sub" / "c.npz")]):
@@ -525,6 +530,7 @@ class TestCli:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("cannot write output: "), command
             assert str(blocker / "sub") in err[0], command
+        assert ran == []
 
     def test_check_estimates_mirror_prox_constant(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path, BILINEAR_CFG.replace("method.name = rapd1",

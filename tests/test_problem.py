@@ -3,11 +3,11 @@ import copy
 import numpy as np
 import pytest
 
-from rapd.baselines import _full_primal_prox, mirror_prox_run, pdhg_run
+from rapd.baselines import mirror_prox_run, pdhg_run
 from rapd.blockcore import BlockPartition
-from rapd.bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry, IndicatorBall,
-                          IndicatorBox, IndicatorNonneg, IndicatorSimplex, L1,
-                          NonnegQuadratic, Separable, SquaredL2, Zero, bregman_prox)
+from rapd.bregman import (ConeDualBall, IndicatorBall, IndicatorBox, IndicatorNonneg,
+                          IndicatorSimplex, L1, NonnegQuadratic, Separable, SquaredL2,
+                          Zero)
 from rapd.exceptions import ParameterError
 from rapd.harness.config import parse_config
 from rapd.harness.suites import (bilinear_game, build_problem_from_config,
@@ -17,7 +17,7 @@ from rapd.kernel_learning import (KernelProblem, build_kernel_problem, dual_star
 from rapd.problem import (BilinearProblem, QuadraticGameProblem, ZERO_COUPLING_FLOOR,
                           build_bilinear_erm, build_constrained, build_quadratic_game,
                           grad_check, lipschitz_spot_check, spectral_norm)
-from rapd.oracle import _prox_f_blocks, kkt_residual, solve_high_accuracy
+from rapd.oracle import kkt_residual, solve_high_accuracy
 
 
 def config_problem(kind, n=12, m=3):
@@ -168,15 +168,20 @@ def uneven_bilinear(f):
     return build_bilinear_erm([A[:, sl] for sl in part.slices()], f, Zero(), partition=part)
 
 
-def block_loops(prob, x, g, t):
-    """The primal proxes of the baselines and of the oracle, one block at
-    a time."""
-    slices = prob.partition.slices()
-    geo, f = prob.primal_geometry, prob.f
-    return (np.concatenate([bregman_prox(geo[i], f[i], t, g[sl], x[sl])
-                            for i, sl in enumerate(slices)]),
-            np.concatenate([f[i].prox_euclidean(t, x[sl] - t * g[sl])
-                            for i, sl in enumerate(slices)]))
+def block_loop(prob, x, g, t):
+    """The blockwise Euclidean primal prox, written out one block at a time."""
+    return np.concatenate([f.prox_euclidean(t, x[sl] - t * g[sl])
+                           for f, sl in zip(prob.f, prob.partition.slices())])
+
+
+def prox_shapes(prob):
+    """A list that records the shape of the vector of every call to a block
+    function's prox from now on."""
+    shapes = []
+    for f in {id(f): f for f in prob.f}.values():
+        prox = f.prox_euclidean
+        f.prox_euclidean = lambda t, u, prox=prox: shapes.append(u.shape) or prox(t, u)
+    return shapes
 
 
 class TestFullPass:
@@ -228,13 +233,12 @@ class TestFullPass:
     def test_whole_prox_equals_block_loop(self, f):
         # equal functions that are different objects still share one prox
         prob = uneven_bilinear([copy.deepcopy(f) for _ in range(4)])
-        geom, whole_f = prob.whole_primal_prox()
-        assert geom.dim == 10 and type(whole_f) is type(f)
         rng = np.random.default_rng(6)
         x, g = rng.standard_normal(10), rng.standard_normal(10)
-        loop_b, loop_o = block_loops(prob, x, g, 0.3)
-        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), loop_b)
-        assert np.array_equal(_prox_f_blocks(prob, x, g, 0.3), loop_o)
+        expect = block_loop(prob, x, g, 0.3)
+        shapes = prox_shapes(prob)
+        assert np.array_equal(prob.primal_prox(0.3, g, x), expect)
+        assert shapes == [(10,)]
 
     @pytest.mark.parametrize("f", [
         [L1(0.3), L1(0.3), L1(0.5), L1(0.3)],
@@ -243,23 +247,14 @@ class TestFullPass:
     ], ids=["mixed-weights", "mixed-types", "ball"])
     def test_block_loop_kept(self, f):
         prob = uneven_bilinear(f)
-        assert prob.whole_primal_prox() is None
         rng = np.random.default_rng(7)
         x, g = rng.standard_normal(10), rng.standard_normal(10)
-        loop_b, loop_o = block_loops(prob, x, g, 0.3)
-        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), loop_b)
-        assert np.array_equal(_prox_f_blocks(prob, x, g, 0.3), loop_o)
-
-    def test_entropy_block_keeps_block_loop(self):
-        prob = uneven_bilinear([IndicatorNonneg() for _ in range(4)])
-        assert prob.whole_primal_prox() is not None
-        # a new geometry list is a new decision
-        prob.primal_geometry = [EuclideanGeometry(2), EntropyGeometry(3),
-                                EuclideanGeometry(1), EuclideanGeometry(4)]
-        assert prob.whole_primal_prox() is None
-        rng = np.random.default_rng(9)
-        x, g = np.abs(rng.standard_normal(10)) + 0.1, rng.standard_normal(10)
-        assert np.array_equal(_full_primal_prox(prob, x, g, 0.3), block_loops(prob, x, g, 0.3)[0])
+        expect = block_loop(prob, x, g, 0.3)
+        shapes = prox_shapes(prob)
+        assert np.array_equal(prob.primal_prox(0.3, g, x), expect)
+        assert shapes == [(2,), (3,), (1,), (4,)]
+        sl = prob.partition.block_slice(1)
+        assert np.array_equal(prob.block_prox(1, 0.3, g[sl], x[sl]), expect[sl])
 
 
 class TestQuadraticGame:

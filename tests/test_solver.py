@@ -4,9 +4,8 @@ from dataclasses import replace
 
 from rapd.blockcore import BlockPartition, weighted_norm_sq_raw
 from rapd.bregman import (EntropyGeometry, IndicatorBall, IndicatorNonneg,
-                          IndicatorSimplex, L1, SquaredL2, Zero, bregman_prox,
-                          EuclideanGeometry)
-from rapd.exceptions import DivergenceError, ParameterError, RegimeError
+                          IndicatorSimplex, L1, SquaredL2, Zero, bregman_prox)
+from rapd.exceptions import DimensionError, DivergenceError, ParameterError, RegimeError
 from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_residual
 from rapd.problem import BilinearProblem, build_bilinear_erm, build_quadratic_game
 from rapd.harness.config import parse_config
@@ -409,12 +408,27 @@ class TestRun:
         with pytest.raises(ParameterError):
             three_loops(small_bilinear())[name](0, np.ones(4))
 
-    def test_same_geometry_note(self):
-        # one entropy block: the note must cover every block, in every loop
-        prob = small_bilinear(f=[L1(0.3), Zero()])
-        prob.primal_geometry = [EuclideanGeometry(2), EntropyGeometry(2)]
-        notes = {loop(3, np.ones(4)).geometry_note for loop in three_loops(prob).values()}
-        assert notes == {"primal=euclidean/negative-entropy, dual=euclidean"}
+    @pytest.mark.parametrize("f", [[L1(0.3), L1(0.3)], [L1(0.3), SquaredL2(0.3)]],
+                             ids=["whole-vector", "block-loop"])
+    def test_primal_gradient_of_the_wrong_shape_rejected(self, f):
+        # one entry too many in the block or the whole primal gradient, on
+        # the one-prox path (equal f_i) and on the block loop (mixed f_i)
+        class LongGradient(BilinearProblem):
+            def grad_x_block_cached(self, i, w, x, y):
+                return np.append(super().grad_x_block_cached(i, w, x, y), 0.0)
+
+            def grad_x_cached(self, w, x, y):
+                return np.append(super().grad_x_cached(w, x, y), 0.0)
+
+        part = BlockPartition.even(4, 2)
+        A = np.random.default_rng(5).standard_normal((4, 4))
+        prob = LongGradient([A[:, sl] for sl in part.slices()], f, IndicatorBall(2.0),
+                            partition=part)
+        for loop in three_loops(prob).values():
+            with pytest.raises(DimensionError):
+                loop(3, np.ones(4))
+        with pytest.raises(DimensionError):
+            primal_block_step(prob, np.ones(4), np.zeros(4), 0, 0.3)
 
     def test_geometry_note_names_the_product_dual_parts(self, tmp_path):
         # the kernel dual is entropy on the weights times a free scalar; the
