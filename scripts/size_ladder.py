@@ -25,7 +25,11 @@ For each rung it reports
   cost of m rapd iterations (one epoch, a pass worth of blocks) over one
   pdhg iteration; the paper's cost claim is that it is about 1;
 - ``blas_threads``: the BLAS threads every phase ran on.  One, so the
-  full pass and the block update run on equal cores.
+  full pass and the block update run on equal cores;
+- on kernel rungs, ``oracle_iterations``, ``oracle_s`` and
+  ``oracle_certified``: the cost of the 1e-10 certificate
+  (``solve_high_accuracy`` from ``x0 = 0`` and ``dual_start``) that a
+  time-to-target check at that n measures against.
 
 Run from the repository root:
 
@@ -58,6 +62,7 @@ from rapd.blockcore import BlockPartition  # noqa: E402
 from rapd.bregman import bregman_prox  # noqa: E402
 from rapd.harness.suites import _KERNEL_LIPSCHITZ_SCALE  # noqa: E402
 from rapd.kernel_learning import dual_start  # noqa: E402
+from rapd.oracle import solve_high_accuracy  # noqa: E402
 from rapd.problem import spectral_norm  # noqa: E402
 
 N, D = 16384, 512
@@ -142,8 +147,16 @@ def bilinear_ladder(K: int, seed: int):
         yield rung(problem, np.zeros(N), y0, (step, step), PDHG_RUN["bilinear"], K, seed)
 
 
-def kernel_ladder(K: int, seed: int):
-    for n in KERNEL_RUNGS:
+def oracle_columns(problem, x0, y0) -> dict:
+    """Iterations and seconds of the 1e-10 certificate from ``(x0, y0)``."""
+    tic = time.perf_counter()
+    cert = solve_high_accuracy(problem, tol=1e-10, x0=x0, y0=y0)
+    return {"oracle_iterations": cert.iterations, "oracle_s": time.perf_counter() - tic,
+            "oracle_certified": cert.certified}
+
+
+def kernel_ladder(K: int, seed: int, rungs=KERNEL_RUNGS):
+    for n in rungs:
         problem = build_kernel_problem(synth_dataset(n_tr=n, d=10, seed=7), lam=1.0,
                                        m_blocks=KERNEL_BLOCKS, dual_geometry="entropy",
                                        lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)
@@ -151,8 +164,9 @@ def kernel_ladder(K: int, seed: int):
         s1 = part1_schedule(c, m, default_alpha(c))
         # the benchmark's pdhg steps: rapd1's smallest primal step, m times its dual step
         steps = (float(s1.tau.min()), s1.sigma * m)
-        yield rung(problem, np.zeros(n), dual_start(problem), steps, PDHG_RUN["kernel"],
-                   K, seed)
+        x0, y0 = np.zeros(n), dual_start(problem)
+        yield {**rung(problem, x0, y0, steps, PDHG_RUN["kernel"], K, seed),
+               **oracle_columns(problem, x0, y0)}
 
 
 LADDERS = {

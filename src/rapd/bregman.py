@@ -193,6 +193,12 @@ class IndicatorBox(ProxFriendlyFunction):
         return np.clip(x, self.lo, self.hi)
 
 
+def _norm(u: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float vector, bit for bit: numpy takes
+    it as ``sqrt(u.dot(u))``, without the call's dispatch."""
+    return math.sqrt(float(u @ u))
+
+
 class IndicatorBall(ProxFriendlyFunction):
     kind = "indicator-ball"
 
@@ -205,13 +211,13 @@ class IndicatorBall(ProxFriendlyFunction):
         return 0.0
 
     def prox_euclidean(self, t, u):
-        nrm = float(np.linalg.norm(u))
+        nrm = _norm(u)
         if nrm <= self.radius:
             return u.copy()
         return u * (self.radius / nrm)
 
     def feasibility_gap(self, x):
-        return max(float(np.linalg.norm(x)) - self.radius, 0.0)
+        return max(_norm(x) - self.radius, 0.0)
 
     def project_domain(self, x):
         return self.prox_euclidean(1.0, np.asarray(x, dtype=float))
@@ -294,14 +300,14 @@ class ConeDualBall(ProxFriendlyFunction):
 
     def prox_euclidean(self, t, u):
         w = np.maximum(u, 0.0)
-        nrm = float(np.linalg.norm(w))
+        nrm = _norm(w)
         if nrm > self.bound:
             w *= self.bound / nrm
         return w
 
     def feasibility_gap(self, x):
         return float(np.maximum(-x, 0.0).max(initial=0.0)
-                     + max(np.linalg.norm(np.maximum(x, 0.0)) - self.bound, 0.0))
+                     + max(_norm(np.maximum(x, 0.0)) - self.bound, 0.0))
 
     def project_domain(self, x):
         return self.prox_euclidean(1.0, np.asarray(x, dtype=float))
@@ -317,25 +323,29 @@ class Separable(ProxFriendlyFunction):
         # parts: list of (function, size)
         self.parts = [(f, int(sz)) for f, sz in parts]
         self.modulus = min(f.modulus for f, _ in self.parts)
-        self._offsets = np.concatenate([[0], np.cumsum([sz for _, sz in self.parts])])
-
-    def _split(self, x):
-        return [x[self._offsets[j]:self._offsets[j + 1]] for j in range(len(self.parts))]
+        ends = np.cumsum([sz for _, sz in self.parts]).tolist()
+        self._size = ends[-1]
+        # each part with the Python slice of its coordinates
+        self._pieces = [(f, slice(lo, hi))
+                        for (f, _), lo, hi in zip(self.parts, [0] + ends, ends)]
 
     def value(self, x):
-        return sum(f.value(seg) for (f, _), seg in zip(self.parts, self._split(x)))
+        return sum(f.value(x[sl]) for f, sl in self._pieces)
 
     def prox_euclidean(self, t, u):
-        return np.concatenate([f.prox_euclidean(t, seg)
-                               for (f, _), seg in zip(self.parts, self._split(u))])
+        out = np.empty(self._size)
+        for f, sl in self._pieces:
+            out[sl] = f.prox_euclidean(t, u[sl])
+        return out
 
     def feasibility_gap(self, x):
-        return max(f.feasibility_gap(seg)
-                   for (f, _), seg in zip(self.parts, self._split(x)))
+        return max(f.feasibility_gap(x[sl]) for f, sl in self._pieces)
 
     def project_domain(self, x):
-        return np.concatenate([f.project_domain(seg)
-                               for (f, _), seg in zip(self.parts, self._split(x))])
+        out = np.empty(self._size)
+        for f, sl in self._pieces:
+            out[sl] = f.project_domain(x[sl])
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ gradients are read, and one prox per side: the primal side's is
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bregman import _norm
 from .exceptions import ConfigError, ParameterError
 from .problem import SaddleProblem, estimate_operator_lipschitz
 
@@ -51,7 +53,7 @@ def _residual(problem, x, y, gx, gy) -> float:
     """The natural residual at ``(x, y)`` from the gradients there."""
     rx = x - problem.primal_prox(1.0, gx, x)
     ry = y - problem.h.prox_euclidean(1.0, y + gy)
-    return float(np.linalg.norm(rx) + np.linalg.norm(ry))
+    return _norm(rx) + _norm(ry)
 
 
 def solve_quadratic_game_exact(P, Q, C, p, q) -> SaddleCertificate:
@@ -87,7 +89,7 @@ def solve_quadratic_game_exact(P, Q, C, p, q) -> SaddleCertificate:
 #: the contraction premise of the extragradient step at the local
 #: Lipschitz constant of the smooth map F
 _NU = 0.9
-#: consecutive validated steps before the step is allowed to grow back
+#: consecutive validated steps before the step doubles
 _GROW_AFTER = 50
 
 
@@ -98,12 +100,14 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     """Deterministic extragradient with a safeguarded step.
 
     Steps start at ``1/L`` when a constant is known (or supplied) and at
-    1e-2 otherwise.  A trial halving test guards each iteration: the half
-    step is rejected and the step halved (floor 1e-12) whenever
+    1e-2 otherwise.  A contraction test guards every step: the half step
+    is rejected and the step halved (floor 1e-12) whenever
     ``eta * ||F(z) - F(zhat)|| > 0.9 * ||z - zhat||``, i.e. whenever the
-    step exceeds the local inverse Lipschitz constant of the smooth map;
-    after 50 consecutive validated steps the step may double back toward
-    its initial value.  The natural residual certifies the answer and the
+    step exceeds the local inverse Lipschitz constant of the smooth map.
+    After 50 consecutive validated steps the step doubles, past its start
+    too, since the test validates each step however it was reached; a
+    ceiling of 1e12 keeps it finite where the map is constant and no step
+    is ever rejected.  The natural residual certifies the answer and the
     best point seen is returned, flagged ``certified=False`` when
     ``max_iters`` ran out first.
     """
@@ -120,9 +124,8 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             L = estimate_operator_lipschitz(problem)
         except ParameterError:
             L = None
-    eta0 = 1.0 / L if (L is not None and L > 0) else 1e-2
-    eta = eta0
-    floor = 1e-12
+    eta = 1.0 / L if (L is not None and L > 0) else 1e-2
+    floor, ceiling = 1e-12, 1e12
 
     # the gradients at the accepted point serve its residual and the next step
     gx, gy = _gradients(problem, x, y)
@@ -135,8 +138,9 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
         xh = problem.primal_prox(eta, gx, x)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
         gxh, gyh = _gradients(problem, xh, yh)
-        move = np.sqrt(np.sum((xh - x) ** 2) + np.sum((yh - y) ** 2))
-        drift = np.sqrt(np.sum((gxh - gx) ** 2) + np.sum((gyh - gy) ** 2))
+        dx, dy, ex, ey = xh - x, yh - y, gxh - gx, gyh - gy
+        move = math.sqrt(float(dx @ dx) + float(dy @ dy))
+        drift = math.sqrt(float(ex @ ex) + float(ey @ ey))
         if eta * drift > _NU * move and eta > floor and move > 0:
             eta = max(eta * 0.5, floor)
             streak = 0
@@ -148,8 +152,8 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
         if res < best[0]:
             best = (res, x.copy(), y.copy())
         streak += 1
-        if streak >= _GROW_AFTER and eta < eta0:
-            eta = min(eta * 2.0, eta0)
+        if streak >= _GROW_AFTER and eta < ceiling:
+            eta = min(eta * 2.0, ceiling)
             streak = 0
 
     res, x, y = best

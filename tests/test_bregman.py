@@ -186,6 +186,55 @@ class TestProx:
                     assert obj(cand) >= base - 1e-8
 
 
+class TestNormsAndSeparable:
+    def test_ball_norms_equal_numpy_bitwise(self):
+        # the balls take sqrt(u @ u), which numpy's norm also computes
+        rng = np.random.default_rng(21)
+        ball, cone = IndicatorBall(1.0), ConeDualBall("nonneg", 1.0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            u = rng.standard_normal(n) * 10.0 ** rng.uniform(-200, 150)
+            assert bregman._norm(u) == float(np.linalg.norm(u))
+            assert ball.feasibility_gap(u) == max(float(np.linalg.norm(u)) - 1.0, 0.0)
+            nrm = float(np.linalg.norm(u))
+            expect = u.copy() if nrm <= 1.0 else u * (1.0 / nrm)
+            assert np.array_equal(ball.prox_euclidean(1.0, u), expect)
+            w = np.maximum(u, 0.0)
+            nrm = float(np.linalg.norm(w))
+            if nrm > 1.0:
+                w *= 1.0 / nrm
+            assert np.array_equal(cone.prox_euclidean(1.0, u), w)
+            assert cone.feasibility_gap(u) == float(
+                np.maximum(-u, 0.0).max(initial=0.0)
+                + max(np.linalg.norm(np.maximum(u, 0.0)) - 1.0, 0.0))
+
+    @pytest.mark.parametrize("parts", [
+        [(IndicatorSimplex(2.0), 3), (Zero(), 1)],
+        [(IndicatorBall(0.5), 2), (L1(0.3), 3)],
+    ])
+    def test_separable_prox_is_the_parts_side_by_side(self, parts):
+        h = Separable(parts)
+        rng = np.random.default_rng(22)
+        n = sum(sz for _, sz in parts)
+        for _ in range(200):
+            u = rng.standard_normal(n) * 3
+            t = float(10 ** rng.uniform(-2, 1))
+            expect, lo = [], 0
+            for f, sz in parts:
+                expect.append(f.prox_euclidean(t, u[lo:lo + sz]))
+                lo += sz
+            out = h.prox_euclidean(t, u)
+            assert np.array_equal(out, np.concatenate(expect))
+            assert out.dtype == np.float64
+
+    def test_separable_prox_of_zeros_is_a_new_array(self):
+        h = Separable([(Zero(), 2), (Zero(), 3)])
+        u = np.arange(5.0)
+        for out in (h.prox_euclidean(1.0, u), h.project_domain(u)):
+            assert np.array_equal(out, u)
+            assert not np.shares_memory(out, u)
+
+
 class TestThreePoint:
     def test_equality_at_minimizer(self):
         g = EuclideanGeometry(1)

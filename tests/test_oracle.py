@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from rapd.blockcore import BlockPartition
-from rapd.bregman import IndicatorBall, L1, SquaredL2
+from rapd.bregman import IndicatorBall, IndicatorBox, L1, SquaredL2
 from rapd.exceptions import ParameterError
+from rapd.harness.suites import part1_suite_problem
 from rapd.oracle import (kkt_residual, load_certificate, save_certificate,
                          solve_high_accuracy, solve_quadratic_game_exact)
-from rapd.problem import build_quadratic_game
+from rapd.problem import build_quadratic_game, estimate_operator_lipschitz
 
 
 class TestExactSolve:
@@ -113,6 +114,29 @@ class TestExtragradient:
         cert = solve_high_accuracy(prob, tol=1e-10)
         assert cert.certified
         assert kkt_residual(prob, cert.x_star, cert.y_star) <= 1e-10
+
+    def test_step_grows_past_a_pessimistic_start(self):
+        # a constant 100x too large starts the step 100x too small; the
+        # step doubles past that start (8,955 iterations when it could not)
+        problem, _, _ = part1_suite_problem()
+        L = 100 * estimate_operator_lipschitz(problem)
+        cert = solve_high_accuracy(problem, tol=1e-10, L=L, max_iters=1000)
+        assert cert.certified
+        assert cert.kkt_residual <= 1e-10
+
+    def test_constant_map_certificate_stays_finite(self):
+        # C = P = Q = 0: the map is the constant (p, 0), so its drift is 0
+        # and no step is ever rejected; the saddle point is the box vertex
+        # -sign(p), reached only once the step has grown far past 1e-2
+        part = BlockPartition.even(4, 2)
+        p = np.array([1e-6, -2e-6, 3e-6, -1e-6])
+        prob = build_quadratic_game(np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 4)),
+                                    p, np.zeros(2), part, f=[IndicatorBox(-1.0, 1.0)] * 2)
+        cert = solve_high_accuracy(prob, tol=1e-10, max_iters=5000)
+        assert cert.certified
+        assert np.array_equal(cert.x_star, -np.sign(p))
+        assert np.array_equal(cert.y_star, np.zeros(2))
+        assert cert.kkt_residual == 0.0
 
     def test_budget_exhaustion_flags_uncertified(self):
         prob = TestKktResidual()._problem()

@@ -60,3 +60,11 @@ class TestSizeLadder:
         assert (out["n"], out["m"], out["n_i"]) == (32, 8, 4)
         assert all(np.isfinite(v) and v >= 0 for v in out.values())
         assert out["dual_prox_us"] > 0
+
+    def test_kernel_rung_reports_its_certificate(self):
+        ladder = load_script("size_ladder")
+        out = next(ladder.kernel_ladder(K=200, seed=0, rungs=(40,)))
+        assert (out["n"], out["m"]) == (40, 10)
+        assert out["oracle_certified"] is True
+        assert out["oracle_iterations"] > 0
+        assert out["oracle_s"] > 0
