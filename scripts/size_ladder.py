@@ -155,8 +155,8 @@ def oracle_columns(problem, x0, y0) -> dict:
             "oracle_certified": cert.certified}
 
 
-def kernel_ladder(K: int, seed: int, rungs=KERNEL_RUNGS):
-    for n in rungs:
+def kernel_ladder(K: int, seed: int):
+    for n in KERNEL_RUNGS:
         problem = build_kernel_problem(synth_dataset(n_tr=n, d=10, seed=7), lam=1.0,
                                        m_blocks=KERNEL_BLOCKS, dual_geometry="entropy",
                                        lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)

@@ -91,6 +91,10 @@ def solve_quadratic_game_exact(P, Q, C, p, q) -> SaddleCertificate:
 _NU = 0.9
 #: consecutive validated steps before the step doubles
 _GROW_AFTER = 50
+#: the smallest certifiable tolerance relative to the iterate's scale:
+#: float64 resolves a residual at ``(x, y)`` only down to about
+#: ``eps * max(|x|, |y|)``, and this keeps a 45x margin above it
+_ATTAINABLE = 1e-14
 
 
 def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
@@ -109,9 +113,12 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
     ceiling of 1e12 keeps it finite where the map is constant and no step
     is ever rejected.  The natural residual certifies the answer and the
     best point seen is returned, flagged ``certified=False`` when
-    ``max_iters`` ran out first.
+    ``max_iters`` ran out first, or when float64 cannot resolve ``tol``
+    at the point's scale (``tol < 1e-14 * max(|x|, |y|)``): an iterate
+    that escapes to infinity, where no saddle point exists, rounds
+    ``x - prox(x - g)`` to 0, and that zero is not a certificate.
     """
-    if tol < 1e-14:
+    if tol < _ATTAINABLE:
         raise ParameterError(f"tolerance {tol} below attainable accuracy")
     x, y = problem.initial_point(x0, y0)
     # start inside the domains
@@ -157,9 +164,11 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
             streak = 0
 
     res, x, y = best
+    scale = max(float(np.max(np.abs(x), initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
     return SaddleCertificate(x_star=x, y_star=y, kkt_residual=res,
                              method="extragradient", tol=tol,
-                             certified=bool(res <= tol), iterations=it)
+                             certified=bool(res <= tol) and _ATTAINABLE * scale <= tol,
+                             iterations=it)
 
 
 def save_certificate(path, cert: SaddleCertificate) -> None:

@@ -138,6 +138,16 @@ class TestExtragradient:
         assert np.array_equal(cert.y_star, np.zeros(2))
         assert cert.kkt_residual == 0.0
 
+    def test_escape_to_infinity_is_not_certified(self):
+        # C = P = Q = 0, p = 1, no f or h: no saddle point exists and the
+        # iterate escapes at a growing step until x - prox(x - g) rounds
+        # to 0; that zero residual is below float64's resolution there
+        part = BlockPartition.even(4, 2)
+        prob = build_quadratic_game(np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 4)),
+                                    np.ones(4), np.zeros(2), part)
+        cert = solve_high_accuracy(prob, tol=1e-10, max_iters=20_000)
+        assert not cert.certified
+
     def test_budget_exhaustion_flags_uncertified(self):
         prob = TestKktResidual()._problem()
         cert = solve_high_accuracy(prob, tol=1e-10, max_iters=3)
