@@ -16,7 +16,8 @@ For each rung it reports
 - the block phases alone, each averaged over 2000 random blocks: the
   block gradient read off the cached primal product, the product's
   update from one block, and the block prox;
-- the dual prox on the whole dual vector, averaged over as many calls;
+- the dual prox on the whole dual vector, averaged over as many calls:
+  the step the loops bind once per run (``dual_geometry.stepper(h)``);
 - the fastest and the median per-iteration chunk of ``run`` in both step
   regimes (records every 50 iterations) and of ``pdhg_run``, the
   deterministic full pass, with the benchmark's steps for it;
@@ -59,7 +60,6 @@ from rapd import (IndicatorSimplex, RunOptions, SquaredL2, build_bilinear_erm,  
                   build_kernel_problem, default_alpha, part1_schedule, part2_init,
                   pdhg_run, run, synth_dataset)
 from rapd.blockcore import BlockPartition  # noqa: E402
-from rapd.bregman import bregman_prox  # noqa: E402
 from rapd.harness.suites import _KERNEL_LIPSCHITZ_SCALE  # noqa: E402
 from rapd.kernel_learning import dual_start  # noqa: E402
 from rapd.oracle import solve_high_accuracy  # noqa: E402
@@ -103,6 +103,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     slices = part.slices()
     dx = rng.standard_normal(part.sizes[0]) * 1e-12
     dy = rng.standard_normal(y0.size)
+    dual_step = problem.dual_geometry.stepper(problem.h)
     out = {
         "n": n, "m": m, "n_i": part.sizes[0], "blas_threads": BLAS_THREADS,
         "block_gradient_us": per_call_us(
@@ -112,8 +113,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
         "block_prox_us": per_call_us(
             lambda i: problem.block_prox(i, 0.1, dx[:part.sizes[i]], x[slices[i]]),
             blocks),
-        "dual_prox_us": per_call_us(
-            lambda i: bregman_prox(problem.dual_geometry, problem.h, 0.1, dy, y0), blocks),
+        "dual_prox_us": per_call_us(lambda i: dual_step(0.1, dy, y0), blocks),
         "full_product_us": per_call_us(lambda i: problem.primal_product(x), blocks[:20]),
     }
     c = problem.constants

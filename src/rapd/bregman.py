@@ -12,6 +12,9 @@ for every prox-friendly ``f`` it supports.  The convention used throughout:
 
 so that for the Euclidean geometry and ``f = 0`` the minimizer is exactly
 ``xbar - t*s``.
+
+:func:`bregman_prox` is the checked public entry; the solvers' loops bind
+``geom.stepper(f)`` once per run, checked there, and call it unchecked.
 """
 
 from __future__ import annotations
@@ -361,7 +364,6 @@ class BregmanGeometry:
         if dim < 1:
             raise DimensionError(f"geometry dimension must be >= 1, got {dim}")
         self.dim = int(dim)
-        self._shape = (self.dim,)
 
     def dist(self, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
@@ -369,12 +371,20 @@ class BregmanGeometry:
     def prox(self, f: ProxFriendlyFunction, t: float, s: np.ndarray, xbar: np.ndarray) -> np.ndarray:
         """The generalized prox (see :func:`bregman_prox`), after checking
         the shapes and ``t > 0``."""
-        s, xbar = self._inputs(t, s, xbar)
-        return self._step(f, t, s, xbar)
+        s, xbar = np.asarray(s, dtype=float), np.asarray(xbar, dtype=float)
+        self._check(s, xbar)
+        if not t > 0:
+            raise ParameterError(f"prox step must be > 0, got {t}")
+        return self.stepper(f)(t, s, xbar)
+
+    def stepper(self, f: ProxFriendlyFunction):
+        """``step(t, s, xbar)``, the prox for ``f`` on float vectors of this
+        geometry's shape and ``t > 0``, neither checked per call; a geometry
+        that pairs with some functions only checks ``f`` here, once."""
+        return functools.partial(self._step, f)
 
     def _step(self, f, t, s, xbar):
-        """The prox on float vectors of this geometry's shape, ``t > 0``,
-        without checking either."""
+        """The prox, unchecked (see :meth:`stepper`)."""
         raise NotImplementedError
 
     def ref_norm(self, u: np.ndarray) -> float:
@@ -387,16 +397,6 @@ class BregmanGeometry:
                 raise DimensionError(
                     f"{self.kind} geometry of dim {self.dim} got shape {np.asarray(v).shape}"
                 )
-
-    def _inputs(self, t, s, xbar):
-        """``s`` and ``xbar`` as float arrays, after checking their shapes
-        and ``t > 0``."""
-        s, xbar = np.asarray(s, dtype=float), np.asarray(xbar, dtype=float)
-        if s.shape != self._shape or xbar.shape != self._shape:
-            self._check(s, xbar)
-        if not t > 0:
-            raise ParameterError(f"prox step must be > 0, got {t}")
-        return s, xbar
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim}>"
@@ -472,7 +472,6 @@ class ProductGeometry(BregmanGeometry):
         super().__init__(sum(g.dim for g in self.parts))
         ends = np.cumsum([g.dim for g in self.parts]).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-        self._plan = None   # (function, steps) of the last prox
 
     def _split(self, x):
         x = np.asarray(x, dtype=float)
@@ -486,23 +485,8 @@ class ProductGeometry(BregmanGeometry):
         # l2 combination of the segment reference norms
         return float(np.sqrt(sum(g.ref_norm(seg) ** 2 for g, seg in zip(self.parts, self._split(u)))))
 
-    def prox(self, f, t, s, xbar):
-        s, xbar = self._inputs(t, s, xbar)
-        plan, simplex = self._plan_for(f)
-        if simplex is not None:
-            return _simplex_and_free_step(simplex, t, s.tolist(), xbar.tolist())
-        out = np.empty(self.dim)
-        for g, fj, sl in plan:
-            out[sl] = g._step(fj, t, s[sl], xbar[sl])
-        return out
-
-    def _plan_for(self, f):
-        """The per-part ``(geometry, function, slice)`` steps for ``f`` and
-        the simplex of :func:`_simplex_and_free_step` where it applies, else
-        None; checked when ``f`` is first seen and kept while it stays the
-        same object."""
-        if self._plan is not None and self._plan[0] is f:
-            return self._plan[1:]
+    def stepper(self, f):
+        """Checks that ``f`` splits over the parts; see the base class."""
         if isinstance(f, Separable):
             pieces = f.parts
         elif isinstance(f, Zero):
@@ -511,21 +495,27 @@ class ProductGeometry(BregmanGeometry):
             raise DomainError("product geometry needs a separable function")
         if [sz for _, sz in pieces] != [g.dim for g in self.parts]:
             raise DimensionError("separable part sizes do not match product geometry")
-        kinds = [(type(g), type(fj)) for g, (fj, _) in zip(self.parts, pieces)]
         # numpy sums fewer than 8 entries left to right, as the fused step does
-        fused = (kinds == [(EntropyGeometry, IndicatorSimplex), (EuclideanGeometry, Zero)]
-                 and pieces[0][1] < 8 and pieces[1][1] == 1)
-        self._plan = (f, [(g, fj, sl) for g, (fj, _), sl
-                          in zip(self.parts, pieces, self._slices)],
-                      pieces[0][0] if fused else None)
-        return self._plan[1:]
+        if ([(type(g), type(fj)) for g, (fj, _) in zip(self.parts, pieces)]
+                == [(EntropyGeometry, IndicatorSimplex), (EuclideanGeometry, Zero)]
+                and pieces[0][1] < 8 and pieces[1][1] == 1):
+            return functools.partial(_simplex_and_free_step, pieces[0][0])
+        steps = [(g._step, fj, sl) for g, (fj, _), sl in zip(self.parts, pieces, self._slices)]
+
+        def step(t, s, xbar):
+            out = np.empty(self.dim)
+            for part_step, fj, sl in steps:
+                out[sl] = part_step(fj, t, s[sl], xbar[sl])
+            return out
+        return step
 
 
 def _simplex_and_free_step(simplex, t, s, xbar):
     """The entropic ``simplex`` step on all but the last of ``s`` and ``xbar``
-    (float lists) and the free Euclidean step on the last: the part steps'
-    IEEE operations in their order, with one ``np.exp`` call (``math.exp``
-    rounds differently), raising where they raise."""
+    and the free Euclidean step on the last: the part steps' IEEE
+    operations in their order, on Python floats, with one ``np.exp`` call
+    (``math.exp`` rounds differently), raising where they raise."""
+    s, xbar = s.tolist(), xbar.tolist()
     centre = xbar[:-1]
     if any(v <= 0 for v in centre):   # not min(): a NaN must not hide a v <= 0
         raise DomainError("entropy prox center must be strictly positive")

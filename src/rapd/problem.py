@@ -171,9 +171,14 @@ class SaddleProblem:
         return x
 
     def initial_point(self, x0=None, y0=None):
-        """Float copies of ``(x0, y0)``; zeros where a start is not given."""
-        x = np.zeros(self.partition.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-        y = np.zeros(self.dual_dim) if y0 is None else np.asarray(y0, dtype=float).copy()
+        """Float copies of ``(x0, y0)``, checked for shape; zeros where a
+        start is not given."""
+        x = np.zeros(self.partition.n) if x0 is None else np.array(x0, dtype=float)
+        y = np.zeros(self.dual_dim) if y0 is None else np.array(y0, dtype=float)
+        if x.shape != (self.partition.n,) or y.shape != (self.dual_dim,):
+            raise DimensionError(
+                f"start of shapes {x.shape} and {y.shape}; the problem needs "
+                f"({self.partition.n},) and ({self.dual_dim},)")
         return x, y
 
 

@@ -96,8 +96,9 @@ class TestMirrorProx:
 
         with pytest.raises(ParameterError):
             estimate_operator_lipschitz(Weird())
-        with pytest.raises(ParameterError):
-            mirror_prox_run(scalar_bilinear(), 0.0, 5)
+        for L in (0.0, np.inf, np.nan):   # an infinite L would make every step 0
+            with pytest.raises(ParameterError):
+                mirror_prox_run(scalar_bilinear(), L, 5)
 
     def test_best_gap_running_minimum(self):
         from rapd.harness.suites import part1_suite_problem

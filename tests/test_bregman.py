@@ -353,8 +353,8 @@ class TestProductGeometry:
             bregman_prox(pg, h, 1.0, np.array([np.nan, 0, 0, 0]), y)
 
     def test_cached_plan_serves_one_function(self):
-        # the plan is kept for the function it was checked for; every
-        # other function is checked and served its own parts
+        # every function is checked and served its own parts, whichever
+        # function the geometry served before
         pg, h = self.dual_pair()
         s, y = np.array([0.5, -0.5, 0.0, 2.0]), np.array([0.2, 0.3, 0.5, 1.0])
         first = bregman_prox(pg, h, 1.0, s, y)

@@ -3,10 +3,13 @@ import pytest
 from dataclasses import replace
 
 from rapd.blockcore import BlockPartition, weighted_norm_sq_raw
-from rapd.bregman import (EntropyGeometry, IndicatorBall, IndicatorNonneg,
-                          IndicatorSimplex, L1, SquaredL2, Zero, bregman_prox)
-from rapd.exceptions import DimensionError, DivergenceError, ParameterError, RegimeError
-from rapd.oracle import SaddleCertificate, solve_quadratic_game_exact, kkt_residual
+from rapd.bregman import (EntropyGeometry, EuclideanGeometry, IndicatorBall,
+                          IndicatorNonneg, IndicatorSimplex, L1, ProductGeometry,
+                          SquaredL2, Zero, bregman_prox)
+from rapd.exceptions import (DimensionError, DivergenceError, DomainError, ParameterError,
+                             RegimeError)
+from rapd.oracle import (SaddleCertificate, kkt_residual, solve_high_accuracy,
+                         solve_quadratic_game_exact)
 from rapd.problem import BilinearProblem, build_bilinear_erm, build_quadratic_game
 from rapd.harness.config import parse_config
 from rapd.harness.metrics import lagrangian_gap
@@ -14,7 +17,7 @@ from rapd.harness.suites import build_problem_from_config, write_trace_csv
 from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, _block_draws,
-                         dual_step, ergodic_average, primal_block_step, run)
+                         ergodic_average, primal_block_step, run)
 from rapd.stepsize import (default_alpha, nonuniform_weights, part1_schedule, part2_init,
                            schedule_prefix)
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
@@ -94,12 +97,12 @@ class TestDualStep:
         prob = small_bilinear(h=Zero())
         y = np.array([1.0, -1.0, 0.0, 2.0])
         s = np.array([0.5, 0.5, -1.0, 0.0])
-        assert dual_step(prob, y, s, 0.2) == pytest.approx(y + 0.2 * s)
+        assert bregman_prox(prob.dual_geometry, prob.h, 0.2, -s, y) == pytest.approx(y + 0.2 * s)
 
     def test_nonneg_projection(self):
         prob = small_bilinear(h=IndicatorNonneg())
-        out = dual_step(prob, np.array([1.0, 1, 1, 1]),
-                        np.array([-20.0, 0, 0, 0]), 0.1)
+        out = bregman_prox(prob.dual_geometry, prob.h, 0.1, -np.array([-20.0, 0, 0, 0]),
+                           np.array([1.0, 1, 1, 1]))
         assert out[0] == pytest.approx(0.0)
         # 1-d brute force: max over y>=0 of s*y - (y - 1)^2/(2*0.1)
         ys = np.linspace(0, 3, 300001)
@@ -111,8 +114,98 @@ class TestDualStep:
         prob = build_bilinear_erm([np.eye(2)], [Zero()], IndicatorSimplex(1.0),
                                   partition=part)
         prob.dual_geometry = EntropyGeometry(2)
-        out = dual_step(prob, np.array([0.5, 0.5]), np.array([np.log(2.0), 0.0]), 1.0)
+        out = bregman_prox(prob.dual_geometry, prob.h, 1.0, -np.array([np.log(2.0), 0.0]),
+                           np.array([0.5, 0.5]))
         assert out == pytest.approx([2 / 3, 1 / 3])
+
+
+def simplex_game(n=6, d=3, m=2, seed=4):
+    """A quadratic game with ``n != d`` and the unit simplex as dual
+    domain, on which ``q`` makes the first dual coordinate cost the most."""
+    rng = np.random.default_rng(seed)
+    return build_quadratic_game(np.eye(n), np.zeros((d, d)), rng.standard_normal((d, n)),
+                                rng.standard_normal(n), np.array([20.0, 0.0, 0.0]),
+                                BlockPartition.even(n, m), f=[Zero()] * m,
+                                h=IndicatorSimplex(1.0))
+
+
+def entry_points(prob, K):
+    """``run``, ``pdhg_run``, ``mirror_prox_run`` and ``solve_high_accuracy``
+    as ``name -> fn(x0, y0)``, ``K`` iterations each."""
+    sched = part1_schedule(prob.constants, prob.partition.m, default_alpha(prob.constants))
+    L = estimate_operator_lipschitz(prob)
+    return {
+        "run": lambda x0, y0: run(prob, sched, K, seed=0, x0=x0, y0=y0),
+        "pdhg_run": lambda x0, y0: pdhg_run(prob, 0.5 / L, 0.5 / L, K, x0=x0, y0=y0),
+        "mirror_prox_run": lambda x0, y0: mirror_prox_run(prob, L, K, x0=x0, y0=y0),
+        "solve_high_accuracy": lambda x0, y0: solve_high_accuracy(prob, max_iters=K,
+                                                                  x0=x0, y0=y0),
+    }
+
+
+class TestChecksAtTheStart:
+    """The loops bind their dual step once and check its inputs before the
+    first iteration, not in every step."""
+
+    @pytest.mark.parametrize("name", ["run", "pdhg_run", "mirror_prox_run",
+                                      "solve_high_accuracy"])
+    def test_start_of_the_wrong_shape_rejected(self, name):
+        prob = simplex_game()
+        fn = entry_points(prob, 3)[name]
+        y_ok = np.full(3, 1 / 3)
+        for x0, y0 in ((np.ones(5), y_ok), (np.ones(7), y_ok), (np.ones((6, 1)), y_ok),
+                       (1.0, y_ok), (np.ones(6), np.full(4, 0.25)),
+                       (np.ones(6), np.full(2, 0.5)), (np.ones(6), np.full((3, 1), 1 / 3)),
+                       (np.ones(6), np.full((1, 3), 1 / 3))):
+            with pytest.raises(DimensionError, match=r"needs \(6,\) and \(3,\)"):
+                fn(x0, y0)
+        fn(list(np.ones(6)), list(y_ok))   # any array-like of the right shape
+
+    def test_dual_step_checked_before_the_first_iteration(self):
+        prob = small_bilinear(h=L1(0.1))
+        sched = part1_schedule(prob.constants, 2, default_alpha(prob.constants))
+        seen = []
+        hook = RunOptions(iterate_hook=lambda k, x, y: seen.append(k))
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(ParameterError):
+                run(prob, replace(sched, sigma=sigma), 5, seed=0, options=hook)
+        # an l1 dual term does not split over the parts of a product geometry
+        loops = three_loops(prob)
+        prob.dual_geometry = ProductGeometry([EuclideanGeometry(2), EuclideanGeometry(2)])
+        products = []
+        product = prob.primal_product
+        prob.primal_product = lambda x: products.append(1) or product(x)
+        for name, loop in loops.items():
+            kw = {} if name == "mirror_prox_run" else {"iterate_hook": hook.iterate_hook}
+            with pytest.raises(DomainError, match="separable"):
+                loop(5, np.ones(4), **kw)
+        assert seen == [] and products == []
+
+    def test_geometry_assigned_after_construction_is_used(self):
+        # the entropy step never leaves the simplex interior, where the
+        # Euclidean one the problem was built with projects onto its faces
+        finals = {}
+        for kind in ("euclidean", "entropy"):
+            prob = simplex_game()
+            if kind == "entropy":
+                prob.dual_geometry = EntropyGeometry(3)
+            duals = []
+            read_off = prob.grad_y_cached
+            prob.grad_y_cached = lambda w, x, y: duals.append(y.copy()) or read_off(w, x, y)
+            for name, fn in entry_points(prob, 200).items():
+                if name == "solve_high_accuracy":
+                    continue
+                duals.clear()
+                trace = fn(np.ones(6), np.full(3, 1 / 3))
+                duals.append(trace.final_y)
+                finals[kind, name] = trace.final_y
+                assert len(duals) > 200
+                if kind == "entropy":
+                    assert all((y > 0).all() for y in duals), name
+        for name in ("run", "pdhg_run", "mirror_prox_run"):
+            euclidean, entropy = finals["euclidean", name], finals["entropy", name]
+            assert (euclidean == 0).any(), name
+            assert (entropy > 0).all() and not np.array_equal(entropy, euclidean), name
 
 
 class TestSampling:
