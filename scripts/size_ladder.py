@@ -6,9 +6,8 @@ Two ladders, each a problem at several sizes:
   (n = 16384, d = 512, A Gaussian / sqrt(n), f_i = SquaredL2(0.5), h the
   unit simplex) at m = 64, 128 and 256 blocks, so the block size
   n_i = n/m halves at each rung while n and d stay fixed;
-- ``kernel``: the benchmark's kernel-desk problem (multiple-kernel SVM,
-  d = 10, three kernels, lam = 1, entropy dual, constants deflated by
-  the kernel suite's factor, dataset seed 7) at n = 200, 400, 800 and
+- ``kernel``: the kernel desk (``kernel_learning.kernel_desk``, the
+  benchmark's kernel-desk problem at n = 200) at n = 200, 400, 800 and
   1600 points and m = 10 blocks.
 
 For each rung it reports
@@ -57,11 +56,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from rapd import (IndicatorSimplex, RunOptions, SquaredL2, build_bilinear_erm,  # noqa: E402
-                  build_kernel_problem, default_alpha, part1_schedule, part2_init,
-                  pdhg_run, run, synth_dataset)
+                  default_alpha, part1_schedule, part2_init, pdhg_run, run)
 from rapd.blockcore import BlockPartition  # noqa: E402
-from rapd.harness.suites import _KERNEL_LIPSCHITZ_SCALE  # noqa: E402
-from rapd.kernel_learning import dual_start  # noqa: E402
+from rapd.kernel_learning import DESK_SETTINGS, kernel_desk  # noqa: E402
 from rapd.oracle import solve_high_accuracy  # noqa: E402
 from rapd.problem import spectral_norm  # noqa: E402
 
@@ -157,14 +154,11 @@ def oracle_columns(problem, x0, y0) -> dict:
 
 def kernel_ladder(K: int, seed: int):
     for n in KERNEL_RUNGS:
-        problem = build_kernel_problem(synth_dataset(n_tr=n, d=10, seed=7), lam=1.0,
-                                       m_blocks=KERNEL_BLOCKS, dual_geometry="entropy",
-                                       lipschitz_scale=_KERNEL_LIPSCHITZ_SCALE)
+        problem, x0, y0, _ = kernel_desk(n, KERNEL_BLOCKS)
         c, m = problem.constants, problem.partition.m
         s1 = part1_schedule(c, m, default_alpha(c))
         # the benchmark's pdhg steps: rapd1's smallest primal step, m times its dual step
         steps = (float(s1.tau.min()), s1.sigma * m)
-        x0, y0 = np.zeros(n), dual_start(problem)
         yield {**rung(problem, x0, y0, steps, PDHG_RUN["kernel"], K, seed),
                **oracle_columns(problem, x0, y0)}
 
@@ -174,9 +168,7 @@ LADDERS = {
                                    "f_i": "SquaredL2(0.5)", "h": "unit simplex",
                                    "pdhg_steps": "tau = sigma = 0.95 / ||A||"}),
     "kernel": (kernel_ladder, {"coupling": "multiple-kernel SVM (poly2, gauss, linear)",
-                               "d": 10, "m": KERNEL_BLOCKS, "lam": 1.0, "dual": "entropy",
-                               "lipschitz_scale": _KERNEL_LIPSCHITZ_SCALE,
-                               "dataset_seed": 7,
+                               "m": KERNEL_BLOCKS, **DESK_SETTINGS,
                                "pdhg_steps": "tau = min tau_i, sigma = m sigma (rapd1)"}),
 }
 

@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines import estimate_operator_lipschitz
 from ..exceptions import (ConfigError, DimensionError, DivergenceError,
                           DomainError, ParameterError, RegimeError)
 from ..oracle import save_certificate, solve_high_accuracy
-from ..problem import grad_check, lipschitz_spot_check
+from ..problem import estimate_operator_lipschitz, grad_check, lipschitz_spot_check
 from ..stepsize import check_assumption2, schedule_prefix
 from .config import load_config
 from .suites import (build_problem_from_config, make_schedule_from_config,

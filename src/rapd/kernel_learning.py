@@ -250,3 +250,19 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
 def dual_start(problem: KernelProblem) -> np.ndarray:
     """Interior starting dual point: uniform weights, zero multiplier."""
     return np.concatenate([np.full(problem.M, 1.0 / problem.M), [0.0]])
+
+
+#: the kernel desk's settings; its smoothness constants are deflated by
+#: ``lipschitz_scale`` for larger steps, below the true bounds
+DESK_SETTINGS = {"d": 10, "dataset_seed": 7, "lam": 1.0, "dual": "entropy",
+                 "lipschitz_scale": 0.1}
+
+
+def kernel_desk(n: int = 200, m: int = 10):
+    """The kernel learning experiment at desk scale, ``n`` points in ``m``
+    blocks: ``(problem, x0 = 0, y0 = dual_start(problem), dataset)``."""
+    s = DESK_SETTINGS
+    ds = synth_dataset(n_tr=n, d=s["d"], seed=s["dataset_seed"])
+    problem = build_kernel_problem(ds, lam=s["lam"], m_blocks=m, dual_geometry=s["dual"],
+                                   lipschitz_scale=s["lipschitz_scale"])
+    return problem, np.zeros(n), dual_start(problem), ds

@@ -145,7 +145,6 @@ class RunOptions:
     reference: object | None = None    # SaddleCertificate for error metrics
     debug_cache_every: int = 0         # every k iterations, check the dual-gradient
                                        # cache against a fresh one; never moves the iterates
-    time_budget_s: float | None = None # stop early at a record point
     stop_when: object | None = None    # callable(x, y) -> bool, checked at records
     iterate_hook: object | None = None # callable(k_done, x, y); x and y are the live
                                        # iterates, valid until the next iteration:
@@ -161,8 +160,7 @@ class _Monitor:
     The monitor keeps the ergodic sums, guards against divergence, calls
     the iterate hook, and at record points (``record_at`` and the last
     iteration) appends the loop's ``describe(k, wall_s)`` record, filled in
-    with the metrics against the reference, then checks ``stop_when`` and
-    the time budget.
+    with the metrics against the reference, then checks ``stop_when``.
 
     The primal ergodic sum is lazy: ``x_sum`` holds block ``j``'s iterates
     up to iteration ``last[j]``, and the block has not changed since, so
@@ -257,10 +255,7 @@ class _Monitor:
             rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
             rec.dy = self.problem.dual_geometry.dist(ref.y_star, y)
         self.trace.records.append(rec)
-        if opts.stop_when is not None and opts.stop_when(x, y):
-            return True
-        return (opts.time_budget_s is not None
-                and time.perf_counter() - self.tic > opts.time_budget_s)
+        return opts.stop_when is not None and bool(opts.stop_when(x, y))
 
     def _flush(self, x: np.ndarray) -> None:
         """Bring every block of the primal ergodic sum up to date."""

@@ -11,16 +11,19 @@ from dataclasses import replace
 from rapd.blockcore import BlockPartition
 from rapd.bregman import SquaredL2, Zero
 from rapd.exceptions import ConfigError, ParameterError, RegimeError
-from rapd.harness import cli
+from rapd.harness import cli, suites
 from rapd.harness.cli import cli_main
 from rapd.harness.config import load_config, parse_config
 from rapd.harness.metrics import (fit_loglog, lagrangian_gap, rate_bound_delta1,
                                   rate_bound_delta2, slope_fit)
 from rapd.harness.suites import (CSV_COLUMNS, bilinear_game, build_problem_from_config,
-                                 record_points, run_from_config, write_trace_csv)
-from rapd.oracle import SaddleCertificate, save_certificate, solve_quadratic_game_exact
+                                 record_points, run_from_config, time_to_target,
+                                 write_trace_csv)
+from rapd.kernel_learning import kernel_desk
+from rapd.oracle import (SaddleCertificate, save_certificate, solve_high_accuracy,
+                         solve_quadratic_game_exact)
 from rapd.problem import build_quadratic_game
-from rapd.solver import RunTrace, TraceRecord, run
+from rapd.solver import RunOptions, RunTrace, TraceRecord, run
 from rapd.stepsize import default_alpha, nonuniform_weights, part1_schedule, part2_init
 
 
@@ -604,3 +607,45 @@ class TestSuites:
                                   env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "2"
+
+
+@pytest.fixture(scope="module")
+def small_desk():
+    """The kernel desk at n = 40, m = 4, its certified ``x*`` and both
+    schedules."""
+    problem, x0, y0, _ = kernel_desk(n=40, m=4)
+    cert = solve_high_accuracy(problem, tol=1e-10, x0=x0, y0=y0)
+    c = problem.constants
+    alpha = default_alpha(c)
+    schedules = {"rapd1": part1_schedule(c, 4, alpha), "rapd2": part2_init(c, 4, alpha)}
+    return problem, x0, y0, cert.x_star, schedules
+
+
+class TestTimeToTarget:
+    @pytest.mark.parametrize("regime", ["rapd1", "rapd2"])
+    def test_stops_at_the_first_epoch_on_target(self, small_desk, regime):
+        problem, x0, y0, x_star, schedules = small_desk
+        k, seconds, x = time_to_target(problem, schedules[regime], x_star, 1, x0, y0)
+        # a plain run of k iterations, scanned at every multiple of m
+        m = problem.partition.m
+        radius = 1e-3 * np.linalg.norm(x_star)
+        hits = []
+
+        def scan(done, xk, yk):
+            if done % m == 0 and np.linalg.norm(xk - x_star) <= radius:
+                hits.append(done)
+
+        trace = run(problem, schedules[regime], k, 1, x0=x0, y0=y0,
+                    options=RunOptions(iterate_hook=scan))
+        assert hits == [k]
+        assert np.array_equal(x, trace.final_x)
+        assert 0 < seconds < suites.TARGET_BUDGET_S
+
+    @pytest.mark.parametrize("regime", ["rapd1", "rapd2"])
+    def test_budget_stops_the_run_early(self, small_desk, regime, monkeypatch):
+        problem, x0, y0, x_star, schedules = small_desk
+        monkeypatch.setattr(suites, "TARGET_BUDGET_S", 1e-3)
+        k, seconds, x = time_to_target(problem, schedules[regime], x_star, 1, x0, y0)
+        assert k % problem.partition.m == 0
+        assert seconds > 1e-3
+        assert np.linalg.norm(x - x_star) > 1e-3 * np.linalg.norm(x_star)

@@ -3,7 +3,7 @@ import pytest
 
 from rapd.exceptions import DimensionError, DomainError, ParameterError
 from rapd.kernel_learning import (build_kernel_problem, default_dual_bound,
-                                  dual_start, gram_matrix, kernel_eval,
+                                  dual_start, gram_matrix, kernel_desk, kernel_eval,
                                   normalize_gram, synth_dataset)
 from rapd.problem import grad_check, lipschitz_spot_check
 
@@ -210,3 +210,20 @@ class TestProblemAssembly:
             with pytest.raises(ParameterError, match="Lipschitz scale must be > 0"):
                 small_problem(lipschitz_scale=scale)
 
+
+
+def test_kernel_desk_is_the_benchmark_instance():
+    # the instance perfbench's KernelDesk builds, bit for bit
+    problem, x0, y0, _ = kernel_desk()
+    ref = build_kernel_problem(synth_dataset(n_tr=200, d=10, seed=7), lam=1.0,
+                               m_blocks=10, dual_geometry="entropy", lipschitz_scale=0.1)
+
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert same_bits(problem.G_list, ref.G_list)
+    for name in ("L_xx", "L_yx", "mu"):
+        assert same_bits(getattr(problem.constants, name), getattr(ref.constants, name))
+    assert same_bits(x0, np.zeros(200))
+    assert same_bits(y0, dual_start(ref))
