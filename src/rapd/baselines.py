@@ -55,8 +55,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
         g = problem.grad_y_cached(w, x, y)
         if g_prev is None:
             g_prev = g
-        s = 2.0 * g - g_prev
-        y = dual_step(sigma, -s, y)
+        y = dual_step(sigma, g_prev - 2.0 * g, y)    # -(2 g - g_prev) up to a zero's sign
         x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y), x)
         g_prev = g
         monitor.step(x, y)

@@ -227,17 +227,27 @@ class IndicatorBall(ProxFriendlyFunction):
 
 
 def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto ``{x >= 0, sum x = scale}``.
+    """Euclidean projection onto ``{x >= 0, sum x = scale}``: ``max(u - lam, 0)``.
 
-    Sort-and-threshold; ties in the sorted order are resolved by index,
-    which the arithmetic makes irrelevant to the result.  The threshold
-    condition holds on a prefix of the sorted order, so counting it finds
-    the last index where it holds.
+    The pivot ``lam0 = (sum u - scale) / d`` bounds ``lam`` from below
+    (``scale = sum max(u - lam, 0) >= sum u - d lam``), so the support lies
+    in ``{u > lam0}``.  On a full support ``lam = lam0`` and nothing is
+    sorted; numpy's pairwise ``sum u`` may round apart from a sequential
+    sum by a few ulps of ``sum |u| + scale``.  Otherwise sort-and-threshold
+    runs on the survivors (on all of ``u`` if none survive, as for a NaN
+    pivot), which hold the support: the threshold sums the same values in
+    the same order as on all of ``u``.  The threshold condition holds on a
+    prefix of the sorted order, so counting it finds its last index.
     """
     u = np.asarray(u, dtype=float)
-    srt = np.sort(u)[::-1]
+    lam = (u.sum() - scale) / u.size
+    keep = u > lam
+    kept = np.count_nonzero(keep)
+    if kept == u.size:
+        return u - lam      # positive wherever u > lam: no clamp
+    srt = np.sort(u[keep] if kept else u)[::-1]
     css = np.cumsum(srt) - scale
-    cond = srt - css / _ranks(u.size) > 0
+    cond = srt - css / _ranks(u.size)[:srt.size] > 0
     # the first rank always qualifies in exact arithmetic
     rho = max(int(np.count_nonzero(cond)), 1)
     out = u - css[rho - 1] / float(rho)

@@ -357,14 +357,15 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     # the primal product w = K x, moved forward block by block
     w = problem.primal_product(x)
     g_cur = g_prev = grad_y_at(w, x, y)
-    s, s_prev = np.empty_like(g_cur), np.empty_like(g_cur)
+    neg_s, scratch = np.empty_like(g_cur), np.empty_like(g_cur)
     resync_every = CACHE_RESYNC_SWEEPS * m
 
     for done, i_k in enumerate(_block_draws(seed, m, K, p_arr), start=1):
-        # momentum direction s^k = (1 + m theta) g_k - m theta g_{k-1}
-        np.multiply(g_cur, 1.0 + m * theta, out=s)
-        np.subtract(s, np.multiply(g_prev, m * theta, out=s_prev), out=s)
-        y = dual_step(sigma, -s, y)
+        # -s^k = m theta g_{k-1} - (1 + m theta) g_k, the bits of -(s^k) up to
+        # a zero's sign: IEEE subtraction is antisymmetric
+        np.multiply(g_prev, m * theta, out=neg_s)
+        np.subtract(neg_s, np.multiply(g_cur, 1.0 + m * theta, out=scratch), out=neg_s)
+        y = dual_step(sigma, neg_s, y)
         sl = slices[i_k]
         old = x[sl].copy()
         tau_i = tau0[i_k] if scale is None else 1.0 / (mu_p[i_k] * scale - mu_s[i_k])

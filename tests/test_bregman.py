@@ -522,3 +522,68 @@ def test_project_simplex_counts_the_prefix():
             scale = float(10 ** rng.uniform(-1, 1))
             assert np.array_equal(project_simplex(u, scale),
                                   project_simplex_by_last_index(u, scale))
+
+
+def project_simplex_sorted(u, scale=1.0):
+    """Sort-and-threshold on all of ``u``, the projection before the pivot."""
+    srt = np.sort(u)[::-1]
+    css = np.cumsum(srt) - scale
+    cond = srt - css / np.arange(1.0, u.size + 1.0) > 0
+    rho = max(int(np.count_nonzero(cond)), 1)
+    return np.maximum(u - css[rho - 1] / float(rho), 0.0)
+
+
+def simplex_inputs(rng, d, scale):
+    """A full, a partial and a single-entry support at size ``d``, each
+    also rounded to one decimal, which ties values."""
+    full = rng.uniform(-5, 5) + scale / d * rng.uniform(0.5, 1.5, d)
+    partial = rng.standard_normal(d) * 3
+    single = rng.standard_normal(d)
+    single[rng.integers(d)] += 3 + 2 * scale
+    for u in (full, partial, single):
+        yield u
+        yield np.round(u, 1)
+
+
+def test_project_simplex_against_the_sort():
+    # partial supports: the pivot only drops entries outside the support,
+    # so the sort sees the same sums, bit for bit; full supports: the
+    # threshold is the pivot, whose pairwise sum may round apart
+    rng = np.random.default_rng(21)
+    eps = np.finfo(float).eps
+    seen = set()
+    for d in (1, 2, 3, 8, 512):
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(20):
+                for u in simplex_inputs(rng, d, scale):
+                    w, ref = project_simplex(u, scale), project_simplex_sorted(u, scale)
+                    # a sequential sum of d terms rounds by up to (d - 1) eps sum|u|
+                    assert w.min() >= 0.0
+                    assert abs(w.sum() - scale) <= 2 * d * eps * (np.abs(u).sum() + scale)
+                    for _ in range(5):
+                        v = rng.dirichlet(np.ones(d)) * scale
+                        assert float((u - w) @ (v - w)) <= 1e-9
+                    support = int(np.count_nonzero(ref))
+                    if support < d:
+                        assert np.array_equal(w, ref)
+                    else:
+                        bound = 2 * eps * (np.abs(u).sum() + scale)
+                        assert np.abs(w - ref).max() <= bound
+                    seen.add((d, "full" if support == d else
+                              "single" if support == 1 else "partial"))
+    # a support between 1 and d exists from d = 3
+    kinds = {"full", "partial", "single"}
+    assert seen == ({(d, k) for d in (3, 8, 512) for k in kinds}
+                    | {(1, "full"), (2, "full"), (2, "single")})
+
+
+def test_project_simplex_non_finite_inputs():
+    # a NaN or +inf pivot keeps no entry, so the sort runs on all of u; a
+    # -inf pivot keeps the finite entries
+    cases = (([np.nan, 1.0, 2.0], [np.nan, np.nan, np.nan]),
+             ([np.inf, 1.0], [np.nan, 0.0]),
+             ([-np.inf, 1.0, 0.5], [0.0, 0.75, 0.25]))
+    with np.errstate(invalid="ignore"):
+        for u, expected in cases:
+            assert np.array_equal(project_simplex(np.array(u)), np.array(expected),
+                                  equal_nan=True)
