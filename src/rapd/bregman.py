@@ -230,24 +230,24 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Euclidean projection onto ``{x >= 0, sum x = scale}``: ``max(u - lam, 0)``.
 
     The pivot ``lam0 = (sum u - scale) / d`` bounds ``lam`` from below
-    (``scale = sum max(u - lam, 0) >= sum u - d lam``), so the support lies
-    in ``{u > lam0}``.  On a full support ``lam = lam0`` and nothing is
-    sorted; numpy's pairwise ``sum u`` may round apart from a sequential
-    sum by a few ulps of ``sum |u| + scale``.  Otherwise sort-and-threshold
-    runs on the survivors (on all of ``u`` if none survive, as for a NaN
-    pivot), which hold the support: the threshold sums the same values in
-    the same order as on all of ``u``.  The threshold condition holds on a
-    prefix of the sorted order, so counting it finds its last index.
+    (``scale = sum max(u - lam, 0) >= sum u - d lam``) and equals it when
+    every entry exceeds it: the result is then ``u - lam0``, with no sort.
+    numpy's pairwise ``sum u`` may round apart from the sorted sequential
+    sum by a few ulps of ``sum |u| + scale``, and an entry within that
+    rounding of the threshold may fall on either side of it.  Otherwise,
+    and for a NaN or infinite pivot, sort-and-threshold runs on all of
+    ``u``; ties in the sorted order are resolved by index, which the
+    arithmetic makes irrelevant to the result.  The threshold condition
+    holds on a prefix of the sorted order, so counting it finds the last
+    index where it holds.
     """
     u = np.asarray(u, dtype=float)
     lam = (u.sum() - scale) / u.size
-    keep = u > lam
-    kept = np.count_nonzero(keep)
-    if kept == u.size:
+    if u.min() > lam:
         return u - lam      # positive wherever u > lam: no clamp
-    srt = np.sort(u[keep] if kept else u)[::-1]
+    srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - scale
-    cond = srt - css / _ranks(u.size)[:srt.size] > 0
+    cond = srt - css / _ranks(u.size) > 0
     # the first rank always qualifies in exact arithmetic
     rho = max(int(np.count_nonzero(cond)), 1)
     out = u - css[rho - 1] / float(rho)

@@ -546,9 +546,10 @@ def simplex_inputs(rng, d, scale):
 
 
 def test_project_simplex_against_the_sort():
-    # partial supports: the pivot only drops entries outside the support,
-    # so the sort sees the same sums, bit for bit; full supports: the
-    # threshold is the pivot, whose pairwise sum may round apart
+    # when the pivot settles the projection, its pairwise sum may round
+    # apart from the sorted cumsum, and an entry within that rounding of
+    # the threshold may land on either side; otherwise the projection is
+    # the sort, bit for bit
     rng = np.random.default_rng(21)
     eps = np.finfo(float).eps
     seen = set()
@@ -563,23 +564,24 @@ def test_project_simplex_against_the_sort():
                     for _ in range(5):
                         v = rng.dirichlet(np.ones(d)) * scale
                         assert float((u - w) @ (v - w)) <= 1e-9
-                    support = int(np.count_nonzero(ref))
-                    if support < d:
-                        assert np.array_equal(w, ref)
-                    else:
+                    pivot = u.min() > (u.sum() - scale) / d
+                    if pivot:
                         bound = 2 * eps * (np.abs(u).sum() + scale)
                         assert np.abs(w - ref).max() <= bound
-                    seen.add((d, "full" if support == d else
+                    else:
+                        assert np.array_equal(w, ref)
+                    support = int(np.count_nonzero(ref))
+                    seen.add((d, "pivot" if pivot else "sort", "full" if support == d else
                               "single" if support == 1 else "partial"))
-    # a support between 1 and d exists from d = 3
-    kinds = {"full", "partial", "single"}
-    assert seen == ({(d, k) for d in (3, 8, 512) for k in kinds}
-                    | {(1, "full"), (2, "full"), (2, "single")})
+    # the pivot settles full supports at every size; the sort sees a single
+    # entry from d = 2 and a support between 1 and d from d = 3
+    assert seen >= ({(d, "pivot", "full") for d in (1, 2, 3, 8, 512)}
+                    | {(d, "sort", "single") for d in (2, 3, 8, 512)}
+                    | {(d, "sort", "partial") for d in (3, 8, 512)})
 
 
 def test_project_simplex_non_finite_inputs():
-    # a NaN or +inf pivot keeps no entry, so the sort runs on all of u; a
-    # -inf pivot keeps the finite entries
+    # a NaN or infinite pivot settles nothing, so the sort runs on all of u
     cases = (([np.nan, 1.0, 2.0], [np.nan, np.nan, np.nan]),
              ([np.inf, 1.0], [np.nan, 0.0]),
              ([-np.inf, 1.0, 0.5], [0.0, 0.75, 0.25]))

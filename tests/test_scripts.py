@@ -53,8 +53,7 @@ class TestSizeLadder:
         problem, x0, y0 = part2_suite_problem()
         out = ladder.rung(problem, x0, y0, (0.1, 0.1), (20, 5), K=200, seed=0)
         expected = {"n", "m", "n_i", "blas_threads", "block_gradient_us",
-                    "product_update_us", "block_prox_us", "dual_prox_us", "dual_prox_support",
-                    "full_product_us",
+                    "product_update_us", "block_prox_us", "dual_prox_us", "full_product_us",
                     "pdhg_iter_us_min", "pdhg_iter_us_p50", "epoch_over_pass"}
         expected |= {f"rapd{r}_iter_us_{s}" for r in (1, 2) for s in ("min", "p50")}
         assert set(out) == expected
