@@ -10,13 +10,18 @@ Two ladders, each a problem at several sizes:
   benchmark's kernel-desk problem at n = 200) at n = 200, 400, 800 and
   1600 points and m = 10 blocks.
 
-For each rung it reports
+Each rung runs ``REPEATS`` times, the repeats interleaved (every rung of
+both ladders once, then again), and reports the fastest of its repeats
+for every time, and ``epoch_over_pass`` from those.  For each rung it
+reports
 
 - the block phases alone, each averaged over 2000 random blocks: the
   block gradient read off the cached primal product, the product's
   update from one block, and the block prox;
 - the dual prox on the whole dual vector, averaged over as many calls:
-  the step the loops bind once per run (``dual_geometry.stepper(h)``);
+  the step the loops bind once per run (``dual_geometry.stepper(h)``),
+  taken as ``run`` takes it, at rapd1's ``sigma`` along the dual
+  gradient at ``(x, y0)``;
 - the fastest and the median per-iteration chunk of ``run`` in both step
   regimes (records every 50 iterations) and of ``pdhg_run``, the
   deterministic full pass, with the benchmark's steps for it;
@@ -67,6 +72,7 @@ BILINEAR_RUNGS = (64, 128, 256)
 KERNEL_RUNGS = (200, 400, 800, 1600)
 KERNEL_BLOCKS = 10
 PHASE_CALLS = 2000
+REPEATS = 3
 CADENCE = 50
 #: pdhg iterations per timed run and its record cadence, per ladder
 PDHG_RUN = {"bilinear": (200, 10), "kernel": (1000, 20)}
@@ -99,7 +105,11 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     blocks = rng.integers(m, size=PHASE_CALLS)
     slices = part.slices()
     dx = rng.standard_normal(part.sizes[0]) * 1e-12
-    dy = rng.standard_normal(y0.size)
+    c = problem.constants
+    schedules = (("rapd1", part1_schedule(c, m, default_alpha(c))),
+                 ("rapd2", part2_init(c, m, default_alpha(c))))
+    sigma = schedules[0][1].sigma
+    neg_g = -problem.grad_y(x, y0)
     dual_step = problem.dual_geometry.stepper(problem.h)
     out = {
         "n": n, "m": m, "n_i": part.sizes[0], "blas_threads": BLAS_THREADS,
@@ -110,12 +120,10 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
         "block_prox_us": per_call_us(
             lambda i: problem.block_prox(i, 0.1, dx[:part.sizes[i]], x[slices[i]]),
             blocks),
-        "dual_prox_us": per_call_us(lambda i: dual_step(0.1, dy, y0), blocks),
+        "dual_prox_us": per_call_us(lambda i: dual_step(sigma, neg_g, y0), blocks),
         "full_product_us": per_call_us(lambda i: problem.primal_product(x), blocks[:20]),
     }
-    c = problem.constants
-    for name, sched in (("rapd1", part1_schedule(c, m, default_alpha(c))),
-                        ("rapd2", part2_init(c, m, default_alpha(c)))):
+    for name, sched in schedules:
         run(problem, sched, 500, seed, x0=x0, y0=y0)  # warm-up
         tr = run(problem, sched, K, seed, x0=x0, y0=y0,
                  options=RunOptions(record_at=range(CADENCE, K + 1, CADENCE)))
@@ -128,8 +136,21 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
                                record_at=range(every, K_pdhg + 1, every)))
     out["pdhg_iter_us_min"] = min(chunks)
     out["pdhg_iter_us_p50"] = statistics.median(chunks)
-    out["epoch_over_pass"] = m * out["rapd1_iter_us_min"] / out["pdhg_iter_us_min"]
+    return with_epoch_cost(out)
+
+
+def with_epoch_cost(out: dict) -> dict:
+    out["epoch_over_pass"] = out["m"] * out["rapd1_iter_us_min"] / out["pdhg_iter_us_min"]
     return out
+
+
+def fastest(repeats: list) -> dict:
+    """One rung from its repeats: the fastest of every time."""
+    out = dict(repeats[0])
+    for key in out:
+        if key.endswith("_us") or "_us_" in key or key == "oracle_s":
+            out[key] = min(r[key] for r in repeats)
+    return with_epoch_cost(out)
 
 
 def bilinear_ladder(K: int, seed: int):
@@ -180,17 +201,21 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="write the results as JSON here")
     args = ap.parse_args(argv)
-    ladders = {}
-    for name, (ladder, problem) in LADDERS.items():
-        rungs = []
-        for res in ladder(args.iterations, args.seed):
-            rungs.append(res)
-            print(name, " ".join(f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}"
-                                 for k, v in res.items()), flush=True)
-        ladders[name] = {"problem": problem, "rungs": rungs}
+    runs = {name: [] for name in LADDERS}   # per ladder, the rungs of each repeat
+    for rep in range(REPEATS):
+        for name, (ladder, _) in LADDERS.items():
+            rungs = []
+            for res in ladder(args.iterations, args.seed):
+                rungs.append(res)
+                print(name, f"repeat={rep}", " ".join(
+                    f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in res.items()), flush=True)
+            runs[name].append(rungs)
+    ladders = {name: {"problem": problem, "rungs": [fastest(r) for r in zip(*runs[name])]}
+               for name, (_, problem) in LADDERS.items()}
     result = {
         "script": "scripts/size_ladder.py",
-        "iterations": args.iterations, "seed": args.seed,
+        "iterations": args.iterations, "seed": args.seed, "repeats": REPEATS,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "blas_threads": BLAS_THREADS,
                         "nproc": len(os.sched_getaffinity(0)),

@@ -199,7 +199,7 @@ class IndicatorBox(ProxFriendlyFunction):
 def _norm(u: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D float vector, bit for bit: numpy takes
     it as ``sqrt(u.dot(u))``, without the call's dispatch."""
-    return math.sqrt(float(u @ u))
+    return math.sqrt(float(u.dot(u)))
 
 
 class IndicatorBall(ProxFriendlyFunction):
@@ -242,8 +242,8 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
     index where it holds.
     """
     u = np.asarray(u, dtype=float)
-    lam = (u.sum() - scale) / u.size
-    if u.min() > lam:
+    lam = (np.add.reduce(u) - scale) / u.size
+    if np.minimum.reduce(u) > lam:
         return u - lam      # positive wherever u > lam: no clamp
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - scale

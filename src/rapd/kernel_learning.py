@@ -8,17 +8,22 @@ on the unit simplex, free multiplier of the label-balance constraint):
 
     phi(x, (y, z)) = -2 e'x + sum_l (c/r_l) y_l x'G_l x + z (b'x)
 
-with ``G_l = diag(b) K_l diag(b)``, stored stacked as one C-ordered
-``(M, n, n)`` array.  The ridge term ``lam ||x||^2`` of the SVM lives in
-the block functions ``f_i`` (scaled nonnegative projection prox), not in
-phi, which gives every block modulus ``2 lam`` and makes the accelerated
-regime applicable.
+with ``G_l = diag(b) K_l diag(b)``.  The Grams are stored once, in
+block-row order: one C-ordered ``(n, M, n)`` array whose row ``c`` holds
+row ``c`` of every ``G_l``, so the rows of block ``i`` are one contiguous
+``(n_i, M n)`` matrix; ``G_list`` is the ``(M, n, n)`` view of it.  The
+ridge term ``lam ||x||^2`` of the SVM lives in the block functions ``f_i``
+(scaled nonnegative projection prox), not in phi, which gives every
+block modulus ``2 lam`` and makes the accelerated regime applicable.
 
-The primal product a solver keeps is ``G x``, one ``(M, n)`` array: a
-block step moves it at ``O(M n n_i)`` cost, and the dual gradient
-``(coef * (G x)'x, b'x)`` and the primal gradient
-``-2 + (2 coef * y)'(G x) + z b`` read off it at ``O(M n)``, so a full
-pass computes ``G x`` once per point.
+The primal product a solver keeps is ``w = [G_1 x; ...; G_M x; b]``, one
+``(M + 1, n)`` array whose last row carries the labels and never moves.
+Since the Grams are symmetric, ``G x`` is ``x`` times the ``(n, M n)``
+row matrix, and a block step moves it by ``dx`` times the block's rows,
+one product at ``O(M n n_i)`` cost.  The dual gradient
+``(coef * (G x)'x, b'x) = (coef, 1) * (w x)`` and the primal gradient
+``-2 + (2 coef * y, z)'w`` read off it in one product each at ``O(M n)``,
+so a full pass computes ``G x`` once per point.
 
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
@@ -131,12 +136,14 @@ def synth_dataset(n_tr: int, d: int, seed: int = 0, separation: float = 2.0) -> 
 class KernelProblem(SaddleProblem):
     """See the module docstring for the coupling; ``dual = (y, z)`` with
     the simplex weights first and the free multiplier last.  ``G_list``
-    is the ``(M, n, n)`` stack of the Grams ``G_l``."""
+    is the ``(M, n, n)`` stack of the Grams ``G_l``; a view of the
+    block-row store is taken as it is, any other stack is copied into one."""
 
     def __init__(self, G_list, b, lam, r, partition, B,
                  dual_geometry="entropy"):
-        G = np.ascontiguousarray(G_list, dtype=float)
-        M = G.shape[0]
+        rows = np.ascontiguousarray(np.asarray(G_list, dtype=float).transpose(1, 0, 2))
+        G = rows.transpose(1, 0, 2)
+        M, n = G.shape[0], G.shape[1]
         r = np.asarray(r, dtype=float)
         c = float(r.sum())
         coef = c / r
@@ -167,8 +174,13 @@ class KernelProblem(SaddleProblem):
         self.B = float(B)
         self.M = M
         self._slices = slices
-        self._coef2 = 2.0 * coef
-        self._b_blocks = [self.b[sl] for sl in slices]
+        # row c of every G_l side by side: the Grams are symmetric, so
+        # x times these rows is G x, and a block's rows move it
+        self._rows = rows.reshape(n, M * n)
+        self._block_rows = [self._rows[sl] for sl in slices]
+        # the read-offs' weights on the rows of w, the label row last
+        self._c1 = np.append(coef, 1.0)
+        self._c2 = np.append(2.0 * coef, 1.0)
 
     def phi_value(self, x, yz):
         y, z = yz[:self.M], yz[self.M]
@@ -176,31 +188,26 @@ class KernelProblem(SaddleProblem):
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
     def grad_x_block_cached(self, i, w, x, yz):
-        return self._primal_gradient(w[:, self._slices[i]], yz, self._b_blocks[i])
+        return -2.0 + (self._c2 * yz).dot(w[:, self._slices[i]])
 
     def grad_x_cached(self, w, x, yz):
-        return self._primal_gradient(w, yz, self.b)
-
-    def _primal_gradient(self, Gx, yz, b):
-        """The primal gradient on the coordinates of the columns ``Gx`` of
-        ``G x`` and the labels ``b`` there: one block or all of them."""
-        M = self.M
-        return -2.0 + (self._coef2 * yz[:M]) @ Gx + yz[M] * b
+        return -2.0 + (self._c2 * yz).dot(w)
 
     def primal_product(self, x):
-        """``w = G x``: the ``(M, n)`` array of the products ``G_l x``."""
-        return self.G_list @ x
+        """``w = [G_1 x; ...; G_M x; b]``, the ``(M + 1, n)`` array of the
+        products ``G_l x`` over the labels."""
+        M, n = self.M, self.b.size
+        w = np.empty((M + 1, n))
+        np.dot(x, self._rows, out=w[:M].reshape(M * n))
+        w[M] = self.b
+        return w
 
     def grad_y_incremental(self, w, i, dx):
-        # the Grams are symmetric, so the columns G_l[:, sl] are the rows G_l[sl]
-        w += dx @ self.G_list[:, self._slices[i]]
+        top = w[:self.M]
+        top += dx.dot(self._block_rows[i]).reshape(top.shape)
 
     def grad_y_cached(self, w, x, yz):
-        M = self.M
-        g = np.empty(M + 1)
-        np.multiply(self.coef, w @ x, out=g[:M])
-        g[M] = self.b @ x
-        return g
+        return self._c1 * w.dot(x)
 
     def project_primal_domain(self, x):
         """Nonnegative orthant scaled into the ball of radius B (the
@@ -233,8 +240,9 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
     if not lipschitz_scale > 0:
         raise ParameterError(f"Lipschitz scale must be > 0, got {lipschitz_scale}")
     b = dataset.labels
+    # stacked on the middle axis: the block-row store KernelProblem keeps
     G = np.stack([normalize_gram(gram_matrix(kind, dataset.points, bandwidth))
-                  for kind in KERNELS])
+                  for kind in KERNELS], axis=1).transpose(1, 0, 2)
     r = np.array([np.trace(K) for K in G])
     G *= np.outer(b, b)
     B_val = default_dual_bound(dataset.n_tr, lam) if B is None else float(B)

@@ -95,6 +95,10 @@ class SaddleProblem:
     # dual and block gradients off it; a full pass computes it once per
     # point.  The stateless oracles the checkers call are derived from the
     # product and the read-offs, so they check what the solvers call.
+    # Per-iteration products call ndarray.dot, the same BLAS call as @ with
+    # less dispatch, where it gives the same bits; on a view contiguous in
+    # neither order (the quadratic game's C[:, sl].T) it sums in another
+    # order, so @ stays there.
 
     def phi_value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -234,7 +238,7 @@ class BilinearProblem(SaddleProblem):
 
     def grad_x_block_cached(self, i, w, x, y):
         # the primal gradient does not read A x
-        g = self.A_blocks[i].T @ y
+        g = self.A_blocks[i].T.dot(y)
         if self.p is not None:
             g = g + self.p[self.partition.block_slice(i)]
         return g
@@ -249,7 +253,7 @@ class BilinearProblem(SaddleProblem):
         return self.A @ x
 
     def grad_y_incremental(self, w, i, dx):
-        w += self.A_blocks[i] @ dx
+        w += self.A_blocks[i].dot(dx)
 
     def grad_y_cached(self, w, x, y):
         return w.copy() if self.q is None else w - self.q
@@ -310,12 +314,12 @@ class QuadraticGameProblem(SaddleProblem):
         return self._K @ x
 
     def grad_y_incremental(self, w, i, dx):
-        w += self._K_cols[i] @ dx
+        w += self._K_cols[i].dot(dx)
 
     def grad_y_cached(self, w, x, y):
         g = w[:self.dual_dim]
         if self._dual_curved:
-            g = g - self.Q @ y
+            g = g - self.Q.dot(y)
         return g - self.q
 
 

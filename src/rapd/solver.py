@@ -219,7 +219,7 @@ class _Monitor:
         if self.done % self.resync_every == 0:
             self._norms(x)
         else:
-            new_sq = float(new @ new)
+            new_sq = float(new.dot(new))
             self.x_sq += new_sq - self.block_sq[i]
             self.block_sq[i] = new_sq
         return self._close(x, y, y)
@@ -231,7 +231,7 @@ class _Monitor:
     def _close(self, x, y, y_avg) -> bool:
         done = self.done
         self.y_sum += y_avg
-        y_sq = float(y @ y)
+        y_sq = float(y.dot(y))
         if not (self.x_sq <= DIVERGENCE_LIMIT ** 2 and y_sq <= DIVERGENCE_LIMIT ** 2):
             raise DivergenceError(
                 f"iterate norms ||x|| = {abs(self.x_sq) ** 0.5:.3e}, ||y|| = "

@@ -512,16 +512,22 @@ def project_simplex_by_last_index(u, scale=1.0):
 
 def test_project_simplex_counts_the_prefix():
     # counting the condition gives the last index where it holds, bit for
-    # bit, with ties and at the sizes the ranks cache sees
+    # bit wherever the sort runs, with ties and at the sizes the ranks cache
+    # sees; where the pivot settles the projection, its pairwise sum rounds
+    # apart from the sorted cumsum, to the bound of the test below
     rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
     for n in (1, 2, 3, 7, 512):
         for _ in range(100):
             u = rng.standard_normal(n) * 3
             if n > 2:
                 u[rng.integers(n, size=2)] = u[0]
             scale = float(10 ** rng.uniform(-1, 1))
-            assert np.array_equal(project_simplex(u, scale),
-                                  project_simplex_by_last_index(u, scale))
+            w, ref = project_simplex(u, scale), project_simplex_by_last_index(u, scale)
+            if u.min() > (u.sum() - scale) / n:
+                assert np.abs(w - ref).max() <= 2 * eps * (np.abs(u).sum() + scale)
+            else:
+                assert np.array_equal(w, ref)
 
 
 def project_simplex_sorted(u, scale=1.0):

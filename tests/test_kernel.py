@@ -158,7 +158,9 @@ class TestProblemAssembly:
         ds, prob = small_problem()
         G = prob.G_list
         assert isinstance(G, np.ndarray) and G.shape == (3, 60, 60)
-        assert G.flags.c_contiguous
+        # stored once, in block-row order: the (M, n, n) view of a C-ordered
+        # (n, M, n) array
+        assert G.transpose(1, 0, 2).flags.c_contiguous
         b = ds.labels
         expect = np.stack([np.outer(b, b) * normalize_gram(gram_matrix(kind, ds.points))
                            for kind in ("poly2", "gauss", "linear")])

@@ -155,6 +155,29 @@ class TestBilinear:
                     <= 1e-12 * max(1.0, np.linalg.norm(gi)), name
 
 
+class TestKernelProduct:
+    def test_block_moves_keep_the_label_row(self):
+        # the label row of w = [G_1 x; ...; G_M x; b] never moves, and the
+        # rows a block step multiplies are the Grams' own memory
+        rng = np.random.default_rng(8)
+        prob = build_kernel_problem(synth_dataset(n_tr=40, d=3, seed=2), lam=1.0, m_blocks=4)
+        part, M = prob.partition, prob.M
+        x = np.abs(rng.standard_normal(part.n))
+        w = prob.primal_product(x)
+        assert w.shape == (M + 1, part.n)
+        for _ in range(5000):
+            i = int(rng.integers(part.m))
+            sl = part.block_slice(i)
+            new = np.abs(rng.standard_normal(part.sizes[i]))
+            prob.grad_y_incremental(w, i, new - x[sl])
+            x[sl] = new
+        assert np.array_equal(w[M], prob.b)
+        for sl, rows in zip(part.slices(), prob._block_rows):
+            assert rows.shape == (sl.stop - sl.start, M * part.n)
+            assert np.shares_memory(rows, prob.G_list)
+            assert np.array_equal(rows, prob.G_list[:, sl].transpose(1, 0, 2).reshape(rows.shape))
+
+
 #: one instance of each coordinatewise kind, with parameters that bite
 COORDINATEWISE = [Zero(), L1(0.3), SquaredL2(0.7), NonnegQuadratic(0.4), IndicatorNonneg(),
                   IndicatorBox(-0.5, 0.8)]

@@ -69,3 +69,16 @@ class TestSizeLadder:
         assert out["oracle_certified"] is True
         assert out["oracle_iterations"] > 0
         assert out["oracle_s"] > 0
+
+    def test_fastest_of_the_repeats(self):
+        ladder = load_script("size_ladder")
+        repeats = [{"n": 40, "m": 10, "dual_prox_us": 5.0, "rapd1_iter_us_min": 30.0,
+                    "rapd1_iter_us_p50": 40.0, "pdhg_iter_us_min": 60.0, "oracle_s": 0.2,
+                    "oracle_iterations": 400, "epoch_over_pass": 5.0},
+                   {"n": 40, "m": 10, "dual_prox_us": 4.0, "rapd1_iter_us_min": 36.0,
+                    "rapd1_iter_us_p50": 38.0, "pdhg_iter_us_min": 40.0, "oracle_s": 0.3,
+                    "oracle_iterations": 400, "epoch_over_pass": 9.0}]
+        out = ladder.fastest(repeats)
+        assert out == {"n": 40, "m": 10, "dual_prox_us": 4.0, "rapd1_iter_us_min": 30.0,
+                       "rapd1_iter_us_p50": 38.0, "pdhg_iter_us_min": 40.0, "oracle_s": 0.2,
+                       "oracle_iterations": 400, "epoch_over_pass": 7.5}
