@@ -4,9 +4,10 @@ Writes into one directory what this tree computes on a fixed matrix:
 
 - configured runs (``run_from_config``) of rapd1, rapd2, pdhg and
   mirror_prox, K = 3000, seeds 0 and 1, with metrics against a 1e-8
-  certificate, on six configs: the quadratic game (plain and strongly
+  certificate, on seven configs: the quadratic game (plain and strongly
   convex), bilinear ERM (uniform and non-uniform ``method.p``; the
-  non-uniform one only for rapd1 and rapd2, which read it), the
+  non-uniform one only for rapd1 and rapd2, which read it; and pdhg
+  alone at the given steps ``method.tau = method.sigma = 0.5``), the
   constrained program and the kernel problem at n = 40.  Per run:
   ``<config>/<method>_seed<s>.csv``, the trace CSV body without its ``#``
   header lines; ``<config>/<method>_seed<s>_<name>.npy`` for ``final_x``,
@@ -67,19 +68,20 @@ _QUADRATIC = ("problem.type = quadratic_game\nproblem.seed = 3\nproblem.n = 32\n
 _BILINEAR = ("problem.type = bilinear_erm\nproblem.seed = 4\nproblem.n = 32\n"
              "problem.d = 8\nproblem.blocks = 4\nproblem.f = sql2\n"
              "problem.f_param = 0.5\nproblem.h = simplex\n")
-#: label -> (config text without the method keys, methods to run)
+#: label -> (problem keys, methods to run, method keys besides method.name)
 CONFIGS = {
-    "quadratic": (_QUADRATIC + "problem.f = l1\nproblem.h = ball\n", METHODS),
+    "quadratic": (_QUADRATIC + "problem.f = l1\nproblem.h = ball\n", METHODS, ""),
     "quadratic_sc": (_QUADRATIC + "problem.strongly_convex = true\nproblem.f = sql2\n"
                      "problem.f_param = 0.5\nproblem.h = sql2\nproblem.h_param = 0.5\n",
-                     METHODS),
-    "bilinear": (_BILINEAR, METHODS),
-    "bilinear_p": (_BILINEAR + "method.p = 0.4,0.3,0.2,0.1\n", ("rapd1", "rapd2")),
+                     METHODS, ""),
+    "bilinear": (_BILINEAR, METHODS, ""),
+    "bilinear_p": (_BILINEAR, ("rapd1", "rapd2"), "method.p = 0.4,0.3,0.2,0.1\n"),
+    "bilinear_steps": (_BILINEAR, ("pdhg",), "method.tau = 0.5\nmethod.sigma = 0.5\n"),
     "constrained": ("problem.type = constrained\nproblem.seed = 5\nproblem.n = 32\n"
                     "problem.d = 6\nproblem.blocks = 4\nproblem.f = sql2\n"
-                    "problem.f_param = 0.5\n", METHODS),
+                    "problem.f_param = 0.5\n", METHODS, ""),
     "kernel": ("problem.type = kernel\nproblem.seed = 6\nproblem.n = 40\nproblem.d = 5\n"
-               "problem.blocks = 4\n", METHODS),
+               "problem.blocks = 4\n", METHODS, ""),
 }
 
 #: report fields that hold measured wall time
@@ -106,7 +108,7 @@ def _fmt(v) -> str:
 
 
 def write_runs(out: Path, tmp: Path) -> None:
-    for label, (text, methods) in CONFIGS.items():
+    for label, (text, methods, method_keys) in CONFIGS.items():
         (out / label).mkdir(parents=True, exist_ok=True)
         base = parse_config(text + "method.name = rapd1\n")
         problem, x0, y0 = build_problem_from_config(base)
@@ -114,8 +116,8 @@ def write_runs(out: Path, tmp: Path) -> None:
         cert_path = tmp / f"{label}.npz"
         save_certificate(cert_path, cert)
         for method in methods:
-            cfg = parse_config(text + f"method.name = {method}\nrun.K = {K}\n"
-                               f"run.certificate = {cert_path}\n")
+            cfg = parse_config(text + method_keys + f"method.name = {method}\n"
+                               f"run.K = {K}\nrun.certificate = {cert_path}\n")
             for seed in SEEDS:
                 stem = out / label / f"{method}_seed{seed}"
                 try:

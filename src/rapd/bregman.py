@@ -247,19 +247,11 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
         return u - lam      # positive wherever u > lam: no clamp
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - scale
-    cond = srt - css / _ranks(u.size) > 0
+    cond = srt - css / np.arange(1.0, u.size + 1.0) > 0
     # the first rank always qualifies in exact arithmetic
     rho = max(int(np.count_nonzero(cond)), 1)
     out = u - css[rho - 1] / float(rho)
     return np.maximum(out, 0.0, out=out)
-
-
-@functools.lru_cache(maxsize=8)
-def _ranks(n: int) -> np.ndarray:
-    """The read-only ranks ``1..n`` as floats."""
-    ks = np.arange(1.0, n + 1.0)
-    ks.setflags(write=False)
-    return ks
 
 
 class IndicatorSimplex(ProxFriendlyFunction):

@@ -7,7 +7,8 @@ Subcommands:
 - ``bench``  a named suite (bilinear | quadratic | strongly-convex |
              kernel); prints the rate report, nonzero exit on failure.
 - ``check``  validates the configured setup: step-size condition over a
-             schedule prefix (or mirror-prox's estimated constant),
+             schedule prefix (pdhg's at m = 1, or mirror-prox's
+             estimated constant),
              gradient consistency, sampled smoothness bounds.
 - ``oracle`` computes and persists a saddle certificate (.npz).
 
@@ -116,10 +117,10 @@ def _cmd_check(args) -> int:
     problem, _, _ = build_problem_from_config(cfg)
     failures = []
 
-    if cfg["method.name"] in ("rapd1", "rapd2"):
-        sched = make_schedule_from_config(cfg, problem)
+    if cfg["method.name"] in ("rapd1", "rapd2", "pdhg"):
+        sched, constants = make_schedule_from_config(cfg, problem)
         prefix = schedule_prefix(sched, min(cfg["run.K"], 1000))
-        report = check_assumption2(prefix, problem.constants, problem.partition.m)
+        report = check_assumption2(prefix, constants, sched.m)
         print(report)
         if not report.satisfied:
             failures.append("step-size condition")

@@ -39,8 +39,8 @@ _SCHEMA = {
     "method.c_tau": (float, 0.99),
     "method.c_sigma": (float, 0.99),
     "method.p": (str, "uniform"),              # uniform or comma-separated weights
-    "method.tau": (float, 0.0),                # pdhg primal step; 0 = derive
-    "method.sigma": (float, 0.0),              # pdhg dual step; 0 = derive
+    "method.tau": (float, 0.0),                # pdhg primal step; 0 = rapd1's at m = 1
+    "method.sigma": (float, 0.0),              # pdhg dual step; 0 = rapd1's at m = 1
     "method.L": (float, 0.0),                  # mirror-prox constant; 0 = estimate, for
                                                # bilinear_erm|quadratic_game|constrained
 
@@ -62,8 +62,7 @@ _ZERO_MEANS_DEFAULT = ("problem.B", "method.alpha", "method.tau", "method.sigma"
 _METHOD_READS = {
     "rapd1": ("method.alpha", "method.c_tau", "method.c_sigma", "method.p"),
     "rapd2": ("method.alpha", "method.c_sigma", "method.p"),
-    "pdhg": ("method.alpha", "method.c_tau", "method.c_sigma", "method.tau",
-             "method.sigma"),
+    "pdhg": ("method.tau", "method.sigma"),
     "mirror_prox": ("method.L",),
 }
 
@@ -166,18 +165,8 @@ def _validate(cfg: ExperimentConfig):
     for key in _ZERO_MEANS_DEFAULT:
         if not v[key] >= 0:
             raise ConfigError(f"{key} must be >= 0 (0 = default), got {v[key]}")
-    method_reads, method = set(_METHOD_READS[name]), f"method.name = {name}"
-    if name == "pdhg":
-        # pdhg derives tau from alpha and c_tau, and sigma from alpha and
-        # c_sigma, only where the step is 0
-        given = [k for k in ("method.tau", "method.sigma") if v[k] > 0]
-        method_reads -= {k.replace("method.", "method.c_") for k in given}
-        if len(given) == 2:
-            method_reads.discard("method.alpha")
-        if given:
-            method += " given " + " and ".join(given)
     for table, reads, where in ((_PROBLEM_READS, _PROBLEM_READS[kind], f"problem.type = {kind}"),
-                                (_METHOD_READS, method_reads, method)):
+                                (_METHOD_READS, _METHOD_READS[name], f"method.name = {name}")):
         for key in sorted(set().union(*table.values()) - set(reads)):
             if v[key] != _SCHEMA[key][1]:
                 raise ConfigError(f"{key} = {v[key]} does nothing for {where}; "

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -263,20 +263,38 @@ def _dual_feasible_start(problem):
 
 
 def make_schedule_from_config(cfg: ExperimentConfig, problem):
-    """The configured rapd schedule: accelerated for rapd2, constant steps
-    otherwise (pdhg derives its default steps from them)."""
+    """The configured schedule and the constants that certify it.
+
+    pdhg is rapd1 at m = 1: its schedule has one block, on the constants
+    of the configured instance built as one block.  Its steps default to
+    rapd1's there; a given ``method.tau`` or ``method.sigma`` is used as
+    given.  Its ``alpha`` is the geometric mean of the bounds
+    ``L_yx^2 / (1/tau - L_xx)`` and ``1/sigma - 2 L_yy`` of the m = 1
+    condition (infinite unless both are positive), so
+    :func:`check_assumption2` passes exactly when the steps satisfy it.
+    """
     v = cfg.values
+    if v["method.name"] == "pdhg":
+        one_block = ExperimentConfig({**v, "problem.blocks": 1})
+        c1 = build_problem_from_config(one_block)[0].constants
+        s1 = part1_schedule(c1, 1, default_alpha(c1))
+        tau, sigma = v["method.tau"] or float(s1.tau[0]), v["method.sigma"] or s1.sigma
+        gap_x, gap_y = 1.0 / tau - c1.L_xx[0], 1.0 / sigma - 2.0 * c1.L_yy
+        alpha = (np.sqrt(c1.L_yx[0] ** 2 / gap_x * gap_y)
+                 if gap_x > 0 and gap_y > 0 else np.inf)
+        return replace(s1, tau=np.array([tau]), sigma=sigma, alpha=float(alpha)), c1
     m = problem.partition.m
     alpha = v["method.alpha"] if v["method.alpha"] > 0 else default_alpha(problem.constants)
     p = cfg.probabilities(m)
     if v["method.name"] == "rapd2":
-        return part2_init(problem.constants, m, alpha,
-                          c_sigma=v["method.c_sigma"], p=p)
-    if p is None:
-        return part1_schedule(problem.constants, m, alpha,
-                              c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
-    return nonuniform_weights(problem.constants, m, alpha, p, regime="part1",
-                              c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
+        sched = part2_init(problem.constants, m, alpha, c_sigma=v["method.c_sigma"], p=p)
+    elif p is None:
+        sched = part1_schedule(problem.constants, m, alpha,
+                               c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
+    else:
+        sched = nonuniform_weights(problem.constants, m, alpha, p, regime="part1",
+                                   c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
+    return sched, problem.constants
 
 
 def run_from_config(cfg: ExperimentConfig, seed: int) -> RunTrace:
@@ -295,15 +313,13 @@ def run_from_config(cfg: ExperimentConfig, seed: int) -> RunTrace:
     pts = record_points(K, v["run.metric_cadence"])
     name = v["method.name"]
     if name in ("rapd1", "rapd2"):
-        sched = make_schedule_from_config(cfg, problem)
+        sched, _ = make_schedule_from_config(cfg, problem)
         opts = RunOptions(record_at=pts, reference=reference)
         return run(problem, sched, K, seed, x0=x0, y0=y0, options=opts)
     if name == "pdhg":
-        s1 = make_schedule_from_config(cfg, problem)
-        tau = v["method.tau"] if v["method.tau"] > 0 else float(s1.tau.min())
-        sigma = v["method.sigma"] if v["method.sigma"] > 0 else s1.sigma * problem.partition.m
-        return pdhg_run(problem, tau, sigma, K, x0=x0, y0=y0, record_at=pts,
-                        reference=reference)
+        s1, _ = make_schedule_from_config(cfg, problem)
+        return pdhg_run(problem, float(s1.tau[0]), s1.sigma, K, x0=x0, y0=y0,
+                        record_at=pts, reference=reference)
     L = v["method.L"] if v["method.L"] > 0 else None
     return mirror_prox_run(problem, L, K, x0=x0, y0=y0, record_at=pts,
                            reference=reference)

@@ -125,7 +125,9 @@ class TestConfig:
                 + f"{key} = {self.METHOD_VALUES[key]}\n")
 
     def test_method_keys_the_method_never_reads_rejected(self):
-        rejected = [("method.c_tau", "rapd2"), ("method.p", "pdhg")]
+        rejected = [("method.c_tau", "rapd2")]
+        rejected += [(k, "pdhg") for k in ("method.alpha", "method.c_tau",
+                                           "method.c_sigma", "method.p")]
         rejected += [(k, "mirror_prox") for k in ("method.alpha", "method.c_tau",
                                                   "method.c_sigma", "method.p")]
         rejected += [(k, m) for k in ("method.tau", "method.sigma")
@@ -139,8 +141,7 @@ class TestConfig:
         accepted = [(k, "rapd1") for k in ("method.alpha", "method.c_tau",
                                            "method.c_sigma", "method.p")]
         accepted += [(k, "rapd2") for k in ("method.alpha", "method.c_sigma", "method.p")]
-        accepted += [(k, "pdhg") for k in ("method.alpha", "method.c_tau", "method.c_sigma",
-                                           "method.tau", "method.sigma")]
+        accepted += [(k, "pdhg") for k in ("method.tau", "method.sigma")]
         accepted += [("method.L", "mirror_prox")]
         for key, method in accepted:
             parse_config(self._with_method_key(method, key))
@@ -175,21 +176,6 @@ class TestConfig:
                 # any key may be written at its default
                 default = str(parse_config(base)[key])
                 parse_config(base + f"{key} = {default}\n")
-
-    def test_pdhg_step_keys_a_given_step_silences_rejected(self):
-        pdhg = BASE_CFG.replace("method.name = rapd1", "method.name = pdhg")
-        both = pdhg + "method.tau = 0.1\nmethod.sigma = 0.2\n"
-        for key in ("method.alpha", "method.c_tau", "method.c_sigma"):
-            with pytest.raises(ConfigError, match=f"{key} .*method.name = pdhg given "
-                                                  "method.tau and method.sigma; leave it"):
-                parse_config(both + f"{key} = {self.METHOD_VALUES[key]}\n")
-        # one given step silences only its own constant
-        for given, silent, read in (("method.tau", "method.c_tau", "method.c_sigma"),
-                                    ("method.sigma", "method.c_sigma", "method.c_tau")):
-            text = pdhg + f"{given} = 0.1\n"
-            with pytest.raises(ConfigError, match=f"{silent} .*given {given};"):
-                parse_config(text + f"{silent} = 0.5\n")
-            parse_config(text + f"{read} = 0.5\nmethod.alpha = 2\n")
 
     def test_probabilities(self):
         cfg = parse_config(BASE_CFG.replace("method.name = rapd1",

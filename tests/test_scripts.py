@@ -1,10 +1,18 @@
 import importlib.util
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+
+from rapd.harness import suites
+from rapd.harness.cli import cli_main
+from rapd.harness.config import parse_config
+from rapd.harness.suites import build_problem_from_config
+from rapd.stepsize import check_assumption2, default_alpha, part1_schedule
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -42,6 +50,67 @@ class TestCompare:
         lines = bit_identity.compare(old, new)
         assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01",
                          "cfg/x.npy: max abs deviation 5.000e-01"]
+
+
+class TestPdhgSteps:
+    """pdhg's configured steps on the artefact configs against the m = 1
+    step-size condition, on the constants of the instance built as one
+    block."""
+
+    @staticmethod
+    def one_block_constants(text):
+        one = re.sub(r"problem\.blocks = \d+", "problem.blocks = 1", text)
+        return build_problem_from_config(parse_config(one + "method.name = pdhg\n"))[0].constants
+
+    @staticmethod
+    def run_steps(text, monkeypatch):
+        """The ``(tau, sigma)`` that ``run_from_config`` hands to ``pdhg_run``."""
+        steps = []
+        monkeypatch.setattr(suites, "pdhg_run",
+                            lambda problem, tau, sigma, K, **kw: steps.append((tau, sigma)))
+        suites.run_from_config(parse_config(text + "method.name = pdhg\nrun.K = 1\n"), 0)
+        return steps[0]
+
+    def test_default_steps_are_rapd1_steps_at_one_block(self, bit_identity, monkeypatch):
+        configs = [text for text, methods, keys in bit_identity.CONFIGS.values()
+                   if "pdhg" in methods and not keys]
+        assert len(configs) == 5
+        for text in configs:
+            tau, sigma = self.run_steps(text, monkeypatch)
+            c1 = self.one_block_constants(text)
+            s1 = part1_schedule(c1, 1, default_alpha(c1))
+            assert (tau, sigma) == (float(s1.tau[0]), s1.sigma)
+            ran = replace(s1, tau=np.array([tau]), sigma=sigma)
+            assert check_assumption2([ran, ran], c1, 1).satisfied
+
+    def test_given_steps_are_used_as_given(self, bit_identity, monkeypatch):
+        text = bit_identity.CONFIGS["bilinear"][0] + "method.tau = 0.5\nmethod.sigma = 0.5\n"
+        assert self.run_steps(text, monkeypatch) == (0.5, 0.5)
+
+    def test_given_steps_certified_exactly_when_the_condition_holds(self, bit_identity):
+        # an unbalanced pair: (1/tau - L_xx) / sigma >= L_yx^2 decides, not tau = sigma
+        text = bit_identity.CONFIGS["bilinear"][0]
+        c1 = self.one_block_constants(text)
+        assert c1.L_yy == 0
+        tau = 0.05
+        edge = float((1.0 / tau - c1.L_xx[0]) / c1.L_yx[0] ** 2)
+        for factor, satisfied in ((0.99, True), (1.01, False)):
+            cfg = parse_config(text + f"method.name = pdhg\nmethod.tau = {tau}\n"
+                               f"method.sigma = {factor * edge!r}\n")
+            sched, constants = suites.make_schedule_from_config(cfg, None)
+            assert sched.m == 1 and constants.L_yx[0] == c1.L_yx[0]
+            assert check_assumption2([sched, sched], constants, 1).satisfied is satisfied
+
+    def test_check_exits_4_on_uncertified_steps(self, bit_identity, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        text = bit_identity.CONFIGS["bilinear"][0] + "method.name = pdhg\n"
+        # tau = sigma = 1.048 breaks the m = 1 condition by 2.36x
+        for steps, code in (("", 0), ("method.tau = 1.048\nmethod.sigma = 1.048\n", 4)):
+            path.write_text(text + steps)
+            assert cli_main(["check", "--config", str(path)]) == code
+            out = capsys.readouterr().out
+            assert "step-size condition satisfied" in out if code == 0 else \
+                "FAIL: step-size condition\n" in out
 
 
 class TestSizeLadder:
