@@ -8,7 +8,9 @@ Writes into one directory what this tree computes on a fixed matrix:
   convex), bilinear ERM (uniform and non-uniform ``method.p``; the
   non-uniform one only for rapd1 and rapd2, which read it; and pdhg
   alone at the given steps ``method.tau = method.sigma = 0.5``), the
-  constrained program and the kernel problem at n = 40.  Per run:
+  constrained program and the kernel problem at n = 40.  rapd1 and rapd2
+  run on ``BLOCKS`` blocks; pdhg and mirror_prox read no block count and
+  run on one.  Per run:
   ``<config>/<method>_seed<s>.csv``, the trace CSV body without its ``#``
   header lines; ``<config>/<method>_seed<s>_<name>.npy`` for ``final_x``,
   ``final_y``, ``ergodic_x`` and ``ergodic_y``; or, for a run that raises,
@@ -64,10 +66,9 @@ SEEDS = (0, 1)
 K = 3000
 
 _QUADRATIC = ("problem.type = quadratic_game\nproblem.seed = 3\nproblem.n = 32\n"
-              "problem.d = 8\nproblem.blocks = 8\n")
+              "problem.d = 8\n")
 _BILINEAR = ("problem.type = bilinear_erm\nproblem.seed = 4\nproblem.n = 32\n"
-             "problem.d = 8\nproblem.blocks = 4\nproblem.f = sql2\n"
-             "problem.f_param = 0.5\nproblem.h = simplex\n")
+             "problem.d = 8\nproblem.f = sql2\nproblem.f_param = 0.5\nproblem.h = simplex\n")
 #: label -> (problem keys, methods to run, method keys besides method.name)
 CONFIGS = {
     "quadratic": (_QUADRATIC + "problem.f = l1\nproblem.h = ball\n", METHODS, ""),
@@ -78,11 +79,13 @@ CONFIGS = {
     "bilinear_p": (_BILINEAR, ("rapd1", "rapd2"), "method.p = 0.4,0.3,0.2,0.1\n"),
     "bilinear_steps": (_BILINEAR, ("pdhg",), "method.tau = 0.5\nmethod.sigma = 0.5\n"),
     "constrained": ("problem.type = constrained\nproblem.seed = 5\nproblem.n = 32\n"
-                    "problem.d = 6\nproblem.blocks = 4\nproblem.f = sql2\n"
-                    "problem.f_param = 0.5\n", METHODS, ""),
-    "kernel": ("problem.type = kernel\nproblem.seed = 6\nproblem.n = 40\nproblem.d = 5\n"
-               "problem.blocks = 4\n", METHODS, ""),
+                    "problem.d = 6\nproblem.f = sql2\nproblem.f_param = 0.5\n", METHODS, ""),
+    "kernel": ("problem.type = kernel\nproblem.seed = 6\nproblem.n = 40\nproblem.d = 5\n",
+               METHODS, ""),
 }
+#: label -> ``problem.blocks`` of the rapd1 and rapd2 runs and the certificate
+BLOCKS = {"quadratic": 8, "quadratic_sc": 8, "bilinear": 4, "bilinear_p": 4,
+          "bilinear_steps": 4, "constrained": 4, "kernel": 4}
 
 #: report fields that hold measured wall time
 WALL_FIELDS = ("oracle_seconds", "seconds")
@@ -110,13 +113,15 @@ def _fmt(v) -> str:
 def write_runs(out: Path, tmp: Path) -> None:
     for label, (text, methods, method_keys) in CONFIGS.items():
         (out / label).mkdir(parents=True, exist_ok=True)
-        base = parse_config(text + "method.name = rapd1\n")
+        blocks = f"problem.blocks = {BLOCKS[label]}\n"
+        base = parse_config(text + blocks + "method.name = rapd1\n")
         problem, x0, y0 = build_problem_from_config(base)
         cert = solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
         cert_path = tmp / f"{label}.npz"
         save_certificate(cert_path, cert)
         for method in methods:
-            cfg = parse_config(text + method_keys + f"method.name = {method}\n"
+            keys = method_keys + (blocks if method in ("rapd1", "rapd2") else "")
+            cfg = parse_config(text + keys + f"method.name = {method}\n"
                                f"run.K = {K}\nrun.certificate = {cert_path}\n")
             for seed in SEEDS:
                 stem = out / label / f"{method}_seed{seed}"

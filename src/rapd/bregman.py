@@ -393,6 +393,10 @@ class BregmanGeometry:
         """Norm w.r.t. which the generating function is 1-strongly convex."""
         raise NotImplementedError
 
+    def dual_norm(self, g: np.ndarray) -> float:
+        """``max <g, u>`` over ``ref_norm(u) <= 1``; named ``dual_norm_name``."""
+        raise NotImplementedError
+
     def _check(self, *vecs):
         for v in vecs:
             if np.asarray(v).shape != (self.dim,):
@@ -408,6 +412,7 @@ class EuclideanGeometry(BregmanGeometry):
     """``phi(u) = 0.5*||u||^2``; ``D(u, v) = 0.5*||u - v||^2``."""
 
     kind = "euclidean"
+    dual_norm_name = "l2"
 
     def dist(self, u, v):
         self._check(u, v)
@@ -416,6 +421,7 @@ class EuclideanGeometry(BregmanGeometry):
 
     def ref_norm(self, u):
         return float(np.linalg.norm(u))
+    dual_norm = ref_norm   # l2 is self-dual
 
     def _step(self, f, t, s, xbar):
         return f.prox_euclidean(t, xbar - t * s)
@@ -431,6 +437,7 @@ class EntropyGeometry(BregmanGeometry):
     """
 
     kind = "negative-entropy"
+    dual_norm_name = "linf"
 
     def dist(self, u, v):
         self._check(u, v)
@@ -446,6 +453,9 @@ class EntropyGeometry(BregmanGeometry):
 
     def ref_norm(self, u):
         return float(np.abs(u).sum())
+
+    def dual_norm(self, g):
+        return float(np.abs(g).max())
 
     def _step(self, f, t, s, xbar):
         if (xbar <= 0).any():
@@ -474,6 +484,7 @@ class ProductGeometry(BregmanGeometry):
         super().__init__(sum(g.dim for g in self.parts))
         ends = np.cumsum([g.dim for g in self.parts]).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        self.dual_norm_name = "(" + ", ".join(g.dual_norm_name for g in self.parts) + ")"
 
     def _split(self, x):
         x = np.asarray(x, dtype=float)
@@ -486,6 +497,10 @@ class ProductGeometry(BregmanGeometry):
     def ref_norm(self, u):
         # l2 combination of the segment reference norms
         return float(np.sqrt(sum(g.ref_norm(seg) ** 2 for g, seg in zip(self.parts, self._split(u)))))
+
+    def dual_norm(self, g):
+        # the dual of an l2 combination is the l2 combination of the duals
+        return float(np.sqrt(sum(p.dual_norm(seg) ** 2 for p, seg in zip(self.parts, self._split(g)))))
 
     def stepper(self, f):
         """Checks that ``f`` splits over the parts; see the base class."""

@@ -135,8 +135,9 @@ def _cmd_check(args) -> int:
 
     spot = lipschitz_spot_check(problem, draws=200)
     worst = min(spot.values())
+    norm = {"L_yx": f" in dual norm {problem.dual_geometry.dual_norm_name}"}
     print("smoothness spot-check worst slacks: "
-          + ", ".join(f"{k}={v:.3e}" for k, v in spot.items()))
+          + ", ".join(f"{k}={v:.3e}{norm.get(k, '')}" for k, v in spot.items()))
     if worst < -1e-8:
         failures.append("smoothness bounds")
 

@@ -58,10 +58,10 @@ _SCHEMA = {
 _ZERO_MEANS_DEFAULT = ("problem.B", "method.alpha", "method.tau", "method.sigma",
                        "method.L", "run.metric_cadence")
 
-#: the method keys each method reads; the others must keep their defaults
+#: the method keys and ``problem.blocks`` each method reads; the others keep their defaults
 _METHOD_READS = {
-    "rapd1": ("method.alpha", "method.c_tau", "method.c_sigma", "method.p"),
-    "rapd2": ("method.alpha", "method.c_sigma", "method.p"),
+    "rapd1": ("problem.blocks", "method.alpha", "method.c_tau", "method.c_sigma", "method.p"),
+    "rapd2": ("problem.blocks", "method.alpha", "method.c_sigma", "method.p"),
     "pdhg": ("method.tau", "method.sigma"),
     "mirror_prox": ("method.L",),
 }

@@ -216,11 +216,13 @@ def make_dual_function(kind: str, param: float):
 
 
 def build_problem_from_config(cfg: ExperimentConfig):
-    """Instantiate the configured problem; returns (problem, x0, y0)."""
+    """Instantiate the configured problem; returns (problem, x0, y0).  It
+    has one block under pdhg and mirror_prox, which read no block count."""
     v = cfg.values
     kind = v["problem.type"]
     rng = np.random.default_rng(v["problem.seed"])
-    n, d, m = v["problem.n"], v["problem.d"], v["problem.blocks"]
+    m = v["problem.blocks"] if v["method.name"] in ("rapd1", "rapd2") else 1
+    n, d = v["problem.n"], v["problem.d"]
     part = BlockPartition.even(n, m)
 
     if kind == "kernel":
@@ -266,7 +268,7 @@ def make_schedule_from_config(cfg: ExperimentConfig, problem):
     """The configured schedule and the constants that certify it.
 
     pdhg is rapd1 at m = 1: its schedule has one block, on the constants
-    of the configured instance built as one block.  Its steps default to
+    of its instance, built as one block.  Its steps default to
     rapd1's there; a given ``method.tau`` or ``method.sigma`` is used as
     given.  Its ``alpha`` is the geometric mean of the bounds
     ``L_yx^2 / (1/tau - L_xx)`` and ``1/sigma - 2 L_yy`` of the m = 1
@@ -275,8 +277,7 @@ def make_schedule_from_config(cfg: ExperimentConfig, problem):
     """
     v = cfg.values
     if v["method.name"] == "pdhg":
-        one_block = ExperimentConfig({**v, "problem.blocks": 1})
-        c1 = build_problem_from_config(one_block)[0].constants
+        c1 = problem.constants
         s1 = part1_schedule(c1, 1, default_alpha(c1))
         tau, sigma = v["method.tau"] or float(s1.tau[0]), v["method.sigma"] or s1.sigma
         gap_x, gap_y = 1.0 / tau - c1.L_xx[0], 1.0 / sigma - 2.0 * c1.L_yy

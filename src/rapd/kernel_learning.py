@@ -25,6 +25,22 @@ one product at ``O(M n n_i)`` cost.  The dual gradient
 ``-2 + (2 coef * y, z)'w`` read off it in one product each at ``O(M n)``,
 so a full pass computes ``G x`` once per point.
 
+``L_yx`` holds on the B-ball of :meth:`KernelProblem.project_primal_domain`.
+For ``x`` and ``x+ = x + U_i v`` in it, as ``G_l`` is symmetric, the dual
+gradient (free of ``(y, z)``) changes by exactly ``coef_l ((x+)'G_l x+ -
+x'G_l x) = coef_l v'G_l[sl, :](x + x+)`` in entry ``l``, at most ``a_li
+||v||`` with ``a_li = 2 B coef_l ||G_l[:, sl]||`` since ``||x + x+|| <=
+2B``, and by ``b_sl'v`` in the last, at most ``beta_i ||v|| = ||b_sl||
+||v||``.  The dual geometry's reference norm ``||.||`` is l2, or for the
+entropy dual l1 on the weights (Pinsker) and ``|z|`` combined in l2; in
+its dual ``||.||_*`` the change is at most ``L_yx_i ||v||``, ``L_yx_i =
+sqrt(sum_l a_li^2 + beta_i^2)``, or ``sqrt(max_l a_li^2 + beta_i^2)`` for
+the entropy dual.  By Hoelder's and then Young's inequality its product
+with ``y - ybar`` is at most ``L_yx_i ||v|| ||y - ybar|| <= L_yx_i^2
+||v||^2 / (2 s) + s ||y - ybar||^2 / 2 <= L_yx_i^2 ||v||^2 / (2 s) + s
+D_Y(y, ybar)`` for any ``s > 0``, as ``D_Y`` is 1-strongly convex in
+``||.||``: the coupling term of the step condition.
+
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
 
@@ -35,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import BlockPartition
-from .bregman import (EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
+from .bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
                       NonnegQuadratic, ProductGeometry, Separable, Zero)
 from .exceptions import DimensionError, DomainError, ParameterError
 from .problem import LipschitzConstants, SaddleProblem, spectral_norm
@@ -134,46 +150,40 @@ def synth_dataset(n_tr: int, d: int, seed: int = 0, separation: float = 2.0) -> 
 # ---------------------------------------------------------------------------
 
 class KernelProblem(SaddleProblem):
-    """See the module docstring for the coupling; ``dual = (y, z)`` with
-    the simplex weights first and the free multiplier last.  ``G_list``
-    is the ``(M, n, n)`` stack of the Grams ``G_l``; a view of the
-    block-row store is taken as it is, any other stack is copied into one."""
+    """See the module docstring for the coupling and ``L_yx``; ``dual =
+    (y, z)`` with the simplex weights first and the free multiplier last.
+    ``G_list`` is the ``(M, n, n)`` stack of the Grams ``G_l``; a view of
+    the block-row store is taken as it is, any other stack is copied into
+    one."""
 
-    def __init__(self, G_list, b, lam, r, partition, B,
-                 dual_geometry="entropy"):
+    def __init__(self, G_list, b, lam, r, partition, B, dual_geometry="entropy"):
         rows = np.ascontiguousarray(np.asarray(G_list, dtype=float).transpose(1, 0, 2))
         G = rows.transpose(1, 0, 2)
         M, n = G.shape[0], G.shape[1]
-        r = np.asarray(r, dtype=float)
+        b, r = np.asarray(b, dtype=float), np.asarray(r, dtype=float)
         c = float(r.sum())
         coef = c / r
         slices = partition.slices()
-
         col_norms = np.array([[spectral_norm(Gl[:, sl]) for sl in slices] for Gl in G])
-        diag_norms = np.array([[spectral_norm(Gl[sl, sl]) for sl in slices] for Gl in G])
-        m = partition.m
-        f = [NonnegQuadratic(lam) for _ in range(m)]
-        constants = LipschitzConstants(
-            L_xx=6.0 * col_norms.max(axis=0),
-            L_yx=6.0 * np.sqrt(M) * B * (col_norms + diag_norms / m).max(axis=0),
-            L_yy=0.0, mu=np.array([fi.modulus for fi in f]))
-        h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
+        a_sq = (2.0 * float(B) * coef[:, None] * col_norms) ** 2
+        beta_sq = np.array([float(np.dot(b[sl], b[sl])) for sl in slices])
         if dual_geometry == "entropy":
             dg = ProductGeometry([EntropyGeometry(M), EuclideanGeometry(1)])
+            L_yx = np.sqrt(a_sq.max(axis=0) + beta_sq)
         elif dual_geometry == "euclidean":
             dg = EuclideanGeometry(M + 1)
+            L_yx = np.sqrt(a_sq.sum(axis=0) + beta_sq)
         else:
             raise ParameterError(f"unknown dual geometry '{dual_geometry}'")
+        f = [NonnegQuadratic(lam) for _ in range(partition.m)]
+        constants = LipschitzConstants(L_xx=6.0 * col_norms.max(axis=0), L_yx=L_yx,
+                                       L_yy=0.0, mu=np.array([fi.modulus for fi in f]))
+        h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
         super().__init__(partition, M + 1, f, h, constants, dual_geometry=dg)
-        self.G_list = G
-        self.b = np.asarray(b, dtype=float)
-        self.lam = float(lam)
-        self.c = c
-        self.r = r
-        self.coef = coef
-        self.B = float(B)
-        self.M = M
+        self.G_list, self.b, self.lam, self.B, self.M = G, b, float(lam), float(B), M
+        self.c, self.r, self.coef = c, r, coef
         self._slices = slices
+        self._region = ConeDualBall("nonneg", B)   # the orthant is self-dual
         # row c of every G_l side by side: the Grams are symmetric, so
         # x times these rows is G x, and a block's rows move it
         self._rows = rows.reshape(n, M * n)
@@ -210,13 +220,8 @@ class KernelProblem(SaddleProblem):
         return self._c1 * w.dot(x)
 
     def project_primal_domain(self, x):
-        """Nonnegative orthant scaled into the ball of radius B (the
-        region the coupling constants are valid on)."""
-        w = np.maximum(np.asarray(x, dtype=float), 0.0)
-        nrm = float(np.linalg.norm(w))
-        if nrm > self.B:
-            w *= self.B / nrm
-        return w
+        """Onto the nonnegative B-ball, the region the constants hold on."""
+        return self._region.project_domain(x)
 
 
 def default_dual_bound(n_tr: int, lam: float) -> float:

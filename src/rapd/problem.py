@@ -416,11 +416,12 @@ def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 
     For random ``(x, v, y, ybar)``, ``x`` drawn through
     :meth:`SaddleProblem.project_primal_domain`, the four inequalities
     below must hold; reported values are worst signed slacks (>= 0 means
-    satisfied):
+    satisfied).  ``||y-ybar||`` is the dual geometry's ``ref_norm`` and
+    ``||.||_*`` its ``dual_norm``; all other norms are l2:
 
     - ``L_xx``:  L_xx_i*||v|| - ||grad_xi phi(x+U_i v, y) - grad_xi phi(x, y)||
     - ``L_yx``:  L_yy*||y-ybar|| + L_yx_i*||v||
-                 - ||grad_y phi(x+U_i v, ybar) - grad_y phi(x, y)||
+                 - ||grad_y phi(x+U_i v, ybar) - grad_y phi(x, y)||_*
     - ``convexity``: both sides of the Bregman sandwich
       ``0 <= phi(x+U_i v, y) - phi(x, y) - <grad_xi phi(x, y), v>
          <= 0.5*L_xx_i*||v||^2``
@@ -430,6 +431,7 @@ def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 
     rng = np.random.default_rng(seed)
     part = problem.partition
     c = problem.constants
+    geom = problem.dual_geometry
     out = {"L_xx": np.inf, "L_yx": np.inf, "convexity_lo": np.inf,
            "convexity_hi": np.inf, "concavity_hi": np.inf, "concavity_lo": np.inf}
     for _ in range(draws):
@@ -450,9 +452,8 @@ def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 
 
         gy = problem.grad_y(x, y)
         gy_v = problem.grad_y(xv, ybar)
-        out["L_yx"] = min(out["L_yx"],
-                          c.L_yy * float(np.linalg.norm(y - ybar)) + c.L_yx[i] * nv
-                          - float(np.linalg.norm(gy_v - gy)))
+        ny = geom.ref_norm(y - ybar)
+        out["L_yx"] = min(out["L_yx"], c.L_yy * ny + c.L_yx[i] * nv - geom.dual_norm(gy_v - gy))
 
         bread = problem.phi_value(xv, y) - problem.phi_value(x, y) - float(gxi @ v)
         out["convexity_lo"] = min(out["convexity_lo"], bread)
@@ -462,6 +463,5 @@ def lipschitz_spot_check(problem: SaddleProblem, draws: int = 1000, seed: int = 
         gyb = problem.grad_y(x, ybar)
         conc = problem.phi_value(x, y) - problem.phi_value(x, ybar) - float(gyb @ (y - ybar))
         out["concavity_hi"] = min(out["concavity_hi"], -conc)
-        out["concavity_lo"] = min(out["concavity_lo"],
-                                  conc + 0.5 * c.L_yy * float(np.linalg.norm(y - ybar)) ** 2)
+        out["concavity_lo"] = min(out["concavity_lo"], conc + 0.5 * c.L_yy * ny ** 2)
     return out

@@ -208,6 +208,29 @@ class TestNormsAndSeparable:
                 np.maximum(-u, 0.0).max(initial=0.0)
                 + max(np.linalg.norm(np.maximum(u, 0.0)) - 1.0, 0.0))
 
+    def test_dual_norms(self):
+        # max <g, u> over ref_norm(u) <= 1, attained at a unit vector of the
+        # reference norm: l2 bit for bit numpy's, l-inf for entropy's l1, and
+        # the l2 combination of both for their product
+        rng = np.random.default_rng(23)
+        prod = ProductGeometry([EntropyGeometry(3), EuclideanGeometry(1)])
+        assert (EuclideanGeometry(2).dual_norm_name, prod.dual_norm_name) == ("l2", "(linf, l2)")
+        for _ in range(200):
+            g = rng.standard_normal(4) * 10.0 ** rng.uniform(-5, 5)
+            assert EuclideanGeometry(4).dual_norm(g) == float(np.linalg.norm(g))
+            assert EntropyGeometry(4).dual_norm(g) == float(np.abs(g).max())
+            gw, gz = np.abs(g[:3]).max(), abs(g[3])
+            dn = prod.dual_norm(g)
+            assert dn == pytest.approx(np.hypot(gw, gz), rel=1e-15)
+            j = int(np.abs(g[:3]).argmax())
+            u = np.zeros(4)
+            u[j], u[3] = np.sign(g[j]) * gw / dn, gz * np.sign(g[3]) / dn
+            assert prod.ref_norm(u) == pytest.approx(1.0, rel=1e-14)
+            assert g @ u == pytest.approx(dn, rel=1e-14)
+            for _ in range(5):
+                w = rng.standard_normal(4)
+                assert g @ w <= dn * prod.ref_norm(w) * (1 + 1e-14)
+
     @pytest.mark.parametrize("parts", [
         [(IndicatorSimplex(2.0), 3), (Zero(), 1)],
         [(IndicatorBall(0.5), 2), (L1(0.3), 3)],

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,7 +122,9 @@ class TestConfig:
                      "method.L": "3"}
 
     def _with_method_key(self, method, key):
-        return (BASE_CFG.replace("method.name = rapd1", f"method.name = {method}")
+        blocked = method in ("rapd1", "rapd2")
+        base = BASE_CFG if blocked else without_keys(BASE_CFG, "problem.blocks")
+        return (base.replace("method.name = rapd1", f"method.name = {method}")
                 + f"{key} = {self.METHOD_VALUES[key]}\n")
 
     def test_method_keys_the_method_never_reads_rejected(self):
@@ -147,7 +150,14 @@ class TestConfig:
             parse_config(self._with_method_key(method, key))
         # a key the method does not read may still be written at its default
         parse_config(BASE_CFG.replace("method.name = rapd1", "method.name = mirror_prox")
+                     .replace("problem.blocks = 2", "problem.blocks = 8")
                      + "method.c_tau = 0.99\nmethod.p = uniform\n")
+
+    def test_block_count_rejected_for_single_block_methods(self):
+        for method in ("pdhg", "mirror_prox"):
+            with pytest.raises(ConfigError, match="problem.blocks = 2 does nothing for "
+                               f"method.name = {method}"):
+                parse_config(BASE_CFG.replace("method.name = rapd1", f"method.name = {method}"))
 
     #: a value other than the schema default for each problem key a type may read
     PROBLEM_VALUES = {"problem.f": "sql2", "problem.f_param": "0.5", "problem.h": "sql2",
@@ -486,6 +496,13 @@ class TestCli:
         monkeypatch.setattr(cli, "build_problem_from_config", deflated)
         assert cli_main(["check", "--config", str(p)]) == 4
 
+    def test_check_names_the_dual_norm_of_l_yx(self, tmp_path, capsys):
+        for dual, norm in (("entropy", "(linf, l2)"), ("euclidean", "l2")):
+            p = self._write_cfg(tmp_path, KERNEL_CFG + f"problem.dual_geometry = {dual}\n")
+            assert cli_main(["check", "--config", str(p)]) == 0
+            assert re.search(rf"L_yx=\S+ in dual norm {re.escape(norm)},",
+                             capsys.readouterr().out), dual
+
     def test_run_names_only_the_files_it_wrote(self, tmp_path, capsys):
         out = tmp_path / "out"
         for csv, summary, files in ((True, True, ["csv", "summary"]),
@@ -522,15 +539,15 @@ class TestCli:
         assert ran == []
 
     def test_check_estimates_mirror_prox_constant(self, tmp_path, capsys):
-        p = self._write_cfg(tmp_path, BILINEAR_CFG.replace("method.name = rapd1",
-                                                           "method.name = mirror_prox"))
+        p = self._write_cfg(tmp_path, without_keys(BILINEAR_CFG, "problem.blocks").replace(
+            "method.name = rapd1", "method.name = mirror_prox"))
         assert cli_main(["check", "--config", str(p)]) == 0
         assert "mirror-prox constant: estimated L = " in capsys.readouterr().out
 
     def test_check_fails_where_mirror_prox_has_no_estimate(self, tmp_path, capsys):
         # the kernel coupling has no built-in estimate; check says so before run does
-        p = self._write_cfg(tmp_path, KERNEL_CFG.replace("method.name = rapd1",
-                                                         "method.name = mirror_prox"))
+        p = self._write_cfg(tmp_path, without_keys(KERNEL_CFG, "problem.blocks").replace(
+            "method.name = rapd1", "method.name = mirror_prox"))
         for command in (["check"], ["run", "--out", str(tmp_path / "out")]):
             assert cli_main(command + ["--config", str(p)]) == 1
             err = capsys.readouterr().err.splitlines()
@@ -557,7 +574,8 @@ class TestCli:
 
     def test_divergence_exit_code(self, tmp_path):
         # mirror-prox with a hopeless constant on an unconstrained game
-        cfg = BASE_CFG.replace("method.name = rapd1", "method.name = mirror_prox\nmethod.L = 1e-9")
+        cfg = without_keys(BASE_CFG, "problem.blocks").replace(
+            "method.name = rapd1", "method.name = mirror_prox\nmethod.L = 1e-9")
         cfg = cfg.replace("problem.f = l1", "problem.f = zero")
         cfg = cfg.replace("problem.h = ball", "problem.h = zero")
         cfg = cfg.replace("run.K = 50", "run.K = 20000")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from rapd.exceptions import DimensionError, DomainError, ParameterError
-from rapd.kernel_learning import (build_kernel_problem, default_dual_bound,
+from rapd.kernel_learning import (DESK_SETTINGS, build_kernel_problem, default_dual_bound,
                                   dual_start, gram_matrix, kernel_desk, kernel_eval,
                                   normalize_gram, synth_dataset)
 from rapd.problem import grad_check, lipschitz_spot_check
+from rapd.solver import RunOptions, run
+from rapd.stepsize import default_alpha, part1_schedule, part2_init
 
 
 def small_problem(**kw):
@@ -175,10 +177,10 @@ class TestProblemAssembly:
 
     def test_full_scale_spot_check_catches_deflation(self):
         # the 0.1 deflation the kernel suite runs at is not a valid coupling
-        # bound on the full region; half scale does not see it in L_yx
+        # bound on the region: in the dual norm, half scale sees it too
         ds, prob = small_problem(lipschitz_scale=0.1)
-        assert region_spot_check(prob, 0.5)["L_yx"] > 0
-        assert region_spot_check(prob, 1.0)["L_yx"] < 0
+        for fraction in (0.5, 1.0):
+            assert region_spot_check(prob, fraction)["L_yx"] < 0, fraction
 
     def test_dual_start_interior(self):
         ds, prob = small_problem()
@@ -229,3 +231,55 @@ def test_kernel_desk_is_the_benchmark_instance():
         assert same_bits(getattr(problem.constants, name), getattr(ref.constants, name))
     assert same_bits(x0, np.zeros(200))
     assert same_bits(y0, dual_start(ref))
+
+
+class TestDualNormConstant:
+    """The premises and the outcome of ``L_yx`` in the dual geometry's norm
+    (see the ``kernel_learning`` module docstring)."""
+
+    @staticmethod
+    def desk_problem(dual):
+        s = DESK_SETTINGS
+        ds = synth_dataset(n_tr=200, d=s["d"], seed=s["dataset_seed"])
+        return build_kernel_problem(ds, lam=s["lam"], m_blocks=10, dual_geometry=dual)
+
+    def test_gradient_change_identity(self):
+        # grad_y(x+, y) - grad_y(x, y) = (coef_l v'G_l[sl, :](x + x+), b_sl'v)
+        rng = np.random.default_rng(5)
+        for dual in ("entropy", "euclidean"):
+            _, prob = small_problem(dual_geometry=dual)
+            for _ in range(20):
+                x = prob.project_primal_domain(rng.standard_normal(60) * prob.B / np.sqrt(60))
+                y = dual_start(prob)
+                i = int(rng.integers(prob.partition.m))
+                sl = prob.partition.block_slice(i)
+                v = rng.standard_normal(sl.stop - sl.start)
+                xv = x.copy()
+                xv[sl] += v
+                change = prob.grad_y(xv, y) - prob.grad_y(x, y)
+                expect = np.append([prob.coef[l] * v @ (G[sl, :] @ (x + xv))
+                                    for l, G in enumerate(prob.G_list)], prob.b[sl] @ v)
+                assert np.abs(change - expect).max() <= 1e-12 * np.abs(expect).max(), dual
+
+    def test_desk_iterates_stay_in_the_ball(self):
+        # the premise ||x + x+|| <= 2B: both regimes' iterates on the desk
+        problem, x0, y0, _ = kernel_desk()
+        c, m = problem.constants, problem.partition.m
+        for sched in (part1_schedule(c, m, default_alpha(c)), part2_init(c, m, default_alpha(c))):
+            worst = [0.0, 0.0]
+
+            def hook(k, x, y, worst=worst):
+                worst[0] = max(worst[0], float(np.linalg.norm(x)))
+                worst[1] = min(worst[1], float(x.min()))
+
+            run(problem, sched, 20_000, 1, x0=x0, y0=y0,
+                options=RunOptions(iterate_hook=hook))
+            assert worst[0] <= problem.B and worst[1] >= 0.0, worst
+
+    def test_spot_check_passes_in_the_dual_norm(self):
+        # at full region scale and at the check's unit scale, on the desk and
+        # on the n = 60 instance
+        for dual in ("entropy", "euclidean"):
+            for prob in (self.desk_problem(dual), small_problem(dual_geometry=dual)[1]):
+                for out in (region_spot_check(prob, 1.0), lipschitz_spot_check(prob, draws=500)):
+                    assert out["L_yx"] >= 0, (dual, prob.partition.n, out)

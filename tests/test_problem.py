@@ -78,9 +78,11 @@ class TestSpectralNorm:
                 L_xx, L_yx, L_yy = 0.0 * c.L_xx, [two(A) for A in prob.A_blocks], 0.0
             elif isinstance(prob, KernelProblem):
                 col = np.array([[two(G[:, sl]) for sl in slices] for G in prob.G_list])
-                diag = np.array([[two(G[sl, sl]) for sl in slices] for G in prob.G_list])
                 L_xx = 6.0 * col.max(axis=0)
-                L_yx = 6.0 * np.sqrt(prob.M) * prob.B * (col + diag / len(slices)).max(axis=0)
+                # l-inf over the kernel rows in the entropy dual's norm, l2 in the Euclidean
+                a_sq = (2.0 * prob.B * prob.coef[:, None] * col) ** 2
+                rows = a_sq.max(axis=0) if prob.dual_geometry.kind == "product" else a_sq.sum(axis=0)
+                L_yx = np.sqrt(rows + [two(prob.b[sl]) ** 2 for sl in slices])
                 L_yy = 0.0
             else:
                 L_xx = [two(prob.P[:, sl]) for sl in slices]

@@ -1,6 +1,5 @@
 import importlib.util
 import os
-import re
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -59,8 +58,8 @@ class TestPdhgSteps:
 
     @staticmethod
     def one_block_constants(text):
-        one = re.sub(r"problem\.blocks = \d+", "problem.blocks = 1", text)
-        return build_problem_from_config(parse_config(one + "method.name = pdhg\n"))[0].constants
+        one = text + "problem.blocks = 1\nmethod.name = rapd1\n"
+        return build_problem_from_config(parse_config(one))[0].constants
 
     @staticmethod
     def run_steps(text, monkeypatch):
@@ -97,7 +96,8 @@ class TestPdhgSteps:
         for factor, satisfied in ((0.99, True), (1.01, False)):
             cfg = parse_config(text + f"method.name = pdhg\nmethod.tau = {tau}\n"
                                f"method.sigma = {factor * edge!r}\n")
-            sched, constants = suites.make_schedule_from_config(cfg, None)
+            sched, constants = suites.make_schedule_from_config(
+                cfg, build_problem_from_config(cfg)[0])
             assert sched.m == 1 and constants.L_yx[0] == c1.L_yx[0]
             assert check_assumption2([sched, sched], constants, 1).satisfied is satisfied
 
