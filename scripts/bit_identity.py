@@ -15,6 +15,9 @@ Writes into one directory what this tree computes on a fixed matrix:
   header lines; ``<config>/<method>_seed<s>_<name>.npy`` for ``final_x``,
   ``final_y``, ``ergodic_x`` and ``ergodic_y``; or, for a run that raises,
   ``<config>/<method>_seed<s>.err`` with one line;
+- ``<config>/constants_<name>.npy``: ``L_xx``, ``L_yx``, ``L_yy`` and ``mu``
+  of the instance the certificate is computed on, and
+  ``kernel_desk/constants_<name>.npy``, those of ``kernel_desk()``;
 - ``suite_<name>.txt``: the fields of the four named suite reports,
   without wall times;
 - ``instances/*.npy``: the rate suites' two quadratic-game instances and
@@ -59,6 +62,7 @@ from rapd.harness.suites import (build_problem_from_config,  # noqa: E402
                                  part1_suite_problem, part2_suite_certificate,
                                  part2_suite_problem, run_from_config,
                                  suite_by_name, write_trace_csv)
+from rapd.kernel_learning import kernel_desk  # noqa: E402
 from rapd.oracle import save_certificate, solve_high_accuracy  # noqa: E402
 
 METHODS = ("rapd1", "rapd2", "pdhg", "mirror_prox")
@@ -110,12 +114,19 @@ def _fmt(v) -> str:
     return repr(v)
 
 
+def write_constants(directory: Path, problem) -> None:
+    """``constants_<name>.npy`` for each field of ``problem.constants``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for f in dataclasses.fields(problem.constants):
+        np.save(directory / f"constants_{f.name}.npy", getattr(problem.constants, f.name))
+
+
 def write_runs(out: Path, tmp: Path) -> None:
     for label, (text, methods, method_keys) in CONFIGS.items():
-        (out / label).mkdir(parents=True, exist_ok=True)
         blocks = f"problem.blocks = {BLOCKS[label]}\n"
         base = parse_config(text + blocks + "method.name = rapd1\n")
         problem, x0, y0 = build_problem_from_config(base)
+        write_constants(out / label, problem)
         cert = solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
         cert_path = tmp / f"{label}.npz"
         save_certificate(cert_path, cert)
@@ -235,6 +246,7 @@ def main(argv=None) -> int:
     print(f"rapd from {os.path.dirname(rapd.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         write_runs(args.out, Path(tmp))
+    write_constants(args.out / "kernel_desk", kernel_desk()[0])
     write_instances(args.out)
     write_suites(args.out)
     print(f"wrote {args.out}")

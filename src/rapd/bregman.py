@@ -320,7 +320,9 @@ class ConeDualBall(ProxFriendlyFunction):
 
 class Separable(ProxFriendlyFunction):
     """Concatenation of prox-friendly pieces on consecutive coordinate
-    ranges; used for product duals such as (simplex weights, free scalar)."""
+    ranges; used for product duals such as (simplex weights, free scalar),
+    and as ``SaddleProblem.f_whole`` for blocks that no one coordinatewise
+    function covers, where its prox makes each block prox's operations."""
 
     kind = "separable"
 
@@ -369,15 +371,6 @@ class BregmanGeometry:
 
     def dist(self, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
-
-    def prox(self, f: ProxFriendlyFunction, t: float, s: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-        """The generalized prox (see :func:`bregman_prox`), after checking
-        the shapes and ``t > 0``."""
-        s, xbar = np.asarray(s, dtype=float), np.asarray(xbar, dtype=float)
-        self._check(s, xbar)
-        if not t > 0:
-            raise ParameterError(f"prox step must be > 0, got {t}")
-        return self.stepper(f)(t, s, xbar)
 
     def stepper(self, f: ProxFriendlyFunction):
         """``step(t, s, xbar)``, the prox for ``f`` on float vectors of this
@@ -561,8 +554,13 @@ def bregman_prox(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,
     """Solve ``argmin_x f(x) + <s, x> + D(x, xbar)/t``.
 
     Euclidean geometry with ``f = 0`` returns ``xbar - t*s`` exactly.
+    The shapes and ``t > 0`` are checked here.
     """
-    return geom.prox(f, t, s, xbar)
+    s, xbar = np.asarray(s, dtype=float), np.asarray(xbar, dtype=float)
+    geom._check(s, xbar)
+    if not t > 0:
+        raise ParameterError(f"prox step must be > 0, got {t}")
+    return geom.stepper(f)(t, s, xbar)
 
 
 def three_point_check(geom: BregmanGeometry, f: ProxFriendlyFunction, t: float,

@@ -27,22 +27,19 @@ FEAS_DRIFT_TOL = 1e-9
 
 def _feasible(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
     """Snap floating-point domain drift back before evaluating values."""
-    xv = np.asarray(x, dtype=float)
-    out_x = xv.copy()
-    for i, sl in enumerate(problem.partition.slices()):
-        gapi = problem.f[i].feasibility_gap(xv[sl])
-        if gapi > 0.0:
-            if gapi > FEAS_DRIFT_TOL:
-                log.warning("primal block %d violated its domain by %.3e; projecting",
-                            i, gapi)
-            out_x[sl] = problem.f[i].project_domain(xv[sl])
-    yv = np.asarray(y, dtype=float)
-    gapy = problem.h.feasibility_gap(yv)
-    if gapy > 0.0:
-        if gapy > FEAS_DRIFT_TOL:
-            log.warning("dual point violated its domain by %.3e; projecting", gapy)
-        yv = problem.h.project_domain(yv)
-    return out_x, yv
+    return (_snap(problem.f_whole, np.asarray(x, dtype=float), "primal"),
+            _snap(problem.h, np.asarray(y, dtype=float), "dual"))
+
+
+def _snap(f, v: np.ndarray, side: str) -> np.ndarray:
+    """``v`` projected onto the domain of ``f`` if it lies outside it,
+    logged when the violation exceeds :data:`FEAS_DRIFT_TOL`."""
+    gap = f.feasibility_gap(v)
+    if gap > 0.0:
+        if gap > FEAS_DRIFT_TOL:
+            log.warning("%s point violated its domain by %.3e; projecting", side, gap)
+        v = f.project_domain(v)
+    return v
 
 
 def lagrangian_gap(problem: SaddleProblem, xbar: np.ndarray, ybar: np.ndarray,

@@ -176,8 +176,10 @@ class KernelProblem(SaddleProblem):
         else:
             raise ParameterError(f"unknown dual geometry '{dual_geometry}'")
         f = [NonnegQuadratic(lam) for _ in range(partition.m)]
-        constants = LipschitzConstants(L_xx=6.0 * col_norms.max(axis=0), L_yx=L_yx,
-                                       L_yy=0.0, mu=np.array([fi.modulus for fi in f]))
+        # block i's gradient moves by sum_l 2 coef_l y_l G_l[sl, sl] v, y on the simplex
+        L_xx = (2.0 * coef[:, None] * col_norms).max(axis=0)
+        constants = LipschitzConstants(L_xx=L_xx, L_yx=L_yx, L_yy=0.0,
+                                       mu=np.array([fi.modulus for fi in f]))
         h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
         super().__init__(partition, M + 1, f, h, constants, dual_geometry=dg)
         self.G_list, self.b, self.lam, self.B, self.M = G, b, float(lam), float(B), M

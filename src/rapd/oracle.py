@@ -122,8 +122,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
         raise ParameterError(f"tolerance {tol} below attainable accuracy")
     x, y = problem.initial_point(x0, y0)
     # start inside the domains
-    for i, sl in enumerate(problem.partition.slices()):
-        x[sl] = problem.f[i].project_domain(x[sl])
+    x = problem.f_whole.project_domain(x)
     y = problem.h.project_domain(y)
 
     if L is None:

@@ -4,8 +4,13 @@ A :class:`SaddleProblem` bundles everything the solvers consume: block
 partition, per-block nonsmooth terms ``f_i`` with their moduli, the dual
 term ``h``, the coupling, Lipschitz constants, the dual Bregman geometry
 and the primal prox.  The primal side is Euclidean, as in the paper:
-:meth:`SaddleProblem.block_prox` is the one primal prox formula, and
-:meth:`SaddleProblem.primal_prox` applies it to every block.
+:meth:`SaddleProblem.block_prox` is the one primal prox formula.  The
+whole primal term ``sum_i f_i(x_i)`` is one function, ``f_whole``, built
+once: ``f[0]`` itself when one coordinatewise ``f`` covers every block,
+else the :class:`~rapd.bregman.Separable` of the blocks.  Its prox is
+:meth:`SaddleProblem.primal_prox`, its value :meth:`SaddleProblem.f_value`,
+and the metrics and the oracle project onto its domain, so none of them
+depends on the partition where one ``f`` covers every block.
 
 A coupling implements six methods: ``phi_value``, the primal product
 ``w = K x`` (``primal_product``) and its move from one block
@@ -17,8 +22,7 @@ check of a stateless oracle checks the read-off a solver calls.
 
 A full pass (the baselines, the certificate oracle) makes one call per
 oracle: one primal product per point, both gradients read off it, and
-one :meth:`SaddleProblem.primal_prox`, which is a single prox on the
-whole primal vector when the blocks allow it.
+one :meth:`SaddleProblem.primal_prox`.
 
 Builders: bilinear empirical-risk coupling, quadratic two-player game,
 and the affinely constrained program reformulated with a dual-ball cap.
@@ -32,7 +36,7 @@ import numpy as np
 
 from .blockcore import BlockPartition
 from .bregman import (BregmanGeometry, ConeDualBall, EuclideanGeometry,
-                      ProxFriendlyFunction, Zero)
+                      ProxFriendlyFunction, Separable, Zero)
 from .exceptions import DimensionError, ParameterError
 
 #: substitute for structurally zero couplings; the step formulas require
@@ -79,12 +83,13 @@ class SaddleProblem:
         self.h = h
         self.constants = constants
         self.dual_geometry = dual_geometry or EuclideanGeometry(dual_dim)
-        # the f_i whose one prox on the whole vector is every block's prox:
-        # set when every f_i is a coordinatewise function of the type and
-        # parameters of f[0]; None = block by block
+        # sum_i f_i(x_i) as one function of x: f[0] when every f_i is a
+        # coordinatewise function of f[0]'s type and parameters, else the
+        # f_i side by side
         f0 = self.f[0]
-        self._whole_f = f0 if f0.coordinatewise and all(
-            type(fi) is type(f0) and vars(fi) == vars(f0) for fi in self.f) else None
+        one = f0.coordinatewise and all(type(fi) is type(f0) and vars(fi) == vars(f0)
+                                        for fi in self.f)
+        self.f_whole = f0 if one else Separable(list(zip(self.f, partition.sizes)))
 
     # -- coupling oracles ------------------------------------------------
     #
@@ -150,21 +155,16 @@ class SaddleProblem:
 
     def primal_prox(self, step: float, grad: np.ndarray, x: np.ndarray) -> np.ndarray:
         """:meth:`block_prox` on every block at the whole gradient ``grad``,
-        as a new array; one prox on the whole vector when the blocks allow it."""
+        as a new array: the prox of ``f_whole``, one call on the whole vector."""
         if grad.shape != x.shape:
             raise DimensionError(f"gradient of shape {grad.shape} for the primal "
                                  f"vector of shape {x.shape}")
-        if self._whole_f is not None:
-            return self._whole_f.prox_euclidean(step, x - step * grad)
-        out = np.empty_like(x)
-        for i, sl in enumerate(self.partition.slices()):
-            out[sl] = self.block_prox(i, step, grad[sl], x[sl])
-        return out
+        return self.f_whole.prox_euclidean(step, x - step * grad)
 
     # -- convenience -----------------------------------------------------
 
     def f_value(self, x: np.ndarray) -> float:
-        return sum(fi.value(x[sl]) for fi, sl in zip(self.f, self.partition.slices()))
+        return self.f_whole.value(x)
 
     def lagrangian(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.f_value(x) + self.phi_value(x, y) - self.h.value(y)

@@ -325,7 +325,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     # the step vector off part2_tau
     theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
     clamped = schedule.theta_clamped
-    used = None         # the scalars of the state the last iteration used; None = schedule
+    used = None         # (taut, t) of the state the last iteration used; None = schedule
     tau0 = schedule.tau.tolist()
     scale = None        # 1 + 1/taut once the accelerated steps follow from taut
     if accelerated:
@@ -338,7 +338,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         if ref is not None:
             # the state the last iteration used
             tau_prev, t_prev = (schedule.tau, schedule.t) if used is None else (
-                part2_tau(schedule, used[2]), used[3])
+                part2_tau(schedule, used[0]), used[1])
             weights = 1.0 / tau_prev + (1.0 - 1.0 / m) * mu
             rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, weights)
             rec.t_prev = t_prev
@@ -375,7 +375,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         g_prev, g_cur = g_cur, grad_y_at(w, x, y)
 
         if accelerated:
-            used = (theta, sigma, taut, t, clamped)
+            used = (taut, t)
             theta, sigma, taut, clamped = part2_scalars(sigma, taut, m, clamped)
             t /= theta
             scale = 1.0 + 1.0 / taut

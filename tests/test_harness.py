@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from rapd.blockcore import BlockPartition
-from rapd.bregman import SquaredL2, Zero
+from rapd.bregman import IndicatorBall, IndicatorNonneg, SquaredL2, Zero
 from rapd.exceptions import ConfigError, ParameterError, RegimeError
 from rapd.harness import cli, suites
 from rapd.harness.cli import cli_main
@@ -210,7 +210,7 @@ class TestConfig:
         assert not np.array_equal(tr.final_x, uniform.final_x)
 
 
-def quadratic_with_cert(seed=1, n=6, d=2, m=3):
+def quadratic_with_cert(seed=1, n=6, d=2, m=3, f=None):
     rng = np.random.default_rng(seed)
     part = BlockPartition.even(n, m)
     M = rng.standard_normal((n, n))
@@ -219,7 +219,7 @@ def quadratic_with_cert(seed=1, n=6, d=2, m=3):
                                 N @ N.T / d + np.eye(d) * 0.3,
                                 rng.standard_normal((d, n)),
                                 rng.standard_normal(n), rng.standard_normal(d),
-                                part)
+                                part, f=f)
     c = solve_quadratic_game_exact(prob.P, prob.Q, prob.C, prob.p, prob.q)
     return prob, c
 
@@ -248,14 +248,23 @@ class TestGap:
             assert lagrangian_gap(prob, x, y, cert) >= -1e-9
 
     def test_infeasible_dual_projected_and_logged(self, caplog):
+        # a dual point far outside its ball; on nonnegative blocks, a primal
+        # point far outside the orthant as well
         import logging
-        prob, cert = quadratic_with_cert()
-        prob.h = __import__("rapd.bregman", fromlist=["IndicatorBall"]).IndicatorBall(0.5)
         far = np.array([10.0, 10.0])
-        with caplog.at_level(logging.WARNING):
-            val = lagrangian_gap(prob, cert.x_star, far, cert)
-        assert np.isfinite(val)
-        assert any("projecting" in r.message for r in caplog.records)
+        for f, x, side in ((None, None, "dual"),
+                           ([IndicatorNonneg()] * 3, np.linspace(-3.0, 2.0, 6), "primal")):
+            prob, cert = quadratic_with_cert(f=f)
+            prob.h = IndicatorBall(0.5)
+            x = cert.x_star if x is None else x
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                val = lagrangian_gap(prob, x, far, cert)
+            assert np.isfinite(val)
+            assert any(r.message.startswith(side) and "projecting" in r.message
+                       for r in caplog.records), side
+            x_in = x if f is None else np.maximum(x, 0.0)
+            assert val == lagrangian_gap(prob, x_in, prob.h.project_domain(far), cert)
 
 
 class TestDeltas:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rapd.exceptions import DimensionError, DomainError, ParameterError
-from rapd.kernel_learning import (DESK_SETTINGS, build_kernel_problem, default_dual_bound,
-                                  dual_start, gram_matrix, kernel_desk, kernel_eval,
-                                  normalize_gram, synth_dataset)
+from rapd.kernel_learning import (DESK_SETTINGS, KernelProblem, build_kernel_problem,
+                                  default_dual_bound, dual_start, gram_matrix, kernel_desk,
+                                  kernel_eval, normalize_gram, synth_dataset)
 from rapd.problem import grad_check, lipschitz_spot_check
 from rapd.solver import RunOptions, run
 from rapd.stepsize import default_alpha, part1_schedule, part2_init
@@ -181,6 +181,16 @@ class TestProblemAssembly:
         ds, prob = small_problem(lipschitz_scale=0.1)
         for fraction in (0.5, 1.0):
             assert region_spot_check(prob, fraction)["L_yx"] < 0, fraction
+
+    def test_l_xx_follows_unequal_traces(self):
+        # traces other than n make the mixing coefficients c / r_l unequal
+        # (2.25, 2.25, 9); L_xx follows them where a fixed 2 * 3 would not
+        base = build_kernel_problem(synth_dataset(n_tr=40, d=10, seed=0), lam=1.0,
+                                    m_blocks=4)
+        prob = KernelProblem(base.G_list, base.b, 1.0, [40.0, 40.0, 10.0], base.partition,
+                             base.B)
+        out = lipschitz_spot_check(prob, draws=300, x_scale=0.1)
+        assert out["L_xx"] >= 0 and out["convexity_hi"] >= 0, out
 
     def test_dual_start_interior(self):
         ds, prob = small_problem()

@@ -281,6 +281,17 @@ class TestFullPass:
         sl = prob.partition.block_slice(1)
         assert np.array_equal(prob.block_prox(1, 0.3, g[sl], x[sl]), expect[sl])
 
+    def test_primal_term_ignores_the_partition(self):
+        # one l1 covers all blocks, so the primal term is one function of x
+        # and its value, the Lagrangian's and with them the gap's, is the
+        # same on one block and on eight
+        one, eight = (config_problem("quadratic_game", m=m) for m in (1, 8))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(12), rng.standard_normal(4)
+        assert one.f_value(x) == eight.f_value(x)
+        assert one.lagrangian(x, y) == eight.lagrangian(x, y)
+        assert eight.f_whole is eight.f[0]
+
 
 class TestQuadraticGame:
     def test_pure_bilinear_scalar_saddle_at_origin(self):
