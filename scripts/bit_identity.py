@@ -18,6 +18,12 @@ Writes into one directory what this tree computes on a fixed matrix:
 - ``<config>/constants_<name>.npy``: ``L_xx``, ``L_yx``, ``L_yy`` and ``mu``
   of the instance the certificate is computed on, and
   ``kernel_desk/constants_<name>.npy``, those of ``kernel_desk()``;
+- ``<config>/rapd2_prefix_<name>.npy`` for each config rapd2 runs on, and
+  ``kernel_desk/rapd2_prefix_<name>.npy``: the fields ``theta``,
+  ``sigma``, ``tau_tilde``, ``t``, ``alpha`` and ``tau`` of the states
+  ``k = 0 .. PREFIX`` of ``schedule_prefix`` from the accelerated
+  schedule, the recursion ``rapd check`` replays (``tau`` one row per
+  state); or ``rapd2_prefix.err`` with one line where the schedule raises;
 - ``suite_<name>.txt``: the fields of the four named suite reports,
   without wall times;
 - ``instances/*.npy``: the rate suites' two quadratic-game instances and
@@ -59,15 +65,19 @@ import numpy as np  # noqa: E402
 import rapd  # noqa: E402
 from rapd.harness.config import parse_config  # noqa: E402
 from rapd.harness.suites import (build_problem_from_config,  # noqa: E402
-                                 part1_suite_problem, part2_suite_certificate,
-                                 part2_suite_problem, run_from_config,
-                                 suite_by_name, write_trace_csv)
+                                 make_schedule_from_config, part1_suite_problem,
+                                 part2_suite_certificate, part2_suite_problem,
+                                 run_from_config, suite_by_name, write_trace_csv)
 from rapd.kernel_learning import kernel_desk  # noqa: E402
 from rapd.oracle import save_certificate, solve_high_accuracy  # noqa: E402
+from rapd.stepsize import default_alpha, part2_init, schedule_prefix  # noqa: E402
 
 METHODS = ("rapd1", "rapd2", "pdhg", "mirror_prox")
 SEEDS = (0, 1)
 K = 3000
+#: advances of the accelerated schedule in each ``rapd2_prefix`` artefact
+PREFIX = 1000
+PREFIX_FIELDS = ("theta", "sigma", "tau_tilde", "t", "alpha", "tau")
 
 _QUADRATIC = ("problem.type = quadratic_game\nproblem.seed = 3\nproblem.n = 32\n"
               "problem.d = 8\n")
@@ -121,6 +131,27 @@ def write_constants(directory: Path, problem) -> None:
         np.save(directory / f"constants_{f.name}.npy", getattr(problem.constants, f.name))
 
 
+def write_prefix(directory: Path, make_schedule) -> None:
+    """``rapd2_prefix_<name>.npy`` for each of ``PREFIX_FIELDS`` over the
+    states ``k = 0 .. PREFIX`` from ``make_schedule()``, or
+    ``rapd2_prefix.err`` when that raises."""
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = directory / "rapd2_prefix"
+    try:
+        prefix = schedule_prefix(make_schedule(), PREFIX)
+    except Exception as exc:  # noqa: BLE001 - the error is the artefact
+        stem.with_suffix(".err").write_text(f"{type(exc).__name__}: {exc}\n")
+        return
+    for name in PREFIX_FIELDS:
+        np.save(f"{stem}_{name}.npy", np.array([getattr(s, name) for s in prefix]))
+
+
+def _config_schedule(text: str):
+    """The schedule ``run_from_config`` would run for the config ``text``."""
+    cfg = parse_config(text)
+    return make_schedule_from_config(cfg, build_problem_from_config(cfg)[0])[0]
+
+
 def write_runs(out: Path, tmp: Path) -> None:
     for label, (text, methods, method_keys) in CONFIGS.items():
         blocks = f"problem.blocks = {BLOCKS[label]}\n"
@@ -130,6 +161,9 @@ def write_runs(out: Path, tmp: Path) -> None:
         cert = solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
         cert_path = tmp / f"{label}.npz"
         save_certificate(cert_path, cert)
+        if "rapd2" in methods:
+            write_prefix(out / label, lambda: _config_schedule(
+                text + method_keys + blocks + "method.name = rapd2\n"))
         for method in methods:
             keys = method_keys + (blocks if method in ("rapd1", "rapd2") else "")
             cfg = parse_config(text + keys + f"method.name = {method}\n"
@@ -246,7 +280,10 @@ def main(argv=None) -> int:
     print(f"rapd from {os.path.dirname(rapd.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         write_runs(args.out, Path(tmp))
-    write_constants(args.out / "kernel_desk", kernel_desk()[0])
+    desk = kernel_desk()[0]
+    write_constants(args.out / "kernel_desk", desk)
+    write_prefix(args.out / "kernel_desk", lambda: part2_init(
+        desk.constants, desk.partition.m, default_alpha(desk.constants)))
     write_instances(args.out)
     write_suites(args.out)
     print(f"wrote {args.out}")

@@ -23,11 +23,12 @@ changed block alone, reads the dual gradient and the block gradient off
 it, and recomputes it and checks the cached gradient against a fresh one
 every ``CACHE_RESYNC_SWEEPS * m`` iterations.  The bookkeeping is O(block)
 too: a running ``||x||^2`` for the divergence guard, moved by one dot
-per iteration, and ergodic sums that bring a block up to date only when
-it changes or when an average is read.  The accelerated schedule
-advances as Python floats (``part2_scalars``), with no validation after
-the first state; an iteration computes only the sampled block's step,
-and a record reads the step vector off ``part2_tau``.
+per iteration and recomputed at those resyncs (``_Monitor.resync``), and
+ergodic sums that bring a block up to date only when it changes or when
+an average is read.  The accelerated schedule advances as Python floats
+(``part2_scalars``), with no check after the first state's momentum
+bound; an iteration computes only the sampled block's step, and a record
+reads the step vector off ``part2_tau``.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
@@ -167,8 +168,8 @@ class _Monitor:
     it is brought up to date when the block changes and, for every block,
     when an average is read.  ``x_sq`` is a running ``||x||^2`` for the
     divergence guard, moved by one dot per block step against the block
-    norms ``block_sq``; both are recomputed every
-    ``CACHE_RESYNC_SWEEPS * m`` iterations.
+    norms ``block_sq``; :meth:`resync` recomputes both, at the start and
+    whenever the loop resyncs its own caches.
     """
 
     def __init__(self, problem: SaddleProblem, method: str, K: int, x0, y0,
@@ -189,8 +190,7 @@ class _Monitor:
         self.slices = part.slices()
         self.sizes = part.sizes
         self.last = [0] * part.m
-        self._norms(x)
-        self.resync_every = CACHE_RESYNC_SWEEPS * part.m
+        self.resync(x)
         self.done = 0
         self.trace = RunTrace(method=method, seed=seed, partition=part,
                               geometry_note=_geometry_note(problem))
@@ -216,15 +216,13 @@ class _Monitor:
             self.x_sum[self.slices[i]] += pending * old
         self.last[i] = self.done
         self.done += 1
-        if self.done % self.resync_every == 0:
-            self._norms(x)
-        else:
-            new_sq = float(new.dot(new))
-            self.x_sq += new_sq - self.block_sq[i]
-            self.block_sq[i] = new_sq
+        new_sq = float(new.dot(new))
+        self.x_sq += new_sq - self.block_sq[i]
+        self.block_sq[i] = new_sq
         return self._close(x, y, y)
 
-    def _norms(self, x: np.ndarray) -> None:
+    def resync(self, x: np.ndarray) -> None:
+        """Recompute ``x_sq`` and ``block_sq``, before an iteration's :meth:`step_block`."""
         self.x_sq = float(x @ x)
         self.block_sq = [float(x[sl] @ x[sl]) for sl in self.slices]
 
@@ -309,6 +307,11 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     if schedule.regime == "part2":
         if np.any(problem.constants.mu <= 0) or problem.constants.L_yy != 0:
             raise RegimeError("accelerated schedule needs mu_i > 0 and L_yy = 0")
+        # theta never decreases along the recursion, so theta^1 bounds them all
+        taut = schedule.tau_tilde
+        if not (taut is not None and taut > 0 and 1.0 / np.sqrt(1.0 + taut) >= 1.0 - 1.0 / m):
+            raise RegimeError(f"accelerated schedule with taut = {taut!r}: the momentum "
+                              f"1/sqrt(1 + taut) falls below 1 - 1/m = {1.0 - 1.0 / m!r}")
     # constant steps stay as given, accelerated tau_i only grow in
     # reciprocal and sigma only grows, so the first state's checks cover
     # every iteration
@@ -324,7 +327,6 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     # the current state as scalars; part2 advances them and a record reads
     # the step vector off part2_tau
     theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
-    clamped = schedule.theta_clamped
     used = None         # (taut, t) of the state the last iteration used; None = schedule
     tau0 = schedule.tau.tolist()
     scale = None        # 1 + 1/taut once the accelerated steps follow from taut
@@ -376,8 +378,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
 
         if accelerated:
             used = (taut, t)
-            theta, sigma, taut, clamped = part2_scalars(sigma, taut, m, clamped)
-            t /= theta
+            theta, sigma, taut, t = part2_scalars(sigma, taut, t)
             scale = 1.0 + 1.0 / taut
 
         if done % resync_every == 0:
@@ -389,6 +390,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             trace.cache_resyncs += 1
             w = problem.primal_product(x)
             g_cur = fresh
+            monitor.resync(x)
         elif opts.debug_cache_every and done % opts.debug_cache_every == 0:
             _cache_drift(g_cur, problem.grad_y(x, y), done)
 

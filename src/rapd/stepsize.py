@@ -10,7 +10,9 @@ linear in the dual) runs the accelerated recursion
     taut^(k+1)  = theta^(k+1) * taut^k
 
 with ``t^(k+1) theta^(k+1) = t^k`` and gives the O(m/K^2) distance decay.
-``p_i`` is the block-sampling probability (1/m when uniform).
+``p_i`` is the block-sampling probability (1/m when uniform).  The
+recursion keeps ``theta^k`` in ``[1 - 1/m, 1]`` by itself from every start
+:func:`part2_init` builds, so no step floors it.
 
 A state is an immutable :class:`StepSchedule`.  The step vector of the
 recursion comes from :func:`part2_tau` alone and the scalars from
@@ -58,7 +60,6 @@ class StepSchedule:
     tau_tilde: float | None = None   # part2 only
     mu: np.ndarray | None = None     # part2 only (moduli drive the recursion)
     p: np.ndarray | None = None      # sampling probabilities; None = uniform
-    theta_clamped: bool = False      # True if the momentum floor ever bound
 
     @cached_property
     def mu_p(self) -> np.ndarray:
@@ -116,7 +117,7 @@ def _constant_schedule(constants, m, alpha, p, c_tau, c_sigma) -> StepSchedule:
     sigma = c_sigma / (m * (alpha + 2.0 * constants.L_yy))
     return StepSchedule(regime="part1", tau=tau, sigma=float(sigma), theta=1.0,
                         t=1.0, alpha=float(alpha), beta=constants.L_yy,
-                        c_sigma=c_sigma, mu=constants.mu.copy(), p=p)
+                        c_sigma=c_sigma, p=p)
 
 
 def part2_init(constants: LipschitzConstants, m: int, alpha: float,
@@ -128,6 +129,8 @@ def part2_init(constants: LipschitzConstants, m: int, alpha: float,
         sigma^0 = c_sigma / (m alpha),  theta^0 = t^0 = 1.
 
     Requires every modulus positive and a coupling linear in the dual.
+    Every ``tau_i^0 > 0`` means ``taut^0 < min_i p_i / (1 - p_i)``, so
+    ``theta^1 > sqrt(1 - p_min) >= 1 - 1/m``, and ``theta`` rises as ``taut`` falls.
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
@@ -165,28 +168,21 @@ def part2_tau(s0: StepSchedule, taut: float) -> np.ndarray:
     return 1.0 / (s0.mu_p * (1.0 + 1.0 / taut) - s0.mu)
 
 
-def part2_scalars(sigma: float, taut: float, m: int, clamped: bool) -> tuple:
+def part2_scalars(sigma: float, taut: float, t: float) -> tuple:
     """The scalar step of the accelerated recursion: from ``sigma^k``,
-    ``taut^k`` and whether the momentum floor has bound so far, returns
-    ``(theta^(k+1), sigma^(k+1), taut^(k+1), clamped)``."""
-    theta_next = 1.0 / math.sqrt(1.0 + taut)
-    floor = 1.0 - 1.0 / m
-    if theta_next < floor:
-        # the recursion keeps theta above 1 - 1/m for every taut^0 it can
-        # produce itself; the clamp guards externally constructed states
-        theta_next = floor
-        clamped = True
-    return theta_next, sigma / theta_next, theta_next * taut, clamped
+    ``taut^k`` and ``t^k``, returns
+    ``(theta^(k+1), sigma^(k+1), taut^(k+1), t^(k+1))``."""
+    theta = 1.0 / math.sqrt(1.0 + taut)
+    return theta, sigma / theta, theta * taut, t / theta
 
 
 def part2_advance(s: StepSchedule) -> StepSchedule:
     """One step of the accelerated recursion (returns a new state)."""
     if s.regime != "part2":
         raise RegimeError("part2_advance needs a part2 schedule")
-    theta, sigma, taut, clamped = part2_scalars(s.sigma, s.tau_tilde, s.m, s.theta_clamped)
-    return replace(s, tau=part2_tau(s, taut), sigma=sigma, theta=theta, t=s.t / theta,
-                   alpha=s.c_sigma / (s.m * theta * sigma), tau_tilde=taut,
-                   theta_clamped=clamped)
+    theta, sigma, taut, t = part2_scalars(s.sigma, s.tau_tilde, s.t)
+    return replace(s, tau=part2_tau(s, taut), sigma=sigma, theta=theta, t=t,
+                   alpha=s.c_sigma / (s.m * theta * sigma), tau_tilde=taut)
 
 
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,

@@ -11,7 +11,8 @@ from rapd.harness import suites
 from rapd.harness.cli import cli_main
 from rapd.harness.config import parse_config
 from rapd.harness.suites import build_problem_from_config
-from rapd.stepsize import check_assumption2, default_alpha, part1_schedule
+from rapd.stepsize import (check_assumption2, default_alpha, part1_schedule, part2_init,
+                           schedule_prefix)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,6 +50,33 @@ class TestCompare:
         lines = bit_identity.compare(old, new)
         assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01",
                          "cfg/x.npy: max abs deviation 5.000e-01"]
+
+
+class TestPrefix:
+    def test_prefix_fields_are_the_replayed_recursion(self, bit_identity, tmp_path):
+        text = bit_identity.CONFIGS["quadratic_sc"][0] + "problem.blocks = 8\n"
+        bit_identity.write_prefix(tmp_path / "sc", lambda: bit_identity._config_schedule(
+            text + "method.name = rapd2\n"))
+        cfg = parse_config(text + "method.name = rapd2\n")
+        problem = build_problem_from_config(cfg)[0]
+        s0 = part2_init(problem.constants, 8, default_alpha(problem.constants))
+        prefix = schedule_prefix(s0, bit_identity.PREFIX)
+        written = sorted(p.name for p in (tmp_path / "sc").iterdir())
+        assert written == sorted(f"rapd2_prefix_{name}.npy"
+                                 for name in bit_identity.PREFIX_FIELDS)
+        for name in bit_identity.PREFIX_FIELDS:
+            arr = np.load(tmp_path / "sc" / f"rapd2_prefix_{name}.npy")
+            assert np.array_equal(arr, np.array([getattr(s, name) for s in prefix])), name
+        tau = np.load(tmp_path / "sc" / "rapd2_prefix_tau.npy")
+        assert tau.shape == (bit_identity.PREFIX + 1, 8)   # one row per state
+
+    def test_schedule_that_raises_leaves_its_error(self, bit_identity, tmp_path):
+        # the plain quadratic game has f = l1, no modulus: no accelerated schedule
+        text = bit_identity.CONFIGS["quadratic"][0] + "problem.blocks = 8\n"
+        bit_identity.write_prefix(tmp_path, lambda: bit_identity._config_schedule(
+            text + "method.name = rapd2\n"))
+        assert [p.name for p in tmp_path.iterdir()] == ["rapd2_prefix.err"]
+        assert (tmp_path / "rapd2_prefix.err").read_text().startswith("RegimeError: ")
 
 
 class TestPdhgSteps:

@@ -17,7 +17,7 @@ from rapd.harness.suites import build_problem_from_config, write_trace_csv
 from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, _block_draws,
-                         ergodic_average, primal_block_step, run)
+                         _Monitor, ergodic_average, primal_block_step, run)
 from rapd.stepsize import (default_alpha, nonuniform_weights, part1_schedule, part2_init,
                            schedule_prefix)
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
@@ -181,6 +181,23 @@ class TestChecksAtTheStart:
                 loop(5, np.ones(4), **kw)
         assert seen == [] and products == []
 
+    def test_accelerated_state_below_the_momentum_floor_rejected(self):
+        # taut = 1 on the part-2 suite instance (m = 8): theta^1 = 1/sqrt(2)
+        # lies below 1 - 1/m, and theta never decreases, so one check at
+        # the start covers the run
+        from rapd.harness.suites import part2_suite_problem
+        prob, x0, y0 = part2_suite_problem()
+        sched = part2_init(prob.constants, 8, default_alpha(prob.constants))
+        seen = []
+        hook = RunOptions(iterate_hook=lambda k, x, y: seen.append(k))
+        for taut in (1.0, 0.0, -0.5, np.nan, None):
+            with pytest.raises(RegimeError, match="falls below 1 - 1/m"):
+                run(prob, replace(sched, tau_tilde=taut), 5, seed=0, x0=x0, y0=y0,
+                    options=hook)
+        assert seen == []
+        run(prob, sched, 5, seed=0, x0=x0, y0=y0, options=hook)
+        assert seen == [1, 2, 3, 4, 5]
+
     def test_geometry_assigned_after_construction_is_used(self):
         # the entropy step never leaves the simplex interior, where the
         # Euclidean one the problem was built with projects onto its faces
@@ -206,6 +223,37 @@ class TestChecksAtTheStart:
             euclidean, entropy = finals["euclidean", name], finals["entropy", name]
             assert (euclidean == 0).any(), name
             assert (entropy > 0).all() and not np.array_equal(entropy, euclidean), name
+
+
+class TestMonitor:
+    def test_running_norm_matches_a_fresh_one(self):
+        # step_block moves ||x||^2 by one dot per block change; right after
+        # a resync it equals a fresh x @ x bit for bit, in between to 1e-12
+        # of the largest ||x||^2 since the resync (a running sum's rounding
+        # scales with the terms it has added and removed)
+        prob = small_bilinear(n=12, m=4)
+        monitor = _Monitor(prob, "test", 10_000, np.ones(12), None,
+                           lambda k, wall_s: None, RunOptions())
+        x, y = monitor.start
+        assert monitor.x_sq == float(x @ x)
+        rng = np.random.default_rng(7)
+        slices = prob.partition.slices()
+        peak = float(x @ x)
+        for done in range(1, 2001):
+            i = int(rng.integers(4))
+            old = x[slices[i]].copy()
+            new = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
+            x[slices[i]] = new
+            if done % 37 == 0:
+                monitor.resync(x)
+            monitor.step_block(x, y, i, old, new)
+            fresh = float(x @ x)
+            if done % 37 == 0:
+                assert monitor.x_sq == fresh, done
+                peak = fresh
+            else:
+                peak = max(peak, fresh)
+                assert abs(monitor.x_sq - fresh) <= 1e-12 * peak, done
 
 
 class TestSampling:

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from rapd.exceptions import ParameterError, RegimeError
+from rapd.harness.suites import part2_suite_problem
 from rapd.problem import LipschitzConstants
 from rapd.stepsize import (check_assumption2, default_alpha, nonuniform_weights,
                            part1_schedule, part2_advance, part2_init,
@@ -101,7 +102,26 @@ class TestPart2:
         thetas = np.array([s.theta for s in prefix[1:]])
         assert np.all(thetas >= 1 - 1 / 2) and np.all(thetas <= 1.0)
         assert np.all(np.diff(thetas) >= -1e-15)  # nondecreasing toward 1
-        assert not prefix[-1].theta_clamped
+
+    def test_momentum_floor_holds_from_every_constructed_start(self):
+        # taut^0 < min_i p_i / (1 - p_i) puts theta^1 above 1 - 1/m with no
+        # floor applied; small couplings push taut^0 toward that edge
+        rng = np.random.default_rng(28)
+        built = 0
+        for draw in range(2000):
+            m = int(rng.integers(1, 200))
+            c = consts(np.exp(rng.uniform(-12, 3, m)), np.exp(rng.uniform(-12, 3, m)),
+                       mu=np.exp(rng.uniform(-3, 3, m)))
+            alpha = default_alpha(c) * np.exp(rng.uniform(-2, 2))
+            try:
+                s0 = (part2_init(c, m, alpha) if draw % 2 else
+                      nonuniform_weights(c, m, alpha, rng.dirichlet(np.ones(m)),
+                                         regime="part2"))
+            except RegimeError:   # a step rounded to zero: no state is built
+                continue
+            built += 1
+            assert part2_advance(s0).theta >= 1.0 - 1.0 / m, (draw, m, s0.tau_tilde)
+        assert built >= 1900
 
     def test_telescope_identity(self):
         # t^k (1/tau_i^k + mu_i) = t^{k+1} (1/tau_i^{k+1} + (1 - 1/m) mu_i);
@@ -148,7 +168,6 @@ class TestPart2:
                 assert (s.theta, s.sigma, s.tau_tilde, s.t) == (theta, sigma, taut, t)
                 assert s.alpha == s0.c_sigma / (3 * theta * sigma)
                 assert np.array_equal(s.tau, 1.0 / (mu * pi * (1.0 + 1.0 / taut) - mu))
-                assert not s.theta_clamped
 
     def test_heterogeneous_moduli(self):
         c = consts([1.0, 0.3, 2.0], [0.5, 1.0, 0.25], mu=[0.5, 2.0, 1.0])
@@ -238,6 +257,16 @@ class TestChecker:
         rep = check_assumption2([bad], consts([1.0, 1.0], [1.0, 1.0]), 2)
         assert not rep.satisfied
         assert rep.first_violation == (0, "momentum")
+
+    def test_hand_built_state_below_the_floor_reported_as_momentum(self):
+        # taut = 1 on the part-2 suite instance (m = 8): theta^1 = 1/sqrt(2)
+        # lies below 1 - 1/m = 0.875, and the checker names that first
+        problem = part2_suite_problem()[0]
+        c = problem.constants
+        bad = replace(part2_init(c, 8, default_alpha(c)), tau_tilde=1.0)
+        rep = check_assumption2(schedule_prefix(bad, 5), c, 8)
+        assert rep.first_violation == (1, "momentum")
+        assert rep.worst_slack["momentum"] == pytest.approx(2 ** -0.5 - 0.875)
 
     def test_part2_thousand_steps(self):
         rep = check_assumption2(schedule_prefix(part2_init(M2, 2, 1.0), 1000), M2, 2)
