@@ -38,7 +38,10 @@ in ``_Monitor``, which the deterministic baselines share.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -110,6 +113,30 @@ class TraceRecord:
     t_prev: float = np.nan
 
 
+_FIELDS = tuple(f.name for f in fields(TraceRecord))
+_ROW = attrgetter(*_FIELDS)
+
+
+class RecordLog(Sequence):
+    """A run's records packed as doubles, one row of ``_FIELDS`` each, so a
+    kept trace costs 8 bytes per field rather than a Python object per
+    value.  Reads build fresh :class:`TraceRecord` copies."""
+
+    def __init__(self):
+        self.buf = array("d")
+
+    def __len__(self) -> int:
+        return len(self.buf) // len(_FIELDS)
+
+    def __getitem__(self, i):
+        n, i = len(_FIELDS), range(len(self))[i]
+        k, wall_s, i_k, *rest = self.buf[i * n:(i + 1) * n]
+        return TraceRecord(int(k), wall_s, int(i_k), *rest)
+
+    def append(self, rec: TraceRecord) -> None:
+        self.buf.extend(_ROW(rec))
+
+
 @dataclass
 class RunTrace:
     """Per-run record collection plus terminal iterates and averages."""
@@ -117,7 +144,7 @@ class RunTrace:
     method: str
     seed: int | None
     partition: BlockPartition
-    records: list = field(default_factory=list)
+    records: RecordLog = field(default_factory=RecordLog)
     final_x: np.ndarray | None = None
     final_y: np.ndarray | None = None
     ergodic_x: np.ndarray | None = None
@@ -129,7 +156,7 @@ class RunTrace:
     max_cache_drift: float = 0.0    # largest relative drift found at a resync
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
+        return np.array(self.records.buf[_FIELDS.index(name)::len(_FIELDS)], dtype=float)
 
     def at(self, k: int) -> TraceRecord:
         for r in self.records:

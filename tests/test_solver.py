@@ -16,8 +16,9 @@ from rapd.harness.metrics import lagrangian_gap
 from rapd.harness.suites import build_problem_from_config, write_trace_csv
 from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.rng import CounterRng, sample_index, sample_indices
-from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, _block_draws,
-                         _Monitor, ergodic_average, primal_block_step, run)
+from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, RunTrace,
+                         TraceRecord, _block_draws, _Monitor, ergodic_average,
+                         primal_block_step, run)
 from rapd.stepsize import (default_alpha, nonuniform_weights, part1_schedule, part2_init,
                            schedule_prefix)
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
@@ -254,6 +255,46 @@ class TestMonitor:
             else:
                 peak = max(peak, fresh)
                 assert abs(monitor.x_sq - fresh) <= 1e-12 * peak, done
+
+
+class TestRecordLog:
+    def test_reads_back_what_was_appended(self):
+        tr = RunTrace(method="x", seed=0, partition=BlockPartition([1]))
+        recs = [TraceRecord(k=k, wall_s=0.1 * k, i_k=k % 3 - 1, sigma=1.0 / k, theta=0.5,
+                            tau_min=2.0, tau_max=3.0, t=float(k), gap=-1e-300 * k,
+                            dist_sq=4.0, dy=5.0, wdist_sq=6.0, t_prev=7.0)
+                for k in (1, 10, 300, 4096)]
+        for r in recs:
+            tr.records.append(r)
+        assert len(tr.records) == 4 and list(tr.records) == recs
+        assert tr.records[-1] == recs[-1]
+        assert type(tr.records[0].k) is int and type(tr.records[0].i_k) is int
+        tr.records.append(TraceRecord(k=5, wall_s=0.0, i_k=0, sigma=1.0, theta=1.0,
+                                      tau_min=1.0, tau_max=1.0, t=1.0))
+        # NaN defaults survive, though a read is a new object, so no longer == itself
+        assert np.isnan(tr.records[4].gap) and np.isnan(tr.records[-1].t_prev)
+        assert tr.column("k").tolist() == [1, 10, 300, 4096, 5]
+        assert tr.column("gap")[:4].tolist() == [r.gap for r in recs]
+        assert tr.at(300) == recs[2]
+        with pytest.raises(IndexError):
+            tr.records[5]
+        # a read is a copy: the log keeps what was appended
+        tr.records[0].gap = 5.0
+        assert tr.records[0] == recs[0]
+
+    def test_kept_records_are_packed(self):
+        # a kept record costs its 14 doubles, not an object per value
+        import tracemalloc
+        prob = small_bilinear(n=12, m=4)
+        sched = part1_schedule(prob.constants, 4, default_alpha(prob.constants))
+        opts = RunOptions(record_at=range(1, 4001))
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tr = run(prob, sched, 4000, seed=1, options=opts)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert len(tr.records) == 4000
+        assert kept < 160 * len(tr.records), kept
 
 
 class TestSampling:
