@@ -114,7 +114,7 @@ def rung(problem, x0, y0, pdhg_steps, pdhg_run_len, K: int, seed: int) -> dict:
     out = {
         "n": n, "m": m, "n_i": part.sizes[0], "blas_threads": BLAS_THREADS,
         "block_gradient_us": per_call_us(
-            lambda i: problem.grad_x_block_cached(i, w, x, y0), blocks),
+            lambda i: problem.grad_x_cached(w, x, y0, slices[i]), blocks),
         "product_update_us": per_call_us(
             lambda i: problem.grad_y_incremental(w, i, dx[:part.sizes[i]]), blocks),
         "block_prox_us": per_call_us(

@@ -56,7 +56,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
         if g_prev is None:
             g_prev = g
         y = dual_step(sigma, g_prev - 2.0 * g, y)    # -(2 g - g_prev) up to a zero's sign
-        x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y), x)
+        x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y, slice(None)), x)
         g_prev = g
         monitor.step(x, y)
     return monitor.finish(x, y)
@@ -82,11 +82,11 @@ def mirror_prox_run(problem: SaddleProblem, L: float | None, K: int,
     for _ in range(K):
         # half step at the current point
         w = problem.primal_product(x)
-        xh = problem.primal_prox(eta, problem.grad_x_cached(w, x, y), x)
+        xh = problem.primal_prox(eta, problem.grad_x_cached(w, x, y, slice(None)), x)
         yh = dual_step(eta, -problem.grad_y_cached(w, x, y), y)
         # correction step from the current point, gradients at the half point
         wh = problem.primal_product(xh)
-        x = problem.primal_prox(eta, problem.grad_x_cached(wh, xh, yh), x)
+        x = problem.primal_prox(eta, problem.grad_x_cached(wh, xh, yh, slice(None)), x)
         y = dual_step(eta, -problem.grad_y_cached(wh, xh, yh), y)
         monitor.step(x, y, xh, yh)
     return monitor.finish(x, y)

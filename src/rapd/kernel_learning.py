@@ -22,8 +22,9 @@ Since the Grams are symmetric, ``G x`` is ``x`` times the ``(n, M n)``
 row matrix, and a block step moves it by ``dx`` times the block's rows,
 one product at ``O(M n n_i)`` cost.  The dual gradient
 ``(coef * (G x)'x, b'x) = (coef, 1) * (w x)`` and the primal gradient
-``-2 + (2 coef * y, z)'w`` read off it in one product each at ``O(M n)``,
-so a full pass computes ``G x`` once per point.
+``-2 + (2 coef * y, z)'w[:, sl]`` on the coordinates ``sl`` read off it
+in one product each, at ``O(M n)`` at most, so a full pass computes
+``G x`` once per point.
 
 ``L_yx`` holds on the B-ball of :meth:`KernelProblem.project_primal_domain`.
 For ``x`` and ``x+ = x + U_i v`` in it, as ``G_l`` is symmetric, the dual
@@ -160,6 +161,8 @@ class KernelProblem(SaddleProblem):
         rows = np.ascontiguousarray(np.asarray(G_list, dtype=float).transpose(1, 0, 2))
         G = rows.transpose(1, 0, 2)
         M, n = G.shape[0], G.shape[1]
+        if partition.n != n:
+            raise DimensionError(f"partition of {partition.n} coordinates for {n} primal ones")
         b, r = np.asarray(b, dtype=float), np.asarray(r, dtype=float)
         c = float(r.sum())
         coef = c / r
@@ -184,7 +187,6 @@ class KernelProblem(SaddleProblem):
         super().__init__(partition, M + 1, f, h, constants, dual_geometry=dg)
         self.G_list, self.b, self.lam, self.B, self.M = G, b, float(lam), float(B), M
         self.c, self.r, self.coef = c, r, coef
-        self._slices = slices
         self._region = ConeDualBall("nonneg", B)   # the orthant is self-dual
         # row c of every G_l side by side: the Grams are symmetric, so
         # x times these rows is G x, and a block's rows move it
@@ -199,11 +201,8 @@ class KernelProblem(SaddleProblem):
         quad = (self.G_list @ x) @ x
         return float(-2.0 * x.sum() + self.coef * y @ quad + z * (self.b @ x))
 
-    def grad_x_block_cached(self, i, w, x, yz):
-        return -2.0 + (self._c2 * yz).dot(w[:, self._slices[i]])
-
-    def grad_x_cached(self, w, x, yz):
-        return -2.0 + (self._c2 * yz).dot(w)
+    def grad_x_cached(self, w, x, yz, sl):
+        return -2.0 + (self._c2 * yz).dot(w[:, sl])
 
     def primal_product(self, x):
         """``w = [G_1 x; ...; G_M x; b]``, the ``(M + 1, n)`` array of the

@@ -46,7 +46,7 @@ def kkt_residual(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
 def _gradients(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
     """``(grad_x, grad_y)`` at ``(x, y)``, read off one primal product."""
     w = problem.primal_product(x)
-    return problem.grad_x_cached(w, x, y), problem.grad_y_cached(w, x, y)
+    return problem.grad_x_cached(w, x, y, slice(None)), problem.grad_y_cached(w, x, y)
 
 
 def _residual(problem, x, y, gx, gy) -> float:

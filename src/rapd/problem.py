@@ -12,13 +12,14 @@ else the :class:`~rapd.bregman.Separable` of the blocks.  Its prox is
 and the metrics and the oracle project onto its domain, so none of them
 depends on the partition where one ``f`` covers every block.
 
-A coupling implements six methods: ``phi_value``, the primal product
+A coupling implements five methods: ``phi_value``, the primal product
 ``w = K x`` (``primal_product``) and its move from one block
-(``grad_y_incremental``), and the read-offs ``grad_y_cached``,
-``grad_x_block_cached`` and ``grad_x_cached`` of ``w``.  The stateless
-``grad_y``, ``grad_x_block`` and ``grad_x`` are derived from them (the
-quadratic game keeps a direct ``grad_y``, which needs no ``P x``), so a
-check of a stateless oracle checks the read-off a solver calls.
+(``grad_y_incremental``), and the read-offs ``grad_y_cached`` and
+``grad_x_cached`` of ``w``; the primal read-off takes the coordinates
+it returns, one block's slice or ``slice(None)`` for all of them.  The
+stateless ``grad_y``, ``grad_x_block`` and ``grad_x`` are derived from
+them, so a check of a stateless oracle checks the read-off a solver
+calls.
 
 A full pass (the baselines, the certificate oracle) makes one call per
 oracle: one primal product per point, both gradients read off it, and
@@ -93,7 +94,7 @@ class SaddleProblem:
 
     # -- coupling oracles ------------------------------------------------
     #
-    # A coupling implements the six methods phi_value, primal_product,
+    # A coupling implements the five methods phi_value, primal_product,
     # grad_y_incremental and the read-offs *_cached.  The primal product
     # w = K x carries every part of grad_y and grad_x that costs more than
     # one block: run moves it from the changed block alone and reads the
@@ -110,11 +111,12 @@ class SaddleProblem:
 
     def grad_x_block(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Primal gradient of block ``i`` at ``(x, y)``."""
-        return self.grad_x_block_cached(i, self.primal_product(x), x, y)
+        return self.grad_x_cached(self.primal_product(x), x, y,
+                                  self.partition.block_slice(i))
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Full primal gradient at ``(x, y)``."""
-        return self.grad_x_cached(self.primal_product(x), x, y)
+        return self.grad_x_cached(self.primal_product(x), x, y, slice(None))
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Full dual gradient at ``(x, y)``."""
@@ -133,13 +135,10 @@ class SaddleProblem:
         ``w`` itself, so a caller may keep it while ``w`` moves on."""
         raise NotImplementedError
 
-    def grad_x_block_cached(self, i: int, w: np.ndarray, x: np.ndarray,
-                            y: np.ndarray) -> np.ndarray:
-        """The primal gradient of block ``i`` at ``(x, y)``, read off ``w = K x``."""
-        raise NotImplementedError
-
-    def grad_x_cached(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``grad_x(x, y)`` read off ``w = K x``, in one call."""
+    def grad_x_cached(self, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      sl: slice) -> np.ndarray:
+        """``grad_x(x, y)[sl]`` read off ``w = K x``: one block's gradient
+        at its slice, the whole gradient at ``slice(None)``."""
         raise NotImplementedError
 
     # -- primal prox -----------------------------------------------------
@@ -236,18 +235,10 @@ class BilinearProblem(SaddleProblem):
             val = val - float(self.q @ y)
         return val
 
-    def grad_x_block_cached(self, i, w, x, y):
+    def grad_x_cached(self, w, x, y, sl):
         # the primal gradient does not read A x
-        g = self.A_blocks[i].T.dot(y)
-        if self.p is not None:
-            g = g + self.p[self.partition.block_slice(i)]
-        return g
-
-    def grad_x_cached(self, w, x, y):
-        g = self.A.T @ y
-        if self.p is not None:
-            g += self.p
-        return g
+        g = self.A.T[sl].dot(y)
+        return g if self.p is None else g + self.p[sl]
 
     def primal_product(self, x):
         return self.A @ x
@@ -273,6 +264,8 @@ class QuadraticGameProblem(SaddleProblem):
         d, n = C.shape
         if P.shape != (n, n) or Q.shape != (d, d) or p.shape != (n,) or q.shape != (d,):
             raise DimensionError("quadratic game dimensions are inconsistent")
+        if partition.n != n:
+            raise DimensionError(f"partition of {partition.n} coordinates for {n} primal ones")
         for name, M in (("P", P), ("Q", Q)):
             if not np.allclose(M, M.T, atol=1e-10):
                 raise ParameterError(f"{name} must be symmetric")
@@ -289,26 +282,16 @@ class QuadraticGameProblem(SaddleProblem):
         )
         super().__init__(partition, d, f, h, constants)
         self.P, self.Q, self.C, self.p, self.q = P, Q, C, p, q
-        self._C_cols = [C[:, sl] for sl in slices]
         self._K = np.vstack([C, P])
         self._K_cols = [self._K[:, sl] for sl in slices]
-        self._Px_rows = [slice(d + sl.start, d + sl.stop) for sl in slices]
-        self._p_blocks = [p[sl] for sl in slices]
         self._dual_curved = bool(Q.any())
 
     def phi_value(self, x, y):
         return float(0.5 * x @ (self.P @ x) + self.p @ x + y @ (self.C @ x)
                      - 0.5 * y @ (self.Q @ y) - self.q @ y)
 
-    def grad_y(self, x, y):
-        # the direct formula, not the read-off: it needs no P x
-        return self.C @ x - self.Q @ y - self.q
-
-    def grad_x_block_cached(self, i, w, x, y):
-        return w[self._Px_rows[i]] + self._p_blocks[i] + self._C_cols[i].T @ y
-
-    def grad_x_cached(self, w, x, y):
-        return w[self.dual_dim:] + self.p + self.C.T @ y
+    def grad_x_cached(self, w, x, y, sl):
+        return w[self.dual_dim:][sl] + self.p[sl] + self.C[:, sl].T @ y
 
     def primal_product(self, x):
         return self._K @ x
@@ -369,8 +352,9 @@ def grad_check(problem: SaddleProblem, num_points: int = 10, epsilon: float = 1e
 
     Returns the worst relative error over random interior points; a
     corrupted gradient shows up as an O(1) error.  The primal side checks
-    both the whole-vector ``grad_x`` and the concatenated ``grad_x_block``,
-    which read ``w = K x`` through separate read-offs.
+    both the whole-vector ``grad_x`` and the concatenated ``grad_x_block``:
+    the one read-off of ``w = K x`` at ``slice(None)`` and at each block's
+    slice.
     """
     if not 1e-8 < epsilon < 1e-3:
         raise ParameterError(f"epsilon must be in (1e-8, 1e-3), got {epsilon}")

@@ -129,6 +129,8 @@ class RecordLog(Sequence):
         return len(self.buf) // len(_FIELDS)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         n, i = len(_FIELDS), range(len(self))[i]
         k, wall_s, i_k, *rest = self.buf[i * n:(i + 1) * n]
         return TraceRecord(int(k), wall_s, int(i_k), *rest)
@@ -378,7 +380,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     trace = monitor.trace
     x, y = monitor.start
     slices = part.slices()
-    grad_block = problem.grad_x_block_cached
+    grad_x_at = problem.grad_x_cached
     block_prox = problem.block_prox
     grad_y_at = problem.grad_y_cached
     incr = problem.grad_y_incremental
@@ -398,7 +400,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         sl = slices[i_k]
         old = x[sl].copy()
         tau_i = tau0[i_k] if scale is None else 1.0 / (mu_p[i_k] * scale - mu_s[i_k])
-        new = block_prox(i_k, tau_i, grad_block(i_k, w, x, y), old)
+        new = block_prox(i_k, tau_i, grad_x_at(w, x, y, sl), old)
         x[sl] = new
         incr(w, i_k, new - old)
         g_prev, g_cur = g_cur, grad_y_at(w, x, y)
@@ -409,13 +411,13 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             scale = 1.0 + 1.0 / taut
 
         if done % resync_every == 0:
-            # the fresh gradient comes from the stateless oracle, so the
-            # check covers the product and the read-off alike
-            fresh = problem.grad_y(x, y)
+            # a fresh product and its read-off, the bits of the stateless
+            # grad_y: the check measures how far the moved product drifted
+            w = problem.primal_product(x)
+            fresh = grad_y_at(w, x, y)
             trace.max_cache_drift = max(trace.max_cache_drift,
                                         _cache_drift(g_cur, fresh, done))
             trace.cache_resyncs += 1
-            w = problem.primal_product(x)
             g_cur = fresh
             monitor.resync(x)
         elif opts.debug_cache_every and done % opts.debug_cache_every == 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rapd.blockcore import BlockPartition
 from rapd.exceptions import DimensionError, DomainError, ParameterError
 from rapd.kernel_learning import (DESK_SETTINGS, KernelProblem, build_kernel_problem,
                                   default_dual_bound, dual_start, gram_matrix, kernel_desk,
@@ -191,6 +192,15 @@ class TestProblemAssembly:
                              base.B)
         out = lipschitz_spot_check(prob, draws=300, x_scale=0.1)
         assert out["L_xx"] >= 0 and out["convexity_hi"] >= 0, out
+
+    def test_partition_of_another_dimension_rejected(self):
+        # a 20-point problem on 24 coordinates would read its constants off
+        # a truncated last block; on 16 it would leave points out
+        base = build_kernel_problem(synth_dataset(n_tr=20, d=3, seed=1), lam=1.0, m_blocks=4)
+        for n in (24, 16):
+            with pytest.raises(DimensionError, match=f"partition of {n} coordinates for 20"):
+                KernelProblem(base.G_list, base.b, 1.0, base.r, BlockPartition.even(n, 4),
+                              base.B)
 
     def test_dual_start_interior(self):
         ds, prob = small_problem()

@@ -8,7 +8,7 @@ from rapd.blockcore import BlockPartition
 from rapd.bregman import (ConeDualBall, IndicatorBall, IndicatorBox, IndicatorNonneg,
                           IndicatorSimplex, L1, NonnegQuadratic, Separable, SquaredL2,
                           Zero)
-from rapd.exceptions import ParameterError
+from rapd.exceptions import DimensionError, ParameterError
 from rapd.harness.config import parse_config
 from rapd.harness.suites import (bilinear_game, build_problem_from_config,
                                  part1_suite_problem, part2_suite_problem)
@@ -153,7 +153,7 @@ class TestBilinear:
             assert np.linalg.norm(g - prob.grad_y(x, y)) <= 1e-12 * np.linalg.norm(g), name
             for i in range(part.m):
                 gi = prob.grad_x_block(i, x, y)
-                assert np.linalg.norm(prob.grad_x_block_cached(i, w, x, y) - gi) \
+                assert np.linalg.norm(prob.grad_x_cached(w, x, y, part.block_slice(i)) - gi) \
                     <= 1e-12 * max(1.0, np.linalg.norm(gi)), name
 
 
@@ -224,7 +224,8 @@ class TestFullPass:
             blocks = np.concatenate([prob.grad_x_block(i, x, y)
                                      for i in range(prob.partition.m)])
             name = f"{type(prob).__name__} n={prob.partition.n}"
-            for g in (prob.grad_x(x, y), prob.grad_x_cached(prob.primal_product(x), x, y)):
+            for g in (prob.grad_x(x, y),
+                      prob.grad_x_cached(prob.primal_product(x), x, y, slice(None))):
                 assert np.linalg.norm(g - blocks) <= 1e-12 * np.linalg.norm(blocks), name
 
     def test_one_primal_product_per_point(self):
@@ -328,6 +329,19 @@ class TestQuadraticGame:
             build_quadratic_game(P, np.zeros((1, 1)), np.ones((1, 2)),
                                  np.zeros(2), np.zeros(1), part)
 
+    def test_partition_of_another_dimension_rejected(self):
+        # the game and the constrained program on 6 primal coordinates: a
+        # partition of 8 would give a truncated last block, one of 4 leave
+        # coordinates out
+        rng = np.random.default_rng(6)
+        P, C = np.eye(6), rng.standard_normal((2, 6))
+        for part in (BlockPartition.even(8, 4), BlockPartition.even(4, 2)):
+            match = f"partition of {part.n} coordinates for 6"
+            with pytest.raises(DimensionError, match=match):
+                build_quadratic_game(P, np.eye(2), C, np.zeros(6), np.zeros(2), part)
+            with pytest.raises(DimensionError, match=match):
+                build_constrained(P, np.zeros(6), C, np.ones(2), 1.0, part)
+
 
 class TestGradCheck:
     def test_bilinear_exact(self):
@@ -370,13 +384,14 @@ class TestGradCheck:
                     build_kernel_problem(synth_dataset(n_tr=20, d=3, seed=1), lam=1.0,
                                          m_blocks=4)]
         for prob in problems:
-            broken = prob.grad_x_block_cached
+            broken = prob.grad_x_cached
 
-            def corrupted(i, w, x, y, broken=broken):
-                return 2.0 * broken(i, w, x, y) + 1.0
+            def corrupted(w, x, y, sl, broken=broken):
+                g = broken(w, x, y, sl)
+                return g if sl == slice(None) else 2.0 * g + 1.0
 
             assert grad_check(prob, num_points=2, epsilon=1e-5) <= 1e-6
-            prob.grad_x_block_cached = corrupted
+            prob.grad_x_cached = corrupted
             assert grad_check(prob, num_points=2, epsilon=1e-5) >= 0.1, type(prob)
 
     def test_epsilon_validated(self):

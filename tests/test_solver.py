@@ -282,6 +282,20 @@ class TestRecordLog:
         tr.records[0].gap = 5.0
         assert tr.records[0] == recs[0]
 
+    def test_slices_read_back_as_lists(self):
+        tr = RunTrace(method="x", seed=0, partition=BlockPartition([1]))
+        recs = [TraceRecord(k=k, wall_s=0.0, i_k=0, sigma=1.0, theta=1.0, tau_min=1.0,
+                            tau_max=1.0, t=float(k), gap=float(k), dist_sq=0.0, dy=0.0,
+                            wdist_sq=0.0, t_prev=0.0) for k in range(1, 6)]
+        for r in recs:
+            tr.records.append(r)
+        assert tr.records[-2:] == recs[-2:]
+        assert tr.records[::2] == recs[::2] and tr.records[3:1] == []
+        assert tr.records[:] == recs
+        # a slice holds copies too
+        tr.records[:1][0].gap = 0.0
+        assert tr.records[0] == recs[0]
+
     def test_kept_records_are_packed(self):
         # a kept record costs its 14 doubles, not an object per value
         import tracemalloc
@@ -545,6 +559,16 @@ class TestRun:
         assert np.array_equal(plain.final_x, checked.final_x)
         assert np.array_equal(plain.final_y, checked.final_y)
 
+    def test_resync_makes_one_primal_product(self):
+        # the start's product and one per resync: the fresh dual gradient
+        # is read off the resync's own product
+        prob = small_bilinear(n=16, m=8)
+        calls, product = [], prob.primal_product
+        prob.primal_product = lambda x: calls.append(1) or product(x)
+        sched = part1_schedule(prob.constants, 8, default_alpha(prob.constants))
+        tr = run(prob, sched, 2 * CACHE_RESYNC_SWEEPS * 8, seed=0, x0=np.ones(16))
+        assert tr.cache_resyncs == 2 and len(calls) == 3
+
     def test_stale_cache_caught_at_resync(self):
         class StaleCache(BilinearProblem):
             def grad_y_incremental(self, w, i, dx):
@@ -596,11 +620,8 @@ class TestRun:
         # one entry too many in the block or the whole primal gradient, on
         # the one-prox path (equal f_i) and on the block loop (mixed f_i)
         class LongGradient(BilinearProblem):
-            def grad_x_block_cached(self, i, w, x, y):
-                return np.append(super().grad_x_block_cached(i, w, x, y), 0.0)
-
-            def grad_x_cached(self, w, x, y):
-                return np.append(super().grad_x_cached(w, x, y), 0.0)
+            def grad_x_cached(self, w, x, y, sl):
+                return np.append(super().grad_x_cached(w, x, y, sl), 0.0)
 
         part = BlockPartition.even(4, 2)
         A = np.random.default_rng(5).standard_normal((4, 4))
