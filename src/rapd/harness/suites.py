@@ -489,6 +489,7 @@ def time_to_target(problem, schedule, x_star, seed: int, x0, y0):
 class KernelSuiteResult:
     oracle: SaddleCertificate
     oracle_seconds: float
+    region_radius: float                              # B, the ball the constants hold on
     rel_err: dict = field(default_factory=dict)       # method -> reached rel error
     seconds: dict = field(default_factory=dict)       # method -> seconds used
     iterations: dict = field(default_factory=dict)
@@ -504,7 +505,9 @@ class KernelSuiteResult:
                 and self.grad_check_err <= 1e-6)
 
     def lines(self):
-        out = [f"suite=kernel oracle_res={self.oracle.kkt_residual:.3e} "
+        out = [f"suite=kernel B={self.region_radius:.4g} "
+               f"||x*||={float(np.linalg.norm(self.oracle.x_star)):.4g} "
+               f"oracle_res={self.oracle.kkt_residual:.3e} "
                f"({self.oracle_seconds:.1f}s, certified={self.oracle.certified})"]
         for name in self.rel_err:
             out.append(f"  {name}: rel_err={self.rel_err[name]:.3e} "
@@ -528,6 +531,7 @@ def kernel_suite() -> KernelSuiteResult:
     oracle_seconds = time.perf_counter() - tic
     xn = float(np.linalg.norm(cert.x_star))
     result = KernelSuiteResult(oracle=cert, oracle_seconds=oracle_seconds,
+                               region_radius=problem.B,
                                mapping_fidelity=_mapping_fidelity(problem, ds),
                                grad_check_err=grad_check(problem, num_points=5,
                                                          epsilon=1e-5))

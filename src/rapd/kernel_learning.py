@@ -26,15 +26,20 @@ one product at ``O(M n n_i)`` cost.  The dual gradient
 in one product each, at ``O(M n)`` at most, so a full pass computes
 ``G x`` once per point.
 
-``L_yx`` holds on the B-ball of :meth:`KernelProblem.project_primal_domain`.
-For ``x`` and ``x+ = x + U_i v`` in it, as ``G_l`` is symmetric, the dual
+``L_yx`` holds on the B-ball of
+:meth:`KernelProblem.project_primal_domain`.  The default radius ``B =
+sqrt(n)/lam`` (:func:`default_dual_bound`) is proven to contain ``x*``:
+``z`` is free, so ``b'x* = 0``; Euler's identity for the minimization over
+the nonnegative orthant gives ``lam ||x*||^2 + x*'Q x* = e'x*`` with the
+PSD ``Q = sum_l coef_l y*_l G_l``; and ``e'x* <= sqrt(n) ||x*||``.  For
+``x`` and ``x+ = x + U_i v`` in the ball, as ``G_l`` is symmetric, the dual
 gradient (free of ``(y, z)``) changes by exactly ``coef_l ((x+)'G_l x+ -
 x'G_l x) = coef_l v'G_l[sl, :](x + x+)`` in entry ``l``, at most ``a_li
 ||v||`` with ``a_li = 2 B coef_l ||G_l[:, sl]||`` since ``||x + x+|| <=
 2B``, and by ``b_sl'v`` in the last, at most ``beta_i ||v|| = ||b_sl||
 ||v||``.  The dual geometry's reference norm ``||.||`` is l2, or for the
-entropy dual l1 on the weights (Pinsker) and ``|z|`` combined in l2; in
-its dual ``||.||_*`` the change is at most ``L_yx_i ||v||``, ``L_yx_i =
+entropy dual l1 on the weights (Pinsker) and ``|z|`` combined in l2; in its
+dual ``||.||_*`` the change is at most ``L_yx_i ||v||``, ``L_yx_i =
 sqrt(sum_l a_li^2 + beta_i^2)``, or ``sqrt(max_l a_li^2 + beta_i^2)`` for
 the entropy dual.  By Hoelder's and then Young's inequality its product
 with ``y - ybar`` is at most ``L_yx_i ||v|| ||y - ybar|| <= L_yx_i^2
@@ -226,9 +231,14 @@ class KernelProblem(SaddleProblem):
 
 
 def default_dual_bound(n_tr: int, lam: float) -> float:
-    """Norm bound on the optimal blocked variable: at the inner optimum
-    ``2 e'x - lam ||x||^2 >= 0`` forces ``||x|| <= 2 sqrt(n_tr)/lam``."""
-    return 2.0 * np.sqrt(n_tr) / lam
+    """Norm bound on the optimal blocked variable, ``||x*|| <= sqrt(n_tr)/lam``,
+    from the saddle point's optimality conditions.  The multiplier ``z`` is
+    free, so ``b'x* = 0``.  ``x*`` minimizes the convex ``lam ||x||^2 +
+    phi(x, (y*, z*))`` over the nonnegative orthant, a cone, so its gradient
+    there is orthogonal to ``x*`` (Euler's identity): ``lam ||x*||^2 +
+    x*'Q x* = e'x*`` with ``Q = sum_l coef_l y*_l G_l``.  ``Q`` is PSD and
+    ``e'x* <= sqrt(n_tr) ||x*||``, so ``lam ||x*||^2 <= sqrt(n_tr) ||x*||``."""
+    return np.sqrt(n_tr) / lam
 
 
 def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = None,

@@ -606,6 +606,14 @@ class TestSuites:
         monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         assert [repr(asdict(suite())) for suite in runs] == spread
 
+    def test_kernel_report_opens_with_its_region(self):
+        # the first line names the ball the constants hold on and ||x*||
+        cert = SaddleCertificate(x_star=np.array([3.0, 4.0]), y_star=np.zeros(4),
+                                 kkt_residual=1e-11, method="extragradient", tol=1e-10)
+        res = suites.KernelSuiteResult(oracle=cert, oracle_seconds=0.1,
+                                       region_radius=np.sqrt(200))
+        assert res.lines()[0].startswith("suite=kernel B=14.14 ||x*||=5 oracle_res=")
+
     def test_script_on_stdin(self, tmp_path):
         # spawned workers would re-run "<stdin>" as a file and die, so the
         # seeds run in the calling process

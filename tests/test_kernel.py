@@ -3,9 +3,11 @@ import pytest
 
 from rapd.blockcore import BlockPartition
 from rapd.exceptions import DimensionError, DomainError, ParameterError
+from rapd.harness.suites import time_to_target
 from rapd.kernel_learning import (DESK_SETTINGS, KernelProblem, build_kernel_problem,
                                   default_dual_bound, dual_start, gram_matrix, kernel_desk,
                                   kernel_eval, normalize_gram, synth_dataset)
+from rapd.oracle import solve_high_accuracy
 from rapd.problem import grad_check, lipschitz_spot_check
 from rapd.solver import RunOptions, run
 from rapd.stepsize import default_alpha, part1_schedule, part2_init
@@ -125,9 +127,9 @@ class TestSynthDataset:
 
 class TestProblemAssembly:
     def test_dual_bound_default(self):
-        assert default_dual_bound(200, 1.0) == pytest.approx(2 * np.sqrt(200))
+        assert default_dual_bound(200, 1.0) == pytest.approx(np.sqrt(200))
         ds, prob = small_problem()
-        assert prob.B == pytest.approx(2 * np.sqrt(60))
+        assert prob.B == pytest.approx(np.sqrt(60))
 
     def test_mapping_fidelity_against_raw_formula(self):
         ds, prob = small_problem()
@@ -281,19 +283,38 @@ class TestDualNormConstant:
                                     for l, G in enumerate(prob.G_list)], prob.b[sl] @ v)
                 assert np.abs(change - expect).max() <= 1e-12 * np.abs(expect).max(), dual
 
+    @pytest.mark.parametrize("dual", ["entropy", "euclidean"])
+    def test_radius_premises_hold_at_the_certificate(self, dual):
+        # the steps of default_dual_bound, on the certified saddle point of
+        # the desk and of the n = 60 instance
+        for prob in (self.desk_problem(dual), small_problem(dual_geometry=dual)[1]):
+            cert = solve_high_accuracy(prob, tol=1e-10)
+            assert cert.certified
+            x, y = cert.x_star, cert.y_star[:prob.M]
+            xn = float(np.linalg.norm(x))
+            assert abs(prob.b @ x) <= 1e-8 * xn
+            Q = sum(prob.coef[l] * y[l] * G for l, G in enumerate(prob.G_list))
+            euler = prob.lam * xn ** 2 + x @ Q @ x
+            assert euler == pytest.approx(x.sum(), rel=1e-8)
+            assert xn <= prob.B
+
     def test_desk_iterates_stay_in_the_ball(self):
-        # the premise ||x + x+|| <= 2B: both regimes' iterates on the desk
+        # the premise ||x + x+|| <= 2B: both regimes' iterates on the desk,
+        # up to the stop of the kernel suite's time-to-target rule
         problem, x0, y0, _ = kernel_desk()
+        x_star = solve_high_accuracy(problem, tol=1e-10, x0=x0, y0=y0).x_star
         c, m = problem.constants, problem.partition.m
         for sched in (part1_schedule(c, m, default_alpha(c)), part2_init(c, m, default_alpha(c))):
+            k_stop, _, x_stop = time_to_target(problem, sched, x_star, 1, x0, y0)
             worst = [0.0, 0.0]
 
             def hook(k, x, y, worst=worst):
                 worst[0] = max(worst[0], float(np.linalg.norm(x)))
                 worst[1] = min(worst[1], float(x.min()))
 
-            run(problem, sched, 20_000, 1, x0=x0, y0=y0,
-                options=RunOptions(iterate_hook=hook))
+            trace = run(problem, sched, k_stop, 1, x0=x0, y0=y0,
+                        options=RunOptions(iterate_hook=hook))
+            assert np.array_equal(trace.final_x, x_stop)   # the run the suite stopped
             assert worst[0] <= problem.B and worst[1] >= 0.0, worst
 
     def test_spot_check_passes_in_the_dual_norm(self):
