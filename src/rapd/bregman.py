@@ -459,6 +459,8 @@ class EntropyGeometry(BregmanGeometry):
             expo -= expo.max()  # overflow guard; result is renormalized
         w = np.maximum(xbar, _ENTROPY_FLOOR)
         w *= np.exp(expo, out=expo)
+        # an underflowed product would be a center the next step refuses
+        np.maximum(w, _ENTROPY_FLOOR, out=w)
         return f.prox_entropy(t, w)
 
 
@@ -532,7 +534,9 @@ def _simplex_and_free_step(simplex, t, s, xbar):
     expo = [-t * v for v in s[:-1]]
     top = max(expo)
     grow = np.exp([e - top for e in expo]).tolist()
-    w = [max(v, _ENTROPY_FLOOR) * e for v, e in zip(centre, grow)]
+    # floored products, so the output is a centre the next step takes; as
+    # e <= 1, this also floors the centre as the part step does
+    w = [max(v * e, _ENTROPY_FLOOR) for v, e in zip(centre, grow)]
     total = functools.reduce(operator.add, w)   # left to right; sum() may compensate
     if total <= 0 or not math.isfinite(total):
         raise DomainError("entropy simplex update lost all mass")

@@ -28,10 +28,14 @@ in one product each, at ``O(M n)`` at most, so a full pass computes
 
 ``L_yx`` holds on the B-ball of
 :meth:`KernelProblem.project_primal_domain`.  The default radius ``B =
-sqrt(n)/lam`` (:func:`default_dual_bound`) is proven to contain ``x*``:
-``z`` is free, so ``b'x* = 0``; Euler's identity for the minimization over
-the nonnegative orthant gives ``lam ||x*||^2 + x*'Q x* = e'x*`` with the
-PSD ``Q = sum_l coef_l y*_l G_l``; and ``e'x* <= sqrt(n) ||x*||``.  For
+sqrt(n) / (lam + kappa)`` (:func:`default_dual_bound`) is proven to
+contain ``x*``: ``z`` is free, so ``b'x* = 0``; Euler's identity for the
+minimization over the nonnegative orthant gives ``lam ||x*||^2 + x*'Q x* =
+e'x*`` with ``Q = sum_l coef_l y*_l G_l``; ``y*`` maximizes this form,
+linear in ``y``, over the simplex, so ``x*'Q x* = max_l coef_l x*'G_l x* >=
+kappa ||x*||^2`` with ``kappa = max_l coef_l lambda_lo(G_l)`` and
+``lambda_lo`` Gershgorin's lower bound on the smallest eigenvalue, clipped
+at 0 (:func:`gershgorin_floor`); and ``e'x* <= sqrt(n) ||x*||``.  For
 ``x`` and ``x+ = x + U_i v`` in the ball, as ``G_l`` is symmetric, the dual
 gradient (free of ``(y, z)``) changes by exactly ``coef_l ((x+)'G_l x+ -
 x'G_l x) = coef_l v'G_l[sl, :](x + x+)`` in entry ``l``, at most ``a_li
@@ -45,7 +49,9 @@ the entropy dual.  By Hoelder's and then Young's inequality its product
 with ``y - ybar`` is at most ``L_yx_i ||v|| ||y - ybar|| <= L_yx_i^2
 ||v||^2 / (2 s) + s ||y - ybar||^2 / 2 <= L_yx_i^2 ||v||^2 / (2 s) + s
 D_Y(y, ybar)`` for any ``s > 0``, as ``D_Y`` is 1-strongly convex in
-``||.||``: the coupling term of the step condition.
+``||.||``: the coupling term of the step condition.  The radius and both
+constants are proven bounds, so of the desk's constants only the
+``lipschitz_scale`` deflation of :data:`DESK_SETTINGS` is uncertified.
 
 A synthetic two-cluster dataset generator stands in for a real corpus.
 """
@@ -160,9 +166,9 @@ class KernelProblem(SaddleProblem):
     (y, z)`` with the simplex weights first and the free multiplier last.
     ``G_list`` is the ``(M, n, n)`` stack of the Grams ``G_l``; a view of
     the block-row store is taken as it is, any other stack is copied into
-    one."""
+    one.  ``B=None`` takes the radius of :func:`default_dual_bound`."""
 
-    def __init__(self, G_list, b, lam, r, partition, B, dual_geometry="entropy"):
+    def __init__(self, G_list, b, lam, r, partition, B=None, dual_geometry="entropy"):
         rows = np.ascontiguousarray(np.asarray(G_list, dtype=float).transpose(1, 0, 2))
         G = rows.transpose(1, 0, 2)
         M, n = G.shape[0], G.shape[1]
@@ -171,9 +177,10 @@ class KernelProblem(SaddleProblem):
         b, r = np.asarray(b, dtype=float), np.asarray(r, dtype=float)
         c = float(r.sum())
         coef = c / r
+        B = default_dual_bound(G, coef, lam) if B is None else float(B)
         slices = partition.slices()
         col_norms = np.array([[spectral_norm(Gl[:, sl]) for sl in slices] for Gl in G])
-        a_sq = (2.0 * float(B) * coef[:, None] * col_norms) ** 2
+        a_sq = (2.0 * B * coef[:, None] * col_norms) ** 2
         beta_sq = np.array([float(np.dot(b[sl], b[sl])) for sl in slices])
         if dual_geometry == "entropy":
             dg = ProductGeometry([EntropyGeometry(M), EuclideanGeometry(1)])
@@ -190,7 +197,7 @@ class KernelProblem(SaddleProblem):
                                        mu=np.array([fi.modulus for fi in f]))
         h = Separable([(IndicatorSimplex(1.0), M), (Zero(), 1)])
         super().__init__(partition, M + 1, f, h, constants, dual_geometry=dg)
-        self.G_list, self.b, self.lam, self.B, self.M = G, b, float(lam), float(B), M
+        self.G_list, self.b, self.lam, self.B, self.M = G, b, float(lam), B, M
         self.c, self.r, self.coef = c, r, coef
         self._region = ConeDualBall("nonneg", B)   # the orthant is self-dual
         # row c of every G_l side by side: the Grams are symmetric, so
@@ -230,15 +237,32 @@ class KernelProblem(SaddleProblem):
         return self._region.project_domain(x)
 
 
-def default_dual_bound(n_tr: int, lam: float) -> float:
-    """Norm bound on the optimal blocked variable, ``||x*|| <= sqrt(n_tr)/lam``,
-    from the saddle point's optimality conditions.  The multiplier ``z`` is
-    free, so ``b'x* = 0``.  ``x*`` minimizes the convex ``lam ||x||^2 +
-    phi(x, (y*, z*))`` over the nonnegative orthant, a cone, so its gradient
-    there is orthogonal to ``x*`` (Euler's identity): ``lam ||x*||^2 +
-    x*'Q x* = e'x*`` with ``Q = sum_l coef_l y*_l G_l``.  ``Q`` is PSD and
-    ``e'x* <= sqrt(n_tr) ||x*||``, so ``lam ||x*||^2 <= sqrt(n_tr) ||x*||``."""
-    return np.sqrt(n_tr) / lam
+def gershgorin_floor(G) -> np.ndarray:
+    """Gershgorin's lower bound on the smallest eigenvalue of each Gram of
+    the ``(M, n, n)`` stack ``G``, clipped at 0: ``lambda_lo(G_l) = max(0,
+    min_i (G_ii - sum_{j != i} |G_ij|))``.  ``G_l = diag(b) K_l diag(b)``
+    with ``|b_i| = 1`` has the Gershgorin rows of ``K_l``."""
+    # a Gram's diagonal is nonnegative: G_ii - sum_{j != i} |G_ij| = 2 G_ii - sum_j |G_ij|
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    return np.maximum(0.0, (2.0 * diag - np.abs(G).sum(axis=2)).min(axis=1))
+
+
+def default_dual_bound(G, coef, lam: float) -> float:
+    """Norm bound on the optimal blocked variable, ``||x*|| <= sqrt(n) /
+    (lam + kappa)`` with ``kappa = max_l coef_l lambda_lo(G_l)``, for the
+    ``(M, n, n)`` stack ``G`` of the Grams and their mixing coefficients
+    ``coef`` (``lambda_lo``: :func:`gershgorin_floor`), from the saddle
+    point's optimality conditions.  The multiplier ``z`` is free, so ``b'x*
+    = 0``.  ``x*`` minimizes the convex ``lam ||x||^2 + phi(x, (y*, z*))``
+    over the nonnegative orthant, a cone, so its gradient there is
+    orthogonal to ``x*`` (Euler's identity): ``lam ||x*||^2 + x*'Q(y*) x* =
+    e'x*`` with ``Q(y) = sum_l coef_l y_l G_l``.  ``y*`` maximizes ``x*'Q(y)
+    x*``, linear in ``y``, over the simplex, so ``x*'Q(y*) x* = max_l coef_l
+    x*'G_l x* >= kappa ||x*||^2``, as ``lambda_lo(G_l) <= lambda_min(G_l)``.
+    With ``e'x* <= sqrt(n) ||x*||``, ``(lam + kappa) ||x*||^2 <= sqrt(n)
+    ||x*||``."""
+    kappa = float((coef * gershgorin_floor(G)).max())
+    return float(np.sqrt(G.shape[1]) / (lam + kappa))
 
 
 def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = None,
@@ -261,11 +285,10 @@ def build_kernel_problem(dataset: KernelDataset, lam: float, B: float | None = N
                   for kind in KERNELS], axis=1).transpose(1, 0, 2)
     r = np.array([np.trace(K) for K in G])
     G *= np.outer(b, b)
-    B_val = default_dual_bound(dataset.n_tr, lam) if B is None else float(B)
-    if not B_val > 0:
-        raise ParameterError(f"need B > 0, got {B_val}")
+    if B is not None and not B > 0:
+        raise ParameterError(f"need B > 0, got {B}")
     partition = BlockPartition.even(dataset.n_tr, m_blocks)
-    problem = KernelProblem(G, b, lam, r, partition, B_val, dual_geometry=dual_geometry)
+    problem = KernelProblem(G, b, lam, r, partition, B, dual_geometry=dual_geometry)
     c, s = problem.constants, lipschitz_scale
     problem.constants = LipschitzConstants(c.L_xx * s, c.L_yx * s, c.L_yy * s, c.mu)
     return problem
@@ -277,7 +300,8 @@ def dual_start(problem: KernelProblem) -> np.ndarray:
 
 
 #: the kernel desk's settings; its smoothness constants are deflated by
-#: ``lipschitz_scale`` for larger steps, below the true bounds
+#: ``lipschitz_scale`` for larger steps, below the true bounds: the one
+#: uncertified factor, as the radius ``B`` and the constants on it are proven
 DESK_SETTINGS = {"d": 10, "dataset_seed": 7, "lam": 1.0, "dual": "entropy",
                  "lipschitz_scale": 0.1}
 

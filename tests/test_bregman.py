@@ -440,6 +440,23 @@ class TestFusedKernelDualProx:
             assert got.tobytes() == per_part_prox(M, scale, t, s, xbar).tobytes(), (t, s, xbar)
         assert len(fused_calls) == n
 
+    def test_underflowed_product_is_a_centre(self, fused_calls):
+        # weights of 6.5e-278 and 4.9e-274 against an exponent spread of 117
+        # give products of 0 and 2.5e-321; each step's output must be a
+        # centre the next step takes, fused and per part
+        s = np.array([0.0, 117.0, 109.0, 0.0])
+        xbar = np.array([1.0, 6.5e-278, 4.9e-274, 0.5])
+        pg = ProductGeometry([EntropyGeometry(3), EuclideanGeometry(1)])
+        h = Separable([(IndicatorSimplex(1.0), 3), (Zero(), 1)])
+        for step in (lambda c: bregman_prox(pg, h, 1.0, s, c),
+                     lambda c: np.append(bregman_prox(EntropyGeometry(3), IndicatorSimplex(1.0),
+                                                      1.0, s[:3], c[:3]), c[3])):
+            first = step(xbar)
+            second = step(first)
+            for out in (first, second):
+                assert (out[:3] > 0).all() and out[:3].sum() == pytest.approx(1.0), out
+        assert len(fused_calls) == 2
+
     def test_bad_centres_and_steps_raise_as_the_parts(self, fused_calls):
         # the reference is the per-part path, which a product prox takes
         # for a simplex subclass

@@ -5,8 +5,8 @@ from rapd.blockcore import BlockPartition
 from rapd.exceptions import DimensionError, DomainError, ParameterError
 from rapd.harness.suites import time_to_target
 from rapd.kernel_learning import (DESK_SETTINGS, KernelProblem, build_kernel_problem,
-                                  default_dual_bound, dual_start, gram_matrix, kernel_desk,
-                                  kernel_eval, normalize_gram, synth_dataset)
+                                  default_dual_bound, dual_start, gershgorin_floor, gram_matrix,
+                                  kernel_desk, kernel_eval, normalize_gram, synth_dataset)
 from rapd.oracle import solve_high_accuracy
 from rapd.problem import grad_check, lipschitz_spot_check
 from rapd.solver import RunOptions, run
@@ -127,9 +127,18 @@ class TestSynthDataset:
 
 class TestProblemAssembly:
     def test_dual_bound_default(self):
-        assert default_dual_bound(200, 1.0) == pytest.approx(np.sqrt(200))
-        ds, prob = small_problem()
-        assert prob.B == pytest.approx(np.sqrt(60))
+        # by hand: the first Gram's Gershgorin rows are 1 - 0.5, 1 - 0.3 and
+        # 1 - 0.4, the second's 1 - 1.6 clip at 0, and coef = (2, 2), so
+        # kappa = 2 * 0.5 and B = sqrt(3) / (lam + 1)
+        G = np.array([[[1.0, 0.2, -0.3], [0.2, 1.0, 0.1], [-0.3, 0.1, 1.0]],
+                      [[1.0, 0.8, 0.8], [0.8, 1.0, -0.8], [0.8, -0.8, 1.0]]])
+        assert gershgorin_floor(G) == pytest.approx([0.5, 0.0])
+        assert default_dual_bound(G, np.array([2.0, 2.0]), 1.0) == pytest.approx(np.sqrt(3) / 2)
+        assert default_dual_bound(G, np.array([1.0, 4.0]), 0.5) == pytest.approx(np.sqrt(3))
+        # the desk: the Gaussian Gram's bound 0.9997 at coef 3, lam = 1
+        problem = kernel_desk()[0]
+        assert problem.B == pytest.approx(np.sqrt(200) / (1.0 + 3 * 0.99971432), abs=1e-6)
+        assert problem.B == pytest.approx(3.536, abs=5e-4)
 
     def test_mapping_fidelity_against_raw_formula(self):
         ds, prob = small_problem()
@@ -294,8 +303,19 @@ class TestDualNormConstant:
             xn = float(np.linalg.norm(x))
             assert abs(prob.b @ x) <= 1e-8 * xn
             Q = sum(prob.coef[l] * y[l] * G for l, G in enumerate(prob.G_list))
-            euler = prob.lam * xn ** 2 + x @ Q @ x
+            quad = x @ Q @ x
+            euler = prob.lam * xn ** 2 + quad
             assert euler == pytest.approx(x.sum(), rel=1e-8)
+            # y* maximizes x*'Q(y) x* over the simplex, and the curvature term:
+            # x*'Q(y*) x* >= max_l coef_l lambda_lo(G_l) ||x*||^2, lambda_lo a lower
+            # bound on each Gram's spectrum up to eigvalsh's rounding
+            best = max(prob.coef[l] * x @ G @ x for l, G in enumerate(prob.G_list))
+            assert quad == pytest.approx(best, rel=1e-8)
+            lo = gershgorin_floor(prob.G_list)
+            assert quad >= (prob.coef * lo).max() * xn ** 2 * (1.0 - 1e-8)
+            for lo_l, G in zip(lo, prob.G_list):
+                eig = np.linalg.eigvalsh(G)
+                assert lo_l <= eig[0] + 1e-12 * eig[-1], (lo_l, eig[0])
             assert xn <= prob.B
 
     def test_desk_iterates_stay_in_the_ball(self):
