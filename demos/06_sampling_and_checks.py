@@ -11,8 +11,7 @@ from dataclasses import replace
 
 from rapd import RunOptions, run
 from rapd.harness.suites import part2_suite_certificate, part2_suite_problem
-from rapd.stepsize import (check_assumption2, default_alpha,
-                           nonuniform_weights, part1_schedule, schedule_prefix)
+from rapd.stepsize import check_assumption2, default_alpha, part1_schedule, schedule_prefix
 
 # non-uniform constant steps need a coupling linear in the dual (L_yy = 0)
 problem, x0, y0 = part2_suite_problem()
@@ -24,7 +23,7 @@ alpha = default_alpha(problem.constants)
 p = np.linspace(2.0, 1.0, m)
 p /= p.sum()
 sched_u = part1_schedule(problem.constants, m, alpha)
-sched_p = nonuniform_weights(problem.constants, m, alpha, p, regime="part1")
+sched_p = part1_schedule(problem.constants, m, alpha, c_tau=1.0, c_sigma=1.0, p=p)
 print("sampling probabilities:", np.round(p, 4))
 print("uniform tau:   ", np.round(sched_u.tau, 4))
 print("non-uniform tau:", np.round(sched_p.tau, 4),

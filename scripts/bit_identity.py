@@ -44,7 +44,7 @@ side only.  It exits 1 when anything differs:
 
     python3 scripts/bit_identity.py --compare /tmp/old /tmp/new
 
-The suites take about a minute of the run.
+The suites take about 4.5 s of the run's 7 s (one BLAS thread, 2-core Xeon).
 """
 
 from __future__ import annotations

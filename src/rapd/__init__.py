@@ -30,8 +30,7 @@ from .problem import (LipschitzConstants, SaddleProblem, build_bilinear_erm,
 from .solver import RunOptions, RunTrace, ergodic_average, run
 from .baselines import mirror_prox_run, pdhg_run
 from .stepsize import (StepSchedule, check_assumption2, default_alpha,
-                       nonuniform_weights, part1_schedule, part2_advance,
-                       part2_init, schedule_prefix)
+                       part1_schedule, part2_advance, part2_init, schedule_prefix)
 
 __version__ = "0.1.0"
 

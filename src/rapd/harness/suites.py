@@ -15,11 +15,8 @@ Four named suites:
 from __future__ import annotations
 
 import datetime
-import multiprocessing
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -29,16 +26,17 @@ from ..baselines import mirror_prox_run, pdhg_run
 from ..blockcore import BlockPartition
 from ..bregman import (IndicatorBall, IndicatorNonneg, IndicatorSimplex, L1,
                        SquaredL2, Zero)
-from ..exceptions import ConfigError, DimensionError
+from ..exceptions import ConfigError, DimensionError, ParameterError
 from ..kernel_learning import (KERNELS, build_kernel_problem, dual_start, gram_matrix,
                                kernel_desk, normalize_gram, synth_dataset)
 from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
 from ..problem import (build_bilinear_erm, build_constrained, build_quadratic_game,
                        grad_check)
-from ..solver import RunOptions, RunTrace, run
-from ..stepsize import (default_alpha, nonuniform_weights, part1_schedule,
-                        part2_init)
+from ..rng import sample_indices
+from ..solver import (CACHE_RESYNC_SWEEPS, DIVERGENCE_LIMIT, RunOptions, RunTrace,
+                      _cache_drift, _divergence, _measure, _rapd_record, run)
+from ..stepsize import default_alpha, part1_schedule, part2_init, part2_scalars
 from .config import ExperimentConfig
 from .metrics import (RateReport, lagrangian_gap, rate_bound_delta1,
                       rate_bound_delta2, slope_fit)
@@ -289,12 +287,9 @@ def make_schedule_from_config(cfg: ExperimentConfig, problem):
     p = cfg.probabilities(m)
     if v["method.name"] == "rapd2":
         sched = part2_init(problem.constants, m, alpha, c_sigma=v["method.c_sigma"], p=p)
-    elif p is None:
-        sched = part1_schedule(problem.constants, m, alpha,
-                               c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
     else:
-        sched = nonuniform_weights(problem.constants, m, alpha, p, regime="part1",
-                                   c_tau=v["method.c_tau"], c_sigma=v["method.c_sigma"])
+        sched = part1_schedule(problem.constants, m, alpha, c_tau=v["method.c_tau"],
+                               c_sigma=v["method.c_sigma"], p=p)
     return sched, problem.constants
 
 
@@ -342,27 +337,72 @@ _CHECKPOINTS = (10, 100, 1000, 10_000)
 _SLOPE_POINTS = sorted({int(v) for v in np.round(np.logspace(2, 4, 13))})
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _lockstep(problem, schedule, K, seeds, x0, y0, record_at, ref) -> list:
+    """The traces of ``run(problem, schedule, K, s, x0=x0, y0=y0, options=
+    RunOptions(record_at=record_at, reference=ref))`` for ``s`` in ``seeds``,
+    their records alone, with the seeds advancing in lockstep on ``(S, n)``
+    and ``(S, d)`` arrays.  Every step is ``run``'s but the three read-offs of
+    ``w = K x`` of a :class:`QuadraticGameProblem` on an even partition (the
+    suites' instances), batched on one gather of the drawn blocks' columns."""
+    part, d, S = problem.partition, problem.dual_dim, len(seeds)
+    m, b = part.m, part.sizes[0]
+    # cols[i] = K[:, sl_i] for K = [C; P]: a stacked matmul makes the BLAS call
+    # (gemv) of run's read-off on each seed's matrix, so the bits are run's
+    cols = np.vstack([problem.C, problem.P]).reshape(-1, m, b).transpose(1, 0, 2).copy()
+    p_blk, curved = problem.p.reshape(m, b), problem.Q.any()
 
+    def dual_readoff(W, Y):
+        g = W[:, :d] - (problem.Q @ Y[:, :, None])[:, :, 0] if curved else W[:, :d]
+        return g - problem.q
 
-def _fanout(task, seeds) -> list:
-    """``[task(s) for s in seeds]`` over one worker process per usable CPU,
-    at most one per seed, or serially with one CPU.  Workers are spawned:
-    the BLAS threads make a fork unsafe, so a calling script needs the
-    ``__main__`` guard.  A spawned worker re-runs the caller's script from
-    its ``__file__``, so a script read from stdin (``<stdin>``) runs the
-    seeds serially too."""
-    workers = min(_usable_cpus(), len(seeds))
-    main_file = getattr(sys.modules["__main__"], "__file__", None)
-    if workers < 2 or (main_file is not None and not os.path.isfile(main_file)):
-        return [task(s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(task, seeds))
+    x, y = problem.initial_point(x0, y0)
+    X, Y, W = (np.tile(v, (S, 1)) for v in (x, y, problem.primal_product(x)))
+    X_blk, W_blk = X.reshape(S, m, b), W[:, d:].reshape(S, m, b)   # views
+    X_sum, Y_sum, rows = np.zeros_like(X), np.zeros_like(Y), np.arange(S)
+    # run's lazy ergodic sums: block i of seed s is summed up to iteration last[s, i]
+    Xs_blk, last = X_sum.reshape(S, m, b), np.zeros((S, m), int)
+    g_cur = g_prev = dual_readoff(W, Y)
+    dual_step = problem.dual_geometry.stepper(problem.h)
+    draws = np.stack([sample_indices(s, m, K, schedule.p) for s in seeds], axis=1)
+    traces = [RunTrace(f"rapd-{schedule.regime}", s, part) for s in seeds]
+    theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
+    used, scale, tic = None, None, time.perf_counter()
+    for done, i in enumerate(draws, start=1):
+        neg_s = m * theta * g_prev - (1.0 + m * theta) * g_cur
+        Y[:] = [dual_step(sigma, ns, y_s) for ns, y_s in zip(neg_s, Y)]
+        K_i, old = cols[i], X_blk[rows, i]
+        grad = W_blk[rows, i] + p_blk[i] + (K_i[:, :d].swapaxes(1, 2) @ Y[:, :, None])[:, :, 0]
+        tau = (schedule.tau[i] if scale is None else
+               1.0 / (schedule.mu_p[i] * scale - schedule.mu[i]))[:, None]
+        new = problem.f_whole.prox_euclidean(tau, old - tau * grad)
+        X_blk[rows, i] = new
+        Xs_blk[rows, i] += (done - 1 - last[rows, i])[:, None] * old
+        last[rows, i] = done - 1
+        W += (K_i @ (new - old)[:, :, None])[:, :, 0]
+        g_prev, g_cur = g_cur, dual_readoff(W, Y)
+        if schedule.regime == "part2":
+            used = (taut, t)
+            theta, sigma, taut, t = part2_scalars(sigma, taut, t)
+            scale = 1.0 + 1.0 / taut
+        if done % (CACHE_RESYNC_SWEEPS * m) == 0:
+            W[:] = [problem.primal_product(x_s) for x_s in X]
+            g_cur, cached = dual_readoff(W, Y), g_cur
+            for c, g in zip(cached, g_cur):
+                _cache_drift(c, g, done)
+        Y_sum += Y
+        x_sq, y_sq = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
+        if not (x_sq.max() <= DIVERGENCE_LIMIT ** 2 and y_sq.max() <= DIVERGENCE_LIMIT ** 2):
+            s = int(np.argmax(np.maximum(x_sq, y_sq)))   # the first NaN, if any
+            raise _divergence(x_sq[s], y_sq[s], done, traces[s].method, seeds[s])
+        if done in record_at or done == K:
+            X_sum += np.repeat(done - last, b, axis=1) * X
+            last[:] = done
+            for s, tr in enumerate(traces):
+                rec = _rapd_record(problem, schedule, ref, done, time.perf_counter() - tic,
+                                   int(i[s]), (theta, sigma, taut, t), used, X[s])
+                tr.records.append(_measure(rec, problem, ref, X[s], Y[s], X_sum[s] / done,
+                                           Y_sum[s] / done))
+    return traces
 
 
 def _rate_ensemble(S, build, certify, schedule, delta_of, *, shift, metric,
@@ -372,7 +412,10 @@ def _rate_ensemble(S, build, certify, schedule, delta_of, *, shift, metric,
     seeds recorded at the checkpoints plus ``shift``.  Reports the seed
     mean of the record field ``metric`` and the bound ``m / weight * Delta``
     (``weight`` a field of seed 0's record) at those points, the slope of
-    ``slope_metric``, and ``extras(Delta, traces)`` with the oracle residual."""
+    ``slope_metric``, and ``extras(Delta, traces)`` with the oracle residual.
+    The seeds advance in lockstep (:func:`_lockstep`)."""
+    if S < 1:
+        raise ParameterError(f"a rate ensemble needs S >= 1 seeds, got S = {S}")
     problem, x0, y0 = build()
     cert = certify(problem)
     m = problem.partition.m
@@ -380,9 +423,8 @@ def _rate_ensemble(S, build, certify, schedule, delta_of, *, shift, metric,
     delta = delta_of(problem, sched, x0, y0, cert)
     K = _CHECKPOINTS[-1]
     reads = [Kc + shift for Kc in _CHECKPOINTS]
-    opts = RunOptions(record_at=sorted(set(reads) | set(_SLOPE_POINTS)), reference=cert)
-    traces = _fanout(partial(run, problem, sched, K + shift, x0=x0, y0=y0, options=opts),
-                     range(S))
+    traces = _lockstep(problem, sched, K + shift, range(S), x0, y0,
+                       set(reads) | set(_SLOPE_POINTS), cert)
     slope, r2 = slope_fit(traces, slope_metric, (100, K))
     return RateReport(
         seeds=S, checkpoints=list(_CHECKPOINTS),

@@ -32,7 +32,8 @@ reads the step vector off ``part2_tau``.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
-in ``_Monitor``, which the deterministic baselines share.
+in ``_Monitor``, which the deterministic baselines share; the rate
+suites' lockstep ensembles share its record and guard functions.
 """
 
 from __future__ import annotations
@@ -260,11 +261,7 @@ class _Monitor:
         self.y_sum += y_avg
         y_sq = float(y.dot(y))
         if not (self.x_sq <= DIVERGENCE_LIMIT ** 2 and y_sq <= DIVERGENCE_LIMIT ** 2):
-            raise DivergenceError(
-                f"iterate norms ||x|| = {abs(self.x_sq) ** 0.5:.3e}, ||y|| = "
-                f"{y_sq ** 0.5:.3e}: one is not finite or exceeded "
-                f"{DIVERGENCE_LIMIT:.1e} at iteration {done} "
-                f"(method {self.trace.method}, seed {self.trace.seed})")
+            raise _divergence(self.x_sq, y_sq, done, self.trace.method, self.trace.seed)
 
         opts = self.opts
         if opts.iterate_hook is not None:
@@ -273,14 +270,10 @@ class _Monitor:
         if done not in self.record_at and done != self.K:
             return False
         rec = self.describe(done, time.perf_counter() - self.tic)
-        ref = opts.reference
-        if ref is not None:
+        if opts.reference is not None:
             self._flush(x)
-            # looked up at call time, so a wrapped metric sees every call
-            rec.gap = metrics.lagrangian_gap(self.problem, self.x_sum / done,
-                                             self.y_sum / done, ref)
-            rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
-            rec.dy = self.problem.dual_geometry.dist(ref.y_star, y)
+            _measure(rec, self.problem, opts.reference, x, y, self.x_sum / done,
+                     self.y_sum / done)
         self.trace.records.append(rec)
         return opts.stop_when is not None and bool(opts.stop_when(x, y))
 
@@ -298,6 +291,40 @@ class _Monitor:
         trace.iterations = self.done
         trace.wall_total_s = time.perf_counter() - self.tic
         return trace
+
+
+def _divergence(x_sq, y_sq, k: int, method: str, seed) -> DivergenceError:
+    """The error for squared iterate norms that failed the guard at iteration ``k``."""
+    return DivergenceError(f"iterate norms ||x|| = {abs(x_sq) ** 0.5:.3e}, ||y|| = "
+                           f"{y_sq ** 0.5:.3e}: one is not finite or exceeded "
+                           f"{DIVERGENCE_LIMIT:.1e} at iteration {k} "
+                           f"(method {method}, seed {seed})")
+
+
+def _measure(rec: TraceRecord, problem: SaddleProblem, ref, x, y, x_avg, y_avg) -> TraceRecord:
+    """``rec`` with its metrics against ``ref`` at ``(x, y)`` and the averages filled in."""
+    # looked up at call time, so a wrapped metric sees every call
+    rec.gap = metrics.lagrangian_gap(problem, x_avg, y_avg, ref)
+    rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
+    rec.dy = problem.dual_geometry.dist(ref.y_star, y)
+    return rec
+
+
+def _rapd_record(problem: SaddleProblem, schedule: StepSchedule, ref, k: int, wall_s: float,
+                 i_k: int, state: tuple, used, x: np.ndarray) -> TraceRecord:
+    """A rapd record after ``k`` updates, the last on block ``i_k``, at the
+    scalars ``state = (theta, sigma, taut, t)``, the iterate ``x`` and the
+    ``(taut, t)`` the last update ``used`` (None: the schedule's own)."""
+    theta, sigma, taut, t = state
+    tau = part2_tau(schedule, taut) if schedule.regime == "part2" else schedule.tau
+    rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=sigma, theta=theta,
+                      tau_min=float(tau.min()), tau_max=float(tau.max()), t=t)
+    if ref is not None:
+        tau_prev, rec.t_prev = (schedule.tau, schedule.t) if used is None else (
+            part2_tau(schedule, used[0]), used[1])
+        weights = 1.0 / tau_prev + (1.0 - 1.0 / schedule.m) * problem.constants.mu
+        rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, problem.partition, weights)
+    return rec
 
 
 def _cache_drift(cached: np.ndarray, fresh: np.ndarray, k: int) -> float:
@@ -350,8 +377,6 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         raise ParameterError(f"dual step must be > 0, got {schedule.sigma}")
     p_arr = schedule.p
 
-    ref = opts.reference
-    mu = problem.constants.mu
     accelerated = schedule.regime == "part2"
     # the current state as scalars; part2 advances them and a record reads
     # the step vector off part2_tau
@@ -363,17 +388,8 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         mu_p, mu_s = schedule.mu_p.tolist(), schedule.mu.tolist()
 
     def describe(k, wall_s):
-        tau = part2_tau(schedule, taut) if accelerated else schedule.tau
-        rec = TraceRecord(k=k, wall_s=wall_s, i_k=i_k, sigma=sigma, theta=theta,
-                          tau_min=float(tau.min()), tau_max=float(tau.max()), t=t)
-        if ref is not None:
-            # the state the last iteration used
-            tau_prev, t_prev = (schedule.tau, schedule.t) if used is None else (
-                part2_tau(schedule, used[0]), used[1])
-            weights = 1.0 / tau_prev + (1.0 - 1.0 / m) * mu
-            rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, part, weights)
-            rec.t_prev = t_prev
-        return rec
+        return _rapd_record(problem, schedule, opts.reference, k, wall_s, i_k,
+                            (theta, sigma, taut, t), used, x)
 
     monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,
                        opts, seed=seed)

@@ -92,25 +92,25 @@ def _validate_probabilities(p, m) -> np.ndarray | None:
 
 
 def part1_schedule(constants: LipschitzConstants, m: int, alpha: float,
-                   c_tau: float = 0.99, c_sigma: float = 0.99) -> StepSchedule:
-    """Constant steps:
+                   c_tau: float = 0.99, c_sigma: float = 0.99, p=None) -> StepSchedule:
+    """Constant steps for sampling block ``i`` with probability ``p_i``
+    (uniform when ``p`` is None):
 
-        tau_i = c_tau / (L_xx_i + L_yx_i^2/alpha),
+        tau_i = c_tau / (L_xx_i + L_yx_i^2/(p_i m alpha)),
         sigma = c_sigma / (m (alpha + 2 L_yy)),  theta = t = 1.
 
     Satisfies the step-size condition with certificates ``alpha^k = alpha``
-    and ``beta^k = L_yy``.
+    and ``beta^k = L_yy``.  A given ``p`` needs a coupling linear in the
+    dual (``L_yy = 0``); uniform sampling's factor ``p_i m = 1`` stays out
+    of ``tau`` bit for bit.
     """
-    return _constant_schedule(constants, m, alpha, None, c_tau, c_sigma)
-
-
-def _constant_schedule(constants, m, alpha, p, c_tau, c_sigma) -> StepSchedule:
-    """Constant steps for both public constructors; ``p = None`` is uniform
-    sampling, whose factor ``m p_i = 1`` stays out of ``tau`` bit for bit."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     if not (0 < c_tau <= 1 and 0 < c_sigma <= 1):
         raise ParameterError("c_tau, c_sigma must lie in (0, 1]")
+    p = _validate_probabilities(p, m)
+    if p is not None and constants.L_yy != 0:
+        raise RegimeError("non-uniform constant steps are defined for L_yy = 0")
     coupling = constants.L_yx ** 2 / alpha if p is None else \
         constants.L_yx ** 2 / (p * m * alpha)
     tau = c_tau / (constants.L_xx + coupling)
@@ -188,23 +188,13 @@ def part2_advance(s: StepSchedule) -> StepSchedule:
 def nonuniform_weights(constants: LipschitzConstants, m: int, alpha: float,
                        p, regime: str = "part1", c_tau: float = 1.0,
                        c_sigma: float = 1.0) -> StepSchedule:
-    """Schedule for sampling block ``i`` with probability ``p_i``.
-
-    part1:  tau_i = c_tau (L_xx_i + L_yx_i^2/(p_i m alpha))^(-1),
-            sigma = c_sigma/(m alpha).
-    part2:  the accelerated recursion seeded with the p-weighted taut^0.
-
-    Both require a coupling linear in the dual; uniform probabilities
-    reproduce the corresponding uniform schedules exactly.
-    """
-    p_arr = _validate_probabilities(p, m)
-    if p_arr is None:
+    """:func:`part1_schedule` or :func:`part2_init`, by ``regime``, for the
+    probabilities ``p``; acceptance criterion 6 builds its schedules by this name."""
+    if p is None:
         raise ParameterError("nonuniform_weights needs an explicit probability vector")
     if regime == "part2":
-        return part2_init(constants, m, alpha, c_sigma=c_sigma, p=p_arr)
-    if constants.L_yy != 0:
-        raise RegimeError("non-uniform constant steps are defined for L_yy = 0")
-    return _constant_schedule(constants, m, alpha, p_arr, c_tau, c_sigma)
+        return part2_init(constants, m, alpha, c_sigma=c_sigma, p=p)
+    return part1_schedule(constants, m, alpha, c_tau=c_tau, c_sigma=c_sigma, p=p)
 
 
 def schedule_prefix(s0: StepSchedule, length: int) -> list:

@@ -1,8 +1,4 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +21,7 @@ from rapd.oracle import (SaddleCertificate, save_certificate, solve_high_accurac
                          solve_quadratic_game_exact)
 from rapd.problem import build_quadratic_game
 from rapd.solver import RunOptions, RunTrace, TraceRecord, run
-from rapd.stepsize import default_alpha, nonuniform_weights, part1_schedule, part2_init
+from rapd.stepsize import default_alpha, part1_schedule, part2_init
 
 
 BASE_CFG = """
@@ -201,8 +197,7 @@ class TestConfig:
         tr = run_from_config(cfg, seed=4)
         problem, x0, y0 = build_problem_from_config(cfg)
         c = problem.constants
-        sched = nonuniform_weights(c, 2, default_alpha(c), np.array([0.75, 0.25]),
-                                   regime="part1", c_tau=0.99, c_sigma=0.99)
+        sched = part1_schedule(c, 2, default_alpha(c), p=np.array([0.75, 0.25]))
         ref = run(problem, sched, 50, 4, x0=x0, y0=y0)
         assert np.array_equal(tr.final_x, ref.final_x)
         assert np.array_equal(tr.final_y, ref.final_y)
@@ -594,17 +589,37 @@ class TestCli:
 
 
 class TestSuites:
-    def test_workers_leave_reports_unchanged(self, monkeypatch):
-        # the rate ensembles spread their seeds over the usable CPUs; two
-        # workers and one must give every report field bit for bit
-        from dataclasses import asdict
-        from rapd.harness import suites
-        runs = (lambda: suites.quadratic_game_suite(S=2),
-                lambda: suites.strongly_convex_suite(S=2))
-        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
-        spread = [repr(asdict(suite())) for suite in runs]
-        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
-        assert [repr(asdict(suite())) for suite in runs] == spread
+    @pytest.mark.parametrize("build,certify,schedule", [
+        (suites.part1_suite_problem, lambda p: solve_high_accuracy(p, tol=1e-10),
+         part1_schedule),
+        (suites.part2_suite_problem, suites.part2_suite_certificate, part2_init)],
+        ids=["quadratic", "strongly-convex"])
+    def test_lockstep_matches_run(self, build, certify, schedule):
+        # the rate ensembles' lockstep seeds record what run records, on
+        # both suite instances, past the first cache resync at 64 m = 512
+        from rapd.solver import _FIELDS
+        problem, x0, y0 = build()
+        cert = certify(problem)
+        c, m, K = problem.constants, problem.partition.m, 1200
+        sched = schedule(c, m, default_alpha(c))
+        pts = [1, 2, 10, 100, 511, 512, 513, 1000]
+        lock = suites._lockstep(problem, sched, K, range(3), x0, y0, pts, cert)
+        for seed, tr in enumerate(lock):
+            ref = run(problem, sched, K, seed, x0=x0, y0=y0,
+                      options=RunOptions(record_at=pts, reference=cert))
+            assert ref.cache_resyncs == 2
+            assert [r.k for r in tr.records] == pts + [K]
+            for name in _FIELDS:
+                if name != "wall_s":
+                    a, b = ref.column(name), tr.column(name)
+                    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a))), name
+
+    @pytest.mark.parametrize("S", [0, -1])
+    def test_empty_ensemble_is_refused_first(self, S, monkeypatch):
+        # S is checked before the instance is built or certified
+        monkeypatch.setattr(suites, "part1_suite_problem", None)
+        with pytest.raises(ParameterError, match="S >= 1"):
+            suites.quadratic_game_suite(S=S)
 
     def test_kernel_report_opens_with_its_region(self):
         # the first line names the ball the constants hold on and ||x*||
@@ -613,21 +628,6 @@ class TestSuites:
         res = suites.KernelSuiteResult(oracle=cert, oracle_seconds=0.1,
                                        region_radius=np.sqrt(200))
         assert res.lines()[0].startswith("suite=kernel B=14.14 ||x*||=5 oracle_res=")
-
-    def test_script_on_stdin(self, tmp_path):
-        # spawned workers would re-run "<stdin>" as a file and die, so the
-        # seeds run in the calling process
-        script = tmp_path / "suite.py"
-        script.write_text("from rapd.harness import suites\n"
-                          "suites._usable_cpus = lambda: 2\n"
-                          "print(suites.quadratic_game_suite(S=2).seeds)\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        with open(script, encoding="utf-8") as stdin:
-            done = subprocess.run([sys.executable, "-"], stdin=stdin, capture_output=True,
-                                  text=True, timeout=300, cwd=tmp_path,
-                                  env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "2"
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
 from rapd.problem import build_bilinear_erm, build_constrained, build_quadratic_game
 from rapd.rng import CounterRng, sample_index
 from rapd.solver import CACHE_RESYNC_SWEEPS, RunOptions, primal_block_step, run
-from rapd.stepsize import default_alpha, nonuniform_weights, part1_schedule, part2_init
+from rapd.stepsize import default_alpha, part1_schedule, part2_init
 
 TOL = 1e-12
 M_BLOCKS = 4
@@ -100,8 +100,8 @@ def schedule_for(prob, regime, sampling):
     c, m = prob.constants, prob.partition.m
     alpha = default_alpha(c)
     if sampling == "nonuniform":
-        return nonuniform_weights(c, m, alpha, P_NONUNIFORM,
-                                  regime="part1" if regime == "rapd1" else "part2")
+        return (part1_schedule(c, m, alpha, c_tau=1.0, c_sigma=1.0, p=P_NONUNIFORM)
+                if regime == "rapd1" else part2_init(c, m, alpha, c_sigma=1.0, p=P_NONUNIFORM))
     return part1_schedule(c, m, alpha) if regime == "rapd1" else part2_init(c, m, alpha)
 
 

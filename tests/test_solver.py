@@ -19,7 +19,7 @@ from rapd.rng import CounterRng, sample_index, sample_indices
 from rapd.solver import (CACHE_RESYNC_SWEEPS, DRAW_CHUNK, RunOptions, RunTrace,
                          TraceRecord, _block_draws, _Monitor, ergodic_average,
                          primal_block_step, run)
-from rapd.stepsize import (default_alpha, nonuniform_weights, part1_schedule, part2_init,
+from rapd.stepsize import (default_alpha, part1_schedule, part2_init,
                            schedule_prefix)
 from rapd.baselines import estimate_operator_lipschitz, mirror_prox_run, pdhg_run
 
@@ -362,7 +362,7 @@ class TestSampling:
         p = np.array([0.2, 0.5, 0.3])
         for K, probs in ((40, None), (DRAW_CHUNK + 40, None), (40, p)):
             sched = part1_schedule(c, 3, default_alpha(c)) if probs is None else \
-                nonuniform_weights(c, 3, default_alpha(c), probs)
+                part1_schedule(c, 3, default_alpha(c), c_tau=1.0, c_sigma=1.0, p=probs)
             tr = run(prob, sched, K, seed=17, options=RunOptions(record_at=range(1, K + 1)))
             assert [r.i_k for r in tr.records] == self.scalar_stream(17, 3, K, probs)
 
@@ -481,7 +481,7 @@ class TestRun:
         c, m, K = prob.constants, prob.partition.m, 300
         p = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
         for s0 in (part2_init(c, m, default_alpha(c)),
-                   nonuniform_weights(c, m, default_alpha(c), p, regime="part2")):
+                   part2_init(c, m, default_alpha(c), c_sigma=1.0, p=p)):
             xs = {}
             opts = RunOptions(record_at=range(1, K + 1), reference=cert,
                               iterate_hook=lambda k, x, y: xs.__setitem__(k, x.copy()))

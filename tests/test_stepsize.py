@@ -5,9 +5,8 @@ from dataclasses import replace
 from rapd.exceptions import ParameterError, RegimeError
 from rapd.harness.suites import part2_suite_problem
 from rapd.problem import LipschitzConstants
-from rapd.stepsize import (check_assumption2, default_alpha, nonuniform_weights,
-                           part1_schedule, part2_advance, part2_init,
-                           schedule_prefix)
+from rapd.stepsize import (check_assumption2, default_alpha, part1_schedule,
+                           part2_advance, part2_init, schedule_prefix)
 
 
 def consts(L_xx, L_yx, L_yy=0.0, mu=None):
@@ -115,8 +114,7 @@ class TestPart2:
             alpha = default_alpha(c) * np.exp(rng.uniform(-2, 2))
             try:
                 s0 = (part2_init(c, m, alpha) if draw % 2 else
-                      nonuniform_weights(c, m, alpha, rng.dirichlet(np.ones(m)),
-                                         regime="part2"))
+                      part2_init(c, m, alpha, c_sigma=1.0, p=rng.dirichlet(np.ones(m))))
             except RegimeError:   # a step rounded to zero: no state is built
                 continue
             built += 1
@@ -156,7 +154,7 @@ class TestPart2:
         c = consts([1.0, 0.3, 2.0], [0.5, 1.0, 0.25], mu=[0.5, 2.0, 1.0])
         alpha = default_alpha(c)
         for s0 in (part2_init(c, 3, alpha),
-                   nonuniform_weights(c, 3, alpha, [0.5, 0.3, 0.2], regime="part2")):
+                   part2_init(c, 3, alpha, c_sigma=1.0, p=[0.5, 0.3, 0.2])):
             pi, mu = s0.probabilities(), c.mu
             s, taut, sigma, t = s0, s0.tau_tilde, s0.sigma, s0.t
             for _ in range(5000):
@@ -179,27 +177,27 @@ class TestPart2:
 class TestNonuniform:
     def test_uniform_reproduces_part1(self):
         c = consts([1.0, 2.0], [0.5, 1.5])
-        a = nonuniform_weights(c, 2, 1.0, [0.5, 0.5], regime="part1")
+        a = part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0, p=[0.5, 0.5])
         b = part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0)
         assert a.tau == pytest.approx(b.tau, rel=1e-15)
         assert a.sigma == pytest.approx(b.sigma, rel=1e-15)
 
     def test_uniform_reproduces_part2(self):
-        a = nonuniform_weights(M2, 2, 1.0, [0.5, 0.5], regime="part2", c_sigma=1.0)
+        a = part2_init(M2, 2, 1.0, c_sigma=1.0, p=[0.5, 0.5])
         b = part2_init(M2, 2, 1.0, c_sigma=1.0)
         assert a.tau == pytest.approx(b.tau, rel=1e-15)
         assert a.tau_tilde == pytest.approx(b.tau_tilde, rel=1e-15)
 
     def test_hand_values(self):
         c = consts([1.0, 1.0], [1.0, 1.0])
-        s = nonuniform_weights(c, 2, 1.0, [0.75, 0.25], regime="part1")
+        s = part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0, p=[0.75, 0.25])
         assert s.tau == pytest.approx([0.6, 1 / 3])
         assert s.sigma == pytest.approx(0.5)
 
     def test_low_probability_block_shrinks(self):
         c = consts([1.0, 1.0], [1.0, 1.0])
-        s_uni = nonuniform_weights(c, 2, 1.0, [0.5, 0.5], regime="part1")
-        s_skew = nonuniform_weights(c, 2, 1.0, [0.75, 0.25], regime="part1")
+        s_uni = part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0, p=[0.5, 0.5])
+        s_skew = part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0, p=[0.75, 0.25])
         assert s_skew.tau[1] < s_uni.tau[1]
         assert s_skew.tau[0] > s_uni.tau[0]
 
@@ -207,22 +205,22 @@ class TestNonuniform:
         c = consts([1.0, 1.0], [1.0, 1.0])
         for p in ([0.5, 0.4], [1.2, -0.2], [1.0]):
             with pytest.raises(ParameterError):
-                nonuniform_weights(c, 2, 1.0, p, regime="part1")
+                part1_schedule(c, 2, 1.0, c_tau=1.0, c_sigma=1.0, p=p)
 
     def test_nonpositive_alpha_rejected(self):
         c = consts([1.0, 1.0], [1.0, 1.0], mu=[1.0, 1.0])
-        for regime in ("part1", "part2"):
+        for build in (part1_schedule, part2_init):
             for alpha in (0.0, -1.0):
                 with pytest.raises(ParameterError):
-                    nonuniform_weights(c, 2, alpha, [0.75, 0.25], regime=regime)
+                    build(c, 2, alpha, c_sigma=1.0, p=[0.75, 0.25])
 
     def test_checker_passes_both_regimes(self):
         c = consts([1.0, 0.5, 2.0], [1.0, 2.0, 0.7], mu=[1.0, 2.0, 0.5])
         p = [0.5, 0.3, 0.2]
-        for regime in ("part1", "part2"):
-            s = nonuniform_weights(c, 3, 1.3, p, regime=regime)
+        for s in (part1_schedule(c, 3, 1.3, c_tau=1.0, c_sigma=1.0, p=p),
+                  part2_init(c, 3, 1.3, c_sigma=1.0, p=p)):
             rep = check_assumption2(schedule_prefix(s, 1000), c, 3)
-            assert rep.satisfied, (regime, rep)
+            assert rep.satisfied, (s.regime, rep)
 
 
 class TestChecker:
