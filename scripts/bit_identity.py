@@ -27,7 +27,15 @@ Writes into one directory what this tree computes on a fixed matrix:
 - ``suite_<name>.txt``: the fields of the four named suite reports,
   without wall times;
 - ``instances/*.npy``: the rate suites' two quadratic-game instances and
-  the exact certificate of the second.
+  the exact certificate of the second;
+- ``prox/<class>_<name>``: for each function of ``PROX_FUNCTIONS``, one of
+  every concrete prox-friendly class of ``rapd.bregman``, on the fixed
+  points ``PROX_POINTS`` (inside and outside its domain): ``value``,
+  ``prox_euclidean`` at each step of ``PROX_STEPS`` (``prox_t1e-03`` ...),
+  ``project_domain``, ``feasibility_gap`` and ``prox_entropy`` on
+  ``ENTROPY_POINTS`` at those steps, each as ``.npy`` or, where it raises,
+  ``.err`` with one line; and ``attrs.txt``, the class attributes the
+  solvers read.
 
 The script imports ``rapd`` from ``PYTHONPATH`` when it is set there, so
 the same file compares any two trees:
@@ -63,6 +71,9 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 import numpy as np  # noqa: E402
 
 import rapd  # noqa: E402
+from rapd.bregman import (ConeDualBall, IndicatorBall, IndicatorBox,  # noqa: E402
+                          IndicatorNonneg, IndicatorSimplex, L1, NonnegQuadratic,
+                          Separable, SquaredL2, Zero)
 from rapd.harness.config import parse_config  # noqa: E402
 from rapd.harness.suites import (build_problem_from_config,  # noqa: E402
                                  make_schedule_from_config, part1_suite_problem,
@@ -100,6 +111,21 @@ CONFIGS = {
 #: label -> ``problem.blocks`` of the rapd1 and rapd2 runs and the certificate
 BLOCKS = {"quadratic": 8, "quadratic_sc": 8, "bilinear": 4, "bilinear_p": 4,
           "bilinear_steps": 4, "constrained": 4, "kernel": 4}
+
+#: one function of each concrete prox-friendly class, on 5 coordinates
+PROX_FUNCTIONS = (Zero(), L1(0.3), SquaredL2(0.5), NonnegQuadratic(0.5), IndicatorNonneg(),
+                  IndicatorBox(-0.5, 0.5), IndicatorBall(1.0), IndicatorSimplex(2.0),
+                  ConeDualBall("nonneg", 1.0),
+                  Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1), (L1(0.3), 1)]))
+#: rows: inside every domain (the unit simplex, if rounded), the origin,
+#: outside every domain, and far outside with tiny entries
+PROX_POINTS = np.array([[0.1, 0.2, 0.3, 0.15, 0.25],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [3.0, -4.0, 0.5, -0.25, 2.0],
+                        [-1e-3, 1e-8, 2.5e2, -7.0, -1e-300]])
+#: positive points, the entropy prox's domain
+ENTROPY_POINTS = np.array([[0.5, 1.5, 2.0, 1e-3, 3.0], [1e-300, 1.0, 1e-8, 4.0, 0.25]])
+PROX_STEPS = (1e-3, 1.0, 1e3)
 
 #: report fields that hold measured wall time
 WALL_FIELDS = ("oracle_seconds", "seconds")
@@ -202,6 +228,35 @@ def write_instances(out: Path) -> None:
                 _fmt({"kkt_residual": cert.kkt_residual, "tol": cert.tol}) + "\n")
 
 
+def _save(stem: Path, compute) -> None:
+    """``<stem>.npy`` holding ``compute()``, or ``<stem>.err`` when it raises."""
+    try:
+        value = compute()
+    except Exception as exc:  # noqa: BLE001 - the error is the artefact
+        stem.with_suffix(".err").write_text(f"{type(exc).__name__}: {exc}\n")
+        return
+    np.save(stem.with_suffix(".npy"), value)
+
+
+def write_prox(out: Path) -> None:
+    """The ``prox/`` artefacts of ``PROX_FUNCTIONS``."""
+    out = out / "prox"
+    out.mkdir(parents=True, exist_ok=True)
+    for f in PROX_FUNCTIONS:
+        name = type(f).__name__
+        (out / f"{name}_attrs.txt").write_text(_fmt({
+            a: getattr(f, a) for a in ("kind", "modulus", "coordinatewise",
+                                       "entropy_scale_invariant")}) + "\n")
+        _save(out / f"{name}_value", lambda: [f.value(u) for u in PROX_POINTS])
+        _save(out / f"{name}_project", lambda: [f.project_domain(u) for u in PROX_POINTS])
+        _save(out / f"{name}_gap", lambda: [f.feasibility_gap(u) for u in PROX_POINTS])
+        for t in PROX_STEPS:
+            _save(out / f"{name}_prox_t{t:.0e}",
+                  lambda: [f.prox_euclidean(t, u) for u in PROX_POINTS])
+            _save(out / f"{name}_entropy_t{t:.0e}",
+                  lambda: [f.prox_entropy(t, w.copy()) for w in ENTROPY_POINTS])
+
+
 def write_suites(out: Path) -> None:
     for name in ("bilinear", "quadratic", "strongly-convex", "kernel"):
         report = suite_by_name(name)
@@ -285,6 +340,7 @@ def main(argv=None) -> int:
     write_prefix(args.out / "kernel_desk", lambda: part2_init(
         desk.constants, desk.partition.m, default_alpha(desk.constants)))
     write_instances(args.out)
+    write_prox(args.out)
     write_suites(args.out)
     print(f"wrote {args.out}")
     return 0

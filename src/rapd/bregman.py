@@ -13,6 +13,10 @@ for every prox-friendly ``f`` it supports.  The convention used throughout:
 so that for the Euclidean geometry and ``f = 0`` the minimizer is exactly
 ``xbar - t*s``.
 
+Most prox-friendly functions are indicators of closed convex sets
+(:class:`Indicator`).  Each states its projection ``project_domain`` once:
+its value is 0 and its Euclidean prox, at every step, is the projection.
+
 :func:`bregman_prox` is the checked public entry; the solvers' loops bind
 ``geom.stepper(f)`` once per run, checked there, and call it unchecked.
 """
@@ -40,7 +44,9 @@ class ProxFriendlyFunction:
     Subclasses provide ``value`` and the Euclidean prox
     ``argmin_x t*f(x) + 0.5*||x - u||^2``; entropy proxes exist only for
     the kinds a simplex/orthant geometry pairs with.  ``modulus`` is the
-    strong-convexity constant w.r.t. the geometry's reference norm.
+    strong-convexity constant w.r.t. the geometry's reference norm.  An
+    indicator subclasses :class:`Indicator` and states its projection
+    ``project_domain`` alone: its value is 0 and its prox is the projection.
     """
 
     modulus = 0.0
@@ -72,18 +78,37 @@ class ProxFriendlyFunction:
         return f"<{type(self).__name__}>"
 
 
-class Zero(ProxFriendlyFunction):
-    kind = "zero"
-    coordinatewise = True
+class Indicator(ProxFriendlyFunction):
+    """Indicator of a closed convex set: 0 on the set, and at every step
+    ``t`` the Euclidean prox is the projection ``project_domain``."""
 
     def value(self, x):
         return 0.0
 
     def prox_euclidean(self, t, u):
-        return u
+        return self.project_domain(u)
+
+
+class Zero(Indicator):
+    """The zero function, the indicator of the whole space."""
+
+    kind = "zero"
+    coordinatewise = True
 
     def prox_entropy(self, t, w):
         return w
+
+
+def _weight(lam: float, name: str) -> float:
+    """A function's weight ``lam``, checked finite and >= 0."""
+    if not np.isfinite(lam) or lam < 0:
+        raise ParameterError(f"{name} weight must be >= 0, got {lam}")
+    return float(lam)
+
+
+def _orthant_gap(x: np.ndarray) -> float:
+    """The largest violation of ``x >= 0``."""
+    return float(np.maximum(-x, 0.0).max(initial=0.0))
 
 
 class L1(ProxFriendlyFunction):
@@ -93,9 +118,7 @@ class L1(ProxFriendlyFunction):
     coordinatewise = True
 
     def __init__(self, lam: float):
-        if not np.isfinite(lam) or lam < 0:
-            raise ParameterError(f"l1 weight must be >= 0, got {lam}")
-        self.lam = float(lam)
+        self.lam = _weight(lam, "l1")
 
     def value(self, x):
         return self.lam * float(np.abs(x).sum())
@@ -112,9 +135,7 @@ class SquaredL2(ProxFriendlyFunction):
     coordinatewise = True
 
     def __init__(self, lam: float):
-        if not np.isfinite(lam) or lam < 0:
-            raise ParameterError(f"quadratic weight must be >= 0, got {lam}")
-        self.lam = float(lam)
+        self.lam = _weight(lam, "quadratic")
         self.modulus = 2.0 * self.lam
 
     def value(self, x):
@@ -124,56 +145,37 @@ class SquaredL2(ProxFriendlyFunction):
         return u / (1.0 + 2.0 * t * self.lam)
 
 
-class NonnegQuadratic(ProxFriendlyFunction):
-    """``lam * ||x||^2`` on the nonnegative orthant, +inf outside.
-
-    Carries the quadratic's modulus ``2*lam``; the prox is a scaled
-    projection.
-    """
+class NonnegQuadratic(SquaredL2):
+    """``lam * ||x||^2`` on the nonnegative orthant, +inf outside; the
+    prox is a scaled projection."""
 
     kind = "nonneg-squared-l2"
-    coordinatewise = True
-
-    def __init__(self, lam: float):
-        if not np.isfinite(lam) or lam < 0:
-            raise ParameterError(f"quadratic weight must be >= 0, got {lam}")
-        self.lam = float(lam)
-        self.modulus = 2.0 * self.lam
-
-    def value(self, x):
-        return self.lam * float(x @ x)
 
     def prox_euclidean(self, t, u):
         return np.maximum(u / (1.0 + 2.0 * t * self.lam), 0.0)
 
     def feasibility_gap(self, x):
-        return float(np.maximum(-x, 0.0).max(initial=0.0))
+        return _orthant_gap(x)
 
     def project_domain(self, x):
         return np.maximum(x, 0.0)
 
 
-class IndicatorNonneg(ProxFriendlyFunction):
+class IndicatorNonneg(Indicator):
     kind = "indicator-nonneg"
     coordinatewise = True
-
-    def value(self, x):
-        return 0.0
-
-    def prox_euclidean(self, t, u):
-        return np.maximum(u, 0.0)
 
     def prox_entropy(self, t, w):
         return w  # orthant is the entropy domain
 
     def feasibility_gap(self, x):
-        return float(np.maximum(-x, 0.0).max(initial=0.0))
+        return _orthant_gap(x)
 
     def project_domain(self, x):
         return np.maximum(x, 0.0)
 
 
-class IndicatorBox(ProxFriendlyFunction):
+class IndicatorBox(Indicator):
     kind = "indicator-box"
     coordinatewise = True
 
@@ -181,12 +183,6 @@ class IndicatorBox(ProxFriendlyFunction):
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
             raise ParameterError(f"box bounds invalid: [{lo}, {hi}]")
         self.lo, self.hi = float(lo), float(hi)
-
-    def value(self, x):
-        return 0.0
-
-    def prox_euclidean(self, t, u):
-        return np.clip(u, self.lo, self.hi)
 
     def feasibility_gap(self, x):
         return float(max(np.maximum(self.lo - x, 0.0).max(initial=0.0),
@@ -202,7 +198,14 @@ def _norm(u: np.ndarray) -> float:
     return math.sqrt(float(u.dot(u)))
 
 
-class IndicatorBall(ProxFriendlyFunction):
+def _project_ball(u: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of the float vector ``u`` onto
+    ``{||x|| <= radius}``, as a new array."""
+    nrm = _norm(u)
+    return u.copy() if nrm <= radius else u * (radius / nrm)
+
+
+class IndicatorBall(Indicator):
     kind = "indicator-ball"
 
     def __init__(self, radius: float):
@@ -210,20 +213,11 @@ class IndicatorBall(ProxFriendlyFunction):
             raise ParameterError(f"ball radius must be > 0, got {radius}")
         self.radius = float(radius)
 
-    def value(self, x):
-        return 0.0
-
-    def prox_euclidean(self, t, u):
-        nrm = _norm(u)
-        if nrm <= self.radius:
-            return u.copy()
-        return u * (self.radius / nrm)
-
     def feasibility_gap(self, x):
         return max(_norm(x) - self.radius, 0.0)
 
     def project_domain(self, x):
-        return self.prox_euclidean(1.0, np.asarray(x, dtype=float))
+        return _project_ball(np.asarray(x, dtype=float), self.radius)
 
 
 def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -254,7 +248,7 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-class IndicatorSimplex(ProxFriendlyFunction):
+class IndicatorSimplex(Indicator):
     kind = "indicator-simplex"
     entropy_scale_invariant = True
 
@@ -262,12 +256,6 @@ class IndicatorSimplex(ProxFriendlyFunction):
         if not np.isfinite(scale) or scale <= 0:
             raise ParameterError(f"simplex scale must be > 0, got {scale}")
         self.scale = float(scale)
-
-    def value(self, x):
-        return 0.0
-
-    def prox_euclidean(self, t, u):
-        return project_simplex(u, self.scale)
 
     def prox_entropy(self, t, w):
         s = float(w.sum())
@@ -282,12 +270,13 @@ class IndicatorSimplex(ProxFriendlyFunction):
         return project_simplex(x, self.scale)
 
 
-class ConeDualBall(ProxFriendlyFunction):
+class ConeDualBall(Indicator):
     """Indicator of the dual cone intersected with ``{||y|| <= B}``, for
     the nonnegative orthant cone.
 
     The orthant is self-dual, and orthant/ball projections commute, so
-    projecting onto the orthant and then radially is the exact projection.
+    projecting onto the orthant and then onto the ball is the exact
+    projection.
     """
 
     kind = "indicator-cone-dual-ball"
@@ -300,22 +289,11 @@ class ConeDualBall(ProxFriendlyFunction):
         self.cone = cone
         self.bound = float(bound)
 
-    def value(self, x):
-        return 0.0
-
-    def prox_euclidean(self, t, u):
-        w = np.maximum(u, 0.0)
-        nrm = _norm(w)
-        if nrm > self.bound:
-            w *= self.bound / nrm
-        return w
-
     def feasibility_gap(self, x):
-        return float(np.maximum(-x, 0.0).max(initial=0.0)
-                     + max(_norm(np.maximum(x, 0.0)) - self.bound, 0.0))
+        return _orthant_gap(x) + max(_norm(np.maximum(x, 0.0)) - self.bound, 0.0)
 
     def project_domain(self, x):
-        return self.prox_euclidean(1.0, np.asarray(x, dtype=float))
+        return _project_ball(np.maximum(np.asarray(x, dtype=float), 0.0), self.bound)
 
 
 class Separable(ProxFriendlyFunction):

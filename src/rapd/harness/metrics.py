@@ -113,8 +113,9 @@ def fit_loglog(ks, values):
 def slope_fit(traces, metric: str, k_range) -> tuple:
     """Log-log slope of the seed-averaged metric over ``k_range``.
 
-    Requires at least 10 recorded K points spanning two decades inside
-    the range; the ensemble is averaged pointwise across traces first.
+    Requires at least one trace and 10 recorded K points spanning two
+    decades inside the range; the ensemble is averaged pointwise across
+    traces first.
     """
     lo, hi = float(k_range[0]), float(k_range[1])
     ks = None
@@ -128,8 +129,10 @@ def slope_fit(traces, metric: str, k_range) -> tuple:
         elif not np.array_equal(ks, tk[keep]):
             raise ParameterError("traces record different K grids")
         rows.append(tv[keep])
-    if ks is None or ks.size < 10:
-        raise ParameterError(f"need >= 10 K points in range, got {0 if ks is None else ks.size}")
+    if ks is None:
+        raise ParameterError("slope_fit needs at least one trace, got none")
+    if ks.size < 10:
+        raise ParameterError(f"need >= 10 K points in range, got {ks.size}")
     if ks.max() / max(ks.min(), 1.0) < 99.0:
         raise ParameterError("K points must span at least two decades")
     mean = np.mean(rows, axis=0)

@@ -36,7 +36,7 @@ from ..problem import (build_bilinear_erm, build_constrained, build_quadratic_ga
 from ..rng import sample_indices
 from ..solver import (CACHE_RESYNC_SWEEPS, DIVERGENCE_LIMIT, RunOptions, RunTrace,
                       _cache_drift, _divergence, _measure, _rapd_record, run)
-from ..stepsize import default_alpha, part1_schedule, part2_init, part2_scalars
+from ..stepsize import default_alpha, part1_schedule, part2_init, part2_scalars, part2_tau
 from .config import ExperimentConfig
 from .metrics import (RateReport, lagrangian_gap, rate_bound_delta1,
                       rate_bound_delta2, slope_fit)
@@ -340,10 +340,11 @@ _SLOPE_POINTS = sorted({int(v) for v in np.round(np.logspace(2, 4, 13))})
 def _lockstep(problem, schedule, K, seeds, x0, y0, record_at, ref) -> list:
     """The traces of ``run(problem, schedule, K, s, x0=x0, y0=y0, options=
     RunOptions(record_at=record_at, reference=ref))`` for ``s`` in ``seeds``,
-    their records alone, with the seeds advancing in lockstep on ``(S, n)``
-    and ``(S, d)`` arrays.  Every step is ``run``'s but the three read-offs of
-    ``w = K x`` of a :class:`QuadraticGameProblem` on an even partition (the
-    suites' instances), batched on one gather of the drawn blocks' columns."""
+    their records, iteration counts and cache resyncs alone, with the seeds
+    advancing in lockstep on ``(S, n)`` and ``(S, d)`` arrays.  Every step is
+    ``run``'s but the three read-offs of ``w = K x`` of a
+    :class:`QuadraticGameProblem` on an even partition (the suites'
+    instances), batched on one gather of the drawn blocks' columns."""
     part, d, S = problem.partition, problem.dual_dim, len(seeds)
     m, b = part.m, part.sizes[0]
     # cols[i] = K[:, sl_i] for K = [C; P]: a stacked matmul makes the BLAS call
@@ -366,29 +367,28 @@ def _lockstep(problem, schedule, K, seeds, x0, y0, record_at, ref) -> list:
     draws = np.stack([sample_indices(s, m, K, schedule.p) for s in seeds], axis=1)
     traces = [RunTrace(f"rapd-{schedule.regime}", s, part) for s in seeds]
     theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
-    used, scale, tic = None, None, time.perf_counter()
+    accelerated, used, tic = schedule.regime == "part2", None, time.perf_counter()
     for done, i in enumerate(draws, start=1):
         neg_s = m * theta * g_prev - (1.0 + m * theta) * g_cur
         Y[:] = [dual_step(sigma, ns, y_s) for ns, y_s in zip(neg_s, Y)]
         K_i, old = cols[i], X_blk[rows, i]
         grad = W_blk[rows, i] + p_blk[i] + (K_i[:, :d].swapaxes(1, 2) @ Y[:, :, None])[:, :, 0]
-        tau = (schedule.tau[i] if scale is None else
-               1.0 / (schedule.mu_p[i] * scale - schedule.mu[i]))[:, None]
+        tau = (part2_tau(schedule, taut) if accelerated else schedule.tau)[i][:, None]
         new = problem.f_whole.prox_euclidean(tau, old - tau * grad)
         X_blk[rows, i] = new
         Xs_blk[rows, i] += (done - 1 - last[rows, i])[:, None] * old
         last[rows, i] = done - 1
         W += (K_i @ (new - old)[:, :, None])[:, :, 0]
         g_prev, g_cur = g_cur, dual_readoff(W, Y)
-        if schedule.regime == "part2":
+        if accelerated:
             used = (taut, t)
             theta, sigma, taut, t = part2_scalars(sigma, taut, t)
-            scale = 1.0 + 1.0 / taut
         if done % (CACHE_RESYNC_SWEEPS * m) == 0:
             W[:] = [problem.primal_product(x_s) for x_s in X]
             g_cur, cached = dual_readoff(W, Y), g_cur
-            for c, g in zip(cached, g_cur):
-                _cache_drift(c, g, done)
+            for tr, c, g in zip(traces, cached, g_cur):
+                tr.max_cache_drift = max(tr.max_cache_drift, _cache_drift(c, g, done))
+                tr.cache_resyncs += 1
         Y_sum += Y
         x_sq, y_sq = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
         if not (x_sq.max() <= DIVERGENCE_LIMIT ** 2 and y_sq.max() <= DIVERGENCE_LIMIT ** 2):
@@ -402,6 +402,8 @@ def _lockstep(problem, schedule, K, seeds, x0, y0, record_at, ref) -> list:
                                    int(i[s]), (theta, sigma, taut, t), used, X[s])
                 tr.records.append(_measure(rec, problem, ref, X[s], Y[s], X_sum[s] / done,
                                            Y_sum[s] / done))
+    for tr in traces:
+        tr.iterations = K
     return traces
 
 
@@ -594,6 +596,7 @@ def _mapping_fidelity(problem, ds) -> float:
     b = ds.labels
     r = np.array([np.trace(K) for K in grams])
     c = float(r.sum())
+    signed = [b[:, None] * K * b for K in grams]   # diag(b) K diag(b)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
@@ -601,8 +604,7 @@ def _mapping_fidelity(problem, ds) -> float:
         y = rng.dirichlet(np.ones(len(grams)))
         z = float(rng.standard_normal())
         expect = -2.0 * x.sum() + z * float(b @ x)
-        for l, K in enumerate(grams):
-            G = np.diag(b) @ K @ np.diag(b)
+        for l, G in enumerate(signed):
             expect += (c / r[l]) * y[l] * float(x @ (G @ x))
         got = problem.phi_value(x, np.concatenate([y, [z]]))
         worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))

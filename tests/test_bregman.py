@@ -186,6 +186,27 @@ class TestProx:
                     assert obj(cand) >= base - 1e-8
 
 
+@pytest.mark.parametrize("f", [
+    Zero(), IndicatorNonneg(), IndicatorBox(-0.5, 0.5), IndicatorBall(1.0),
+    IndicatorSimplex(2.0), ConeDualBall("nonneg", 1.0)], ids=lambda f: type(f).__name__)
+def test_indicator_prox_is_its_projection(f):
+    # at every step, on points inside and outside the set, bit for bit; the
+    # class states neither formula itself, and its value is 0 on the set
+    assert not {"value", "prox_euclidean"} & set(vars(type(f)))
+    rng = np.random.default_rng(24)
+    outside = 0
+    for _ in range(100):
+        u = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3)
+        inside = f.project_domain(u)
+        outside += f.feasibility_gap(u) > 1e-9
+        assert f.feasibility_gap(inside) <= 1e-12 * max(1.0, float(np.abs(u).sum()))
+        assert f.value(inside) == 0.0
+        for v in (u, inside):
+            for t in (1e-3, 1.0, 1e3):
+                assert np.array_equal(f.prox_euclidean(t, v), f.project_domain(v))
+    assert outside > 0 or isinstance(f, Zero)
+
+
 class TestNormsAndSeparable:
     def test_ball_norms_equal_numpy_bitwise(self):
         # the balls take sqrt(u @ u), which numpy's norm also computes

@@ -358,6 +358,10 @@ class TestSlopeFit:
             slope_fit([self._trace([100, 1000, 10000], [1, .1, .01])],
                       "gap", (100, 10_000))
 
+    def test_no_traces_named(self):
+        with pytest.raises(ParameterError, match="at least one trace"):
+            slope_fit([], "gap", (100, 10_000))
+
 
 class TestTraceOutput:
     def test_record_points_log_and_linear(self):
@@ -608,6 +612,8 @@ class TestSuites:
             ref = run(problem, sched, K, seed, x0=x0, y0=y0,
                       options=RunOptions(record_at=pts, reference=cert))
             assert ref.cache_resyncs == 2
+            assert (tr.iterations, tr.cache_resyncs, tr.max_cache_drift) == (
+                ref.iterations, ref.cache_resyncs, ref.max_cache_drift)
             assert [r.k for r in tr.records] == pts + [K]
             for name in _FIELDS:
                 if name != "wall_s":

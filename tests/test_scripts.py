@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from rapd import bregman
 from rapd.harness import suites
 from rapd.harness.cli import cli_main
 from rapd.harness.config import parse_config
@@ -50,6 +51,24 @@ class TestCompare:
         lines = bit_identity.compare(old, new)
         assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01",
                          "cfg/x.npy: max abs deviation 5.000e-01"]
+
+
+class TestProxArtefacts:
+    def test_every_prox_friendly_class_has_artefacts(self, bit_identity, tmp_path):
+        # the prox/ group is what checks a refactor of rapd.bregman on classes
+        # that no config reaches: each concrete class needs its files
+        bit_identity.write_prox(tmp_path)
+        classes = [c.__name__ for c in vars(bregman).values()
+                   if isinstance(c, type) and issubclass(c, bregman.ProxFriendlyFunction)
+                   and c.kind != "abstract"]
+        assert len(classes) >= 10
+        for name in classes:
+            for what in ("value", "project", "gap", "prox_t1e-03", "prox_t1e+00",
+                         "prox_t1e+03"):
+                assert (tmp_path / "prox" / f"{name}_{what}.npy").exists(), name
+            for t in ("1e-03", "1e+00", "1e+03"):
+                assert any((tmp_path / "prox" / f"{name}_entropy_t{t}{ext}").exists()
+                           for ext in (".npy", ".err")), name
 
 
 class TestPrefix:
