@@ -8,6 +8,7 @@ Four named suites:
 - ``quadratic``: the ergodic O(m/K) bound and its empirical slope on a
   blockwise-l1, ball-constrained quadratic game ensemble.
 - ``strongly-convex``: the accelerated O(m/K^2) bound and distance slope.
+  Both rate suites step their seeds together (``solver._lockstep``).
 - ``kernel``: the multiple-kernel SVM desk instance against the
   extragradient certificate.
 """
@@ -33,10 +34,8 @@ from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
 from ..problem import (build_bilinear_erm, build_constrained, build_quadratic_game,
                        grad_check)
-from ..rng import sample_indices
-from ..solver import (CACHE_RESYNC_SWEEPS, DIVERGENCE_LIMIT, RunOptions, RunTrace,
-                      _cache_drift, _divergence, _measure, _rapd_record, run)
-from ..stepsize import default_alpha, part1_schedule, part2_init, part2_scalars, part2_tau
+from ..solver import RunOptions, RunTrace, _lockstep, run
+from ..stepsize import default_alpha, part1_schedule, part2_init
 from .config import ExperimentConfig
 from .metrics import (RateReport, lagrangian_gap, rate_bound_delta1,
                       rate_bound_delta2, slope_fit)
@@ -148,14 +147,8 @@ def record_points(K: int, cadence: int = 0) -> list:
     return sorted(set(pts))
 
 
-def format_float(v: float) -> str:
-    if np.isnan(v):
-        return "nan"
-    return format(float(v), ".17g")
-
-
 def write_trace_csv(path, trace: RunTrace) -> None:
-    """Write one run as CSV.
+    """Write one run as CSV, its floats round-trip exact (17 digits).
 
     The body is bitwise reproducible for a fixed seed: measured wall time
     lives in ``#`` header comments and the ``wall_s`` body column is zeroed.
@@ -167,12 +160,9 @@ def write_trace_csv(path, trace: RunTrace) -> None:
              f"max_cache_drift={trace.max_cache_drift:.3e}",
              f"# written_at={datetime.datetime.now().isoformat()}",
              ",".join(CSV_COLUMNS)]
+    cell = {"k": str, "wall_s": lambda v: "0.000000", "i_k": str}
     for r in trace.records:
-        row = [str(r.k), "0.000000", str(r.i_k), format_float(r.sigma),
-               format_float(r.theta), format_float(r.tau_min),
-               format_float(r.tau_max), format_float(r.t), format_float(r.gap),
-               format_float(r.dist_sq), format_float(r.dy)]
-        lines.append(",".join(row))
+        lines.append(",".join(cell.get(c, "{:.17g}".format)(getattr(r, c)) for c in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -335,76 +325,6 @@ def _slack(S: int) -> float:
 _CHECKPOINTS = (10, 100, 1000, 10_000)
 #: log-spaced record points over [1e2, 1e4] for the slope fits
 _SLOPE_POINTS = sorted({int(v) for v in np.round(np.logspace(2, 4, 13))})
-
-
-def _lockstep(problem, schedule, K, seeds, x0, y0, record_at, ref) -> list:
-    """The traces of ``run(problem, schedule, K, s, x0=x0, y0=y0, options=
-    RunOptions(record_at=record_at, reference=ref))`` for ``s`` in ``seeds``,
-    their records, iteration counts and cache resyncs alone, with the seeds
-    advancing in lockstep on ``(S, n)`` and ``(S, d)`` arrays.  Every step is
-    ``run``'s but the three read-offs of ``w = K x`` of a
-    :class:`QuadraticGameProblem` on an even partition (the suites'
-    instances), batched on one gather of the drawn blocks' columns."""
-    part, d, S = problem.partition, problem.dual_dim, len(seeds)
-    m, b = part.m, part.sizes[0]
-    # cols[i] = K[:, sl_i] for K = [C; P]: a stacked matmul makes the BLAS call
-    # (gemv) of run's read-off on each seed's matrix, so the bits are run's
-    cols = np.vstack([problem.C, problem.P]).reshape(-1, m, b).transpose(1, 0, 2).copy()
-    p_blk, curved = problem.p.reshape(m, b), problem.Q.any()
-
-    def dual_readoff(W, Y):
-        g = W[:, :d] - (problem.Q @ Y[:, :, None])[:, :, 0] if curved else W[:, :d]
-        return g - problem.q
-
-    x, y = problem.initial_point(x0, y0)
-    X, Y, W = (np.tile(v, (S, 1)) for v in (x, y, problem.primal_product(x)))
-    X_blk, W_blk = X.reshape(S, m, b), W[:, d:].reshape(S, m, b)   # views
-    X_sum, Y_sum, rows = np.zeros_like(X), np.zeros_like(Y), np.arange(S)
-    # run's lazy ergodic sums: block i of seed s is summed up to iteration last[s, i]
-    Xs_blk, last = X_sum.reshape(S, m, b), np.zeros((S, m), int)
-    g_cur = g_prev = dual_readoff(W, Y)
-    dual_step = problem.dual_geometry.stepper(problem.h)
-    draws = np.stack([sample_indices(s, m, K, schedule.p) for s in seeds], axis=1)
-    traces = [RunTrace(f"rapd-{schedule.regime}", s, part) for s in seeds]
-    theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
-    accelerated, used, tic = schedule.regime == "part2", None, time.perf_counter()
-    for done, i in enumerate(draws, start=1):
-        neg_s = m * theta * g_prev - (1.0 + m * theta) * g_cur
-        Y[:] = [dual_step(sigma, ns, y_s) for ns, y_s in zip(neg_s, Y)]
-        K_i, old = cols[i], X_blk[rows, i]
-        grad = W_blk[rows, i] + p_blk[i] + (K_i[:, :d].swapaxes(1, 2) @ Y[:, :, None])[:, :, 0]
-        tau = (part2_tau(schedule, taut) if accelerated else schedule.tau)[i][:, None]
-        new = problem.f_whole.prox_euclidean(tau, old - tau * grad)
-        X_blk[rows, i] = new
-        Xs_blk[rows, i] += (done - 1 - last[rows, i])[:, None] * old
-        last[rows, i] = done - 1
-        W += (K_i @ (new - old)[:, :, None])[:, :, 0]
-        g_prev, g_cur = g_cur, dual_readoff(W, Y)
-        if accelerated:
-            used = (taut, t)
-            theta, sigma, taut, t = part2_scalars(sigma, taut, t)
-        if done % (CACHE_RESYNC_SWEEPS * m) == 0:
-            W[:] = [problem.primal_product(x_s) for x_s in X]
-            g_cur, cached = dual_readoff(W, Y), g_cur
-            for tr, c, g in zip(traces, cached, g_cur):
-                tr.max_cache_drift = max(tr.max_cache_drift, _cache_drift(c, g, done))
-                tr.cache_resyncs += 1
-        Y_sum += Y
-        x_sq, y_sq = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
-        if not (x_sq.max() <= DIVERGENCE_LIMIT ** 2 and y_sq.max() <= DIVERGENCE_LIMIT ** 2):
-            s = int(np.argmax(np.maximum(x_sq, y_sq)))   # the first NaN, if any
-            raise _divergence(x_sq[s], y_sq[s], done, traces[s].method, seeds[s])
-        if done in record_at or done == K:
-            X_sum += np.repeat(done - last, b, axis=1) * X
-            last[:] = done
-            for s, tr in enumerate(traces):
-                rec = _rapd_record(problem, schedule, ref, done, time.perf_counter() - tic,
-                                   int(i[s]), (theta, sigma, taut, t), used, X[s])
-                tr.records.append(_measure(rec, problem, ref, X[s], Y[s], X_sum[s] / done,
-                                           Y_sum[s] / done))
-    for tr in traces:
-        tr.iterations = K
-    return traces
 
 
 def _rate_ensemble(S, build, certify, schedule, delta_of, *, shift, metric,

@@ -32,8 +32,10 @@ reads the step vector off ``part2_tau``.
 
 The bookkeeping around an iteration (start point, ergodic sums,
 divergence guard, record points, stopping rules, the final trace) lives
-in ``_Monitor``, which the deterministic baselines share; the rate
-suites' lockstep ensembles share its record and guard functions.
+in ``_Monitor``, which the deterministic baselines share.  ``_lockstep``,
+``run``'s seed-batched twin for the rate suites, batches only the three
+read-offs of the primal product; its schedule checks, records, drift
+check, divergence error and trace closing are ``run``'s own functions.
 """
 
 from __future__ import annotations
@@ -212,18 +214,15 @@ class _Monitor:
         self.opts = options
         self.record_at = set() if options.record_at is None else {
             int(r) for r in options.record_at}
-        self.start = problem.initial_point(x0, y0)
-        x = self.start[0]
-        self.x_sum = np.zeros_like(x)
-        self.y_sum = np.zeros_like(self.start[1])
+        self.start = x, y = problem.initial_point(x0, y0)
+        self.x_sum, self.y_sum = np.zeros_like(x), np.zeros_like(y)
         part = problem.partition
         self.slices = part.slices()
         self.sizes = part.sizes
         self.last = [0] * part.m
         self.resync(x)
         self.done = 0
-        self.trace = RunTrace(method=method, seed=seed, partition=part,
-                              geometry_note=_geometry_note(problem))
+        self.trace = _new_trace(problem, method, seed)
         self.tic = time.perf_counter()
 
     def step(self, x: np.ndarray, y: np.ndarray, x_avg: np.ndarray | None = None,
@@ -285,12 +284,23 @@ class _Monitor:
 
     def finish(self, x: np.ndarray, y: np.ndarray) -> RunTrace:
         self._flush(x)
-        trace = self.trace
-        trace.final_x, trace.final_y = x, y
-        trace.ergodic_x, trace.ergodic_y = ergodic_average(self.x_sum, self.y_sum, self.done)
-        trace.iterations = self.done
-        trace.wall_total_s = time.perf_counter() - self.tic
-        return trace
+        return _close_trace(self.trace, x, y, self.x_sum, self.y_sum, self.done, self.tic)
+
+
+def _new_trace(problem: SaddleProblem, method: str, seed: int | None) -> RunTrace:
+    dual = problem.dual_geometry
+    parts = dual.parts if isinstance(dual, ProductGeometry) else [dual]
+    return RunTrace(method=method, seed=seed, partition=problem.partition,
+                    geometry_note=f"primal=euclidean, dual={'+'.join(g.kind for g in parts)}")
+
+
+def _close_trace(trace: RunTrace, x, y, x_sum, y_sum, done: int, tic: float) -> RunTrace:
+    """``trace`` ended at ``(x, y)`` after ``done`` iterations, on up-to-date sums."""
+    trace.final_x, trace.final_y = x, y
+    trace.ergodic_x, trace.ergodic_y = ergodic_average(x_sum, y_sum, done)
+    trace.iterations = done
+    trace.wall_total_s = time.perf_counter() - tic
+    return trace
 
 
 def _divergence(x_sq, y_sq, k: int, method: str, seed) -> DivergenceError:
@@ -301,13 +311,12 @@ def _divergence(x_sq, y_sq, k: int, method: str, seed) -> DivergenceError:
                            f"(method {method}, seed {seed})")
 
 
-def _measure(rec: TraceRecord, problem: SaddleProblem, ref, x, y, x_avg, y_avg) -> TraceRecord:
-    """``rec`` with its metrics against ``ref`` at ``(x, y)`` and the averages filled in."""
+def _measure(rec: TraceRecord, problem: SaddleProblem, ref, x, y, x_avg, y_avg) -> None:
+    """Fill in ``rec``'s metrics against ``ref`` at ``(x, y)`` and the averages."""
     # looked up at call time, so a wrapped metric sees every call
     rec.gap = metrics.lagrangian_gap(problem, x_avg, y_avg, ref)
     rec.dist_sq = float(np.sum((x - ref.x_star) ** 2))
     rec.dy = problem.dual_geometry.dist(ref.y_star, y)
-    return rec
 
 
 def _rapd_record(problem: SaddleProblem, schedule: StepSchedule, ref, k: int, wall_s: float,
@@ -336,28 +345,21 @@ def _cache_drift(cached: np.ndarray, fresh: np.ndarray, k: int) -> float:
     return drift
 
 
-def _geometry_note(problem) -> str:
-    dual = problem.dual_geometry
-    parts = dual.parts if isinstance(dual, ProductGeometry) else [dual]
-    return f"primal=euclidean, dual={'+'.join(g.kind for g in parts)}"
+def _resynced(trace: RunTrace, cached: np.ndarray, fresh: np.ndarray, k: int) -> np.ndarray:
+    """``fresh``, once ``trace`` has counted the resync and its drift from ``cached``."""
+    trace.max_cache_drift = max(trace.max_cache_drift, _cache_drift(cached, fresh, k))
+    trace.cache_resyncs += 1
+    return fresh
 
 
 # ---------------------------------------------------------------------------
 # main loop
 # ---------------------------------------------------------------------------
 
-def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
-        x0: np.ndarray | None = None, y0: np.ndarray | None = None,
-        options: RunOptions | None = None) -> RunTrace:
-    """Execute ``K`` iterations and return the trace.
-
-    Blocks are sampled with the schedule's probabilities ``schedule.p``
-    (uniform when ``None``).  Metrics that need a saddle point (gap,
-    distances) are recorded only when ``options.reference`` is supplied.
-    """
-    opts = options or RunOptions()
-    part = problem.partition
-    m = part.m
+def _start_state(problem: SaddleProblem, schedule: StepSchedule) -> tuple:
+    """The scalar start ``(theta, sigma, taut, t)`` of ``schedule``, once it
+    is checked against ``problem``."""
+    m = problem.partition.m
     if schedule.m != m:
         raise RegimeError(f"schedule built for m={schedule.m}, problem has m={m}")
     if schedule.regime == "part2":
@@ -375,12 +377,25 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
         raise ParameterError(f"primal steps must be > 0, got {schedule.tau}")
     if not schedule.sigma > 0:
         raise ParameterError(f"dual step must be > 0, got {schedule.sigma}")
-    p_arr = schedule.p
+    return schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
+
+
+def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
+        x0: np.ndarray | None = None, y0: np.ndarray | None = None,
+        options: RunOptions | None = None) -> RunTrace:
+    """Execute ``K`` iterations and return the trace.
+
+    Blocks are sampled with the schedule's probabilities ``schedule.p``
+    (uniform when ``None``).  Metrics that need a saddle point (gap,
+    distances) are recorded only when ``options.reference`` is supplied.
+    """
+    opts = options or RunOptions()
+    m = problem.partition.m
 
     accelerated = schedule.regime == "part2"
     # the current state as scalars; part2 advances them and a record reads
     # the step vector off part2_tau
-    theta, sigma, taut, t = schedule.theta, schedule.sigma, schedule.tau_tilde, schedule.t
+    theta, sigma, taut, t = _start_state(problem, schedule)
     used = None         # (taut, t) of the state the last iteration used; None = schedule
     tau0 = schedule.tau.tolist()
     scale = None        # 1 + 1/taut once the accelerated steps follow from taut
@@ -393,9 +408,8 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
 
     monitor = _Monitor(problem, f"rapd-{schedule.regime}", K, x0, y0, describe,
                        opts, seed=seed)
-    trace = monitor.trace
     x, y = monitor.start
-    slices = part.slices()
+    slices = problem.partition.slices()
     grad_x_at = problem.grad_x_cached
     block_prox = problem.block_prox
     grad_y_at = problem.grad_y_cached
@@ -407,7 +421,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     neg_s, scratch = np.empty_like(g_cur), np.empty_like(g_cur)
     resync_every = CACHE_RESYNC_SWEEPS * m
 
-    for done, i_k in enumerate(_block_draws(seed, m, K, p_arr), start=1):
+    for done, i_k in enumerate(_block_draws(seed, m, K, schedule.p), start=1):
         # -s^k = m theta g_{k-1} - (1 + m theta) g_k, the bits of -(s^k) up to
         # a zero's sign: IEEE subtraction is antisymmetric
         np.multiply(g_prev, m * theta, out=neg_s)
@@ -430,11 +444,7 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
             # a fresh product and its read-off, the bits of the stateless
             # grad_y: the check measures how far the moved product drifted
             w = problem.primal_product(x)
-            fresh = grad_y_at(w, x, y)
-            trace.max_cache_drift = max(trace.max_cache_drift,
-                                        _cache_drift(g_cur, fresh, done))
-            trace.cache_resyncs += 1
-            g_cur = fresh
+            g_cur = _resynced(monitor.trace, g_cur, grad_y_at(w, x, y), done)
             monitor.resync(x)
         elif opts.debug_cache_every and done % opts.debug_cache_every == 0:
             _cache_drift(g_cur, problem.grad_y(x, y), done)
@@ -451,3 +461,72 @@ def _block_draws(seed: int, m: int, K: int, p: np.ndarray | None):
     for start in range(0, K, DRAW_CHUNK):
         yield from sample_indices(seed, m, min(DRAW_CHUNK, K - start), p,
                                   start=start).tolist()
+
+
+def _lockstep(problem, schedule: StepSchedule, K: int, seeds, x0, y0, record_at,
+              ref) -> list:
+    """The traces of ``run(problem, schedule, K, s, x0=x0, y0=y0, options=
+    RunOptions(record_at=record_at, reference=ref))`` for ``s`` in ``seeds``,
+    the seeds advancing in lockstep on ``(S, n)`` and ``(S, d)`` arrays.  Only
+    the three read-offs of ``w = K x`` are batched, for a
+    :class:`QuadraticGameProblem` on an even partition (the suites' instances)."""
+    theta, sigma, taut, t = _start_state(problem, schedule)
+    part, d, S = problem.partition, problem.dual_dim, len(seeds)
+    m, b = part.m, part.sizes[0]
+    # cols[i] = K[:, sl_i] for K = [C; P]: a stacked matmul makes the BLAS call
+    # (gemv) of run's read-off on each seed's matrix, so the bits are run's
+    cols = np.vstack([problem.C, problem.P]).reshape(-1, m, b).transpose(1, 0, 2).copy()
+    p_blk, curved = problem.p.reshape(m, b), problem.Q.any()
+
+    def dual_readoff(W, Y):
+        g = W[:, :d] - (problem.Q @ Y[:, :, None])[:, :, 0] if curved else W[:, :d]
+        return g - problem.q
+
+    x, y = problem.initial_point(x0, y0)
+    X, Y, W = (np.tile(v, (S, 1)) for v in (x, y, problem.primal_product(x)))
+    X_blk, W_blk = X.reshape(S, m, b), W[:, d:].reshape(S, m, b)   # views
+    X_sum, Y_sum, rows = np.zeros_like(X), np.zeros_like(Y), np.arange(S)
+    # run's lazy ergodic sums: block i of seed s is summed up to iteration last[s, i]
+    Xs_blk, last = X_sum.reshape(S, m, b), np.zeros((S, m), int)
+    g_cur = g_prev = dual_readoff(W, Y)
+    dual_step = problem.dual_geometry.stepper(problem.h)
+    draws = np.stack([sample_indices(s, m, K, schedule.p) for s in seeds], axis=1)
+    traces = [_new_trace(problem, f"rapd-{schedule.regime}", s) for s in seeds]
+    accelerated, used, tic = schedule.regime == "part2", None, time.perf_counter()
+    for done, i in enumerate(draws, start=1):
+        neg_s = m * theta * g_prev - (1.0 + m * theta) * g_cur
+        Y[:] = [dual_step(sigma, ns, y_s) for ns, y_s in zip(neg_s, Y)]
+        K_i, old = cols[i], X_blk[rows, i]
+        grad = W_blk[rows, i] + p_blk[i] + (K_i[:, :d].swapaxes(1, 2) @ Y[:, :, None])[:, :, 0]
+        tau = (part2_tau(schedule, taut) if accelerated else schedule.tau)[i][:, None]
+        new = problem.f_whole.prox_euclidean(tau, old - tau * grad)
+        X_blk[rows, i] = new
+        Xs_blk[rows, i] += (done - 1 - last[rows, i])[:, None] * old
+        last[rows, i] = done - 1
+        W += (K_i @ (new - old)[:, :, None])[:, :, 0]
+        g_prev, g_cur = g_cur, dual_readoff(W, Y)
+        if accelerated:
+            used = (taut, t)
+            theta, sigma, taut, t = part2_scalars(sigma, taut, t)
+        if done % (CACHE_RESYNC_SWEEPS * m) == 0:
+            W[:] = [problem.primal_product(x_s) for x_s in X]
+            g_cur = np.array([_resynced(tr, c, g, done)
+                              for tr, c, g in zip(traces, g_cur, dual_readoff(W, Y))])
+        Y_sum += Y
+        x_sq, y_sq = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
+        if not (x_sq.max() <= DIVERGENCE_LIMIT ** 2 and y_sq.max() <= DIVERGENCE_LIMIT ** 2):
+            s = int(np.argmax(np.maximum(x_sq, y_sq)))   # the first NaN, if any
+            raise _divergence(x_sq[s], y_sq[s], done, traces[s].method, seeds[s])
+        if done in record_at or done == K:
+            if ref is not None:
+                X_sum += np.repeat(done - last, b, axis=1) * X
+                last[:] = done
+            for s, tr in enumerate(traces):
+                rec = _rapd_record(problem, schedule, ref, done, time.perf_counter() - tic,
+                                   int(i[s]), (theta, sigma, taut, t), used, X[s])
+                if ref is not None:
+                    _measure(rec, problem, ref, X[s], Y[s], X_sum[s] / done, Y_sum[s] / done)
+                tr.records.append(rec)
+    X_sum += np.repeat(K - last, b, axis=1) * X
+    return [_close_trace(tr, X[s], Y[s], X_sum[s], Y_sum[s], K, tic)
+            for s, tr in enumerate(traces)]

@@ -596,18 +596,20 @@ class TestSuites:
     @pytest.mark.parametrize("build,certify,schedule", [
         (suites.part1_suite_problem, lambda p: solve_high_accuracy(p, tol=1e-10),
          part1_schedule),
-        (suites.part2_suite_problem, suites.part2_suite_certificate, part2_init)],
-        ids=["quadratic", "strongly-convex"])
+        (suites.part2_suite_problem, suites.part2_suite_certificate, part2_init),
+        (suites.part1_suite_problem, lambda p: None, part1_schedule)],
+        ids=["quadratic", "strongly-convex", "quadratic-no-reference"])
     def test_lockstep_matches_run(self, build, certify, schedule):
-        # the rate ensembles' lockstep seeds record what run records, on
-        # both suite instances, past the first cache resync at 64 m = 512
-        from rapd.solver import _FIELDS
+        # the rate ensembles' lockstep seeds record what run records and end
+        # where it ends, on both suite instances, past the first cache resync
+        # at 64 m = 512; without a reference neither measures a record
+        from rapd.solver import _FIELDS, _lockstep
         problem, x0, y0 = build()
         cert = certify(problem)
         c, m, K = problem.constants, problem.partition.m, 1200
         sched = schedule(c, m, default_alpha(c))
         pts = [1, 2, 10, 100, 511, 512, 513, 1000]
-        lock = suites._lockstep(problem, sched, K, range(3), x0, y0, pts, cert)
+        lock = _lockstep(problem, sched, K, range(3), x0, y0, pts, cert)
         for seed, tr in enumerate(lock):
             ref = run(problem, sched, K, seed, x0=x0, y0=y0,
                       options=RunOptions(record_at=pts, reference=cert))
@@ -618,7 +620,31 @@ class TestSuites:
             for name in _FIELDS:
                 if name != "wall_s":
                     a, b = ref.column(name), tr.column(name)
-                    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a))), name
+                    assert np.array_equal(a, b, equal_nan=True), name
+            for name in ("final_x", "final_y", "ergodic_x", "ergodic_y"):
+                assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+            assert tr.geometry_note == ref.geometry_note
+
+    @pytest.mark.parametrize("case", ["other-m", "accelerated-on-curved", "tau", "sigma"])
+    def test_lockstep_refuses_what_run_refuses(self, case):
+        # one set of schedule checks: the same class and message as run's
+        from rapd.solver import _lockstep
+        problem, x0, y0 = suites.part1_suite_problem()
+        c, m = problem.constants, problem.partition.m
+        sched = part1_schedule(c, m, default_alpha(c))
+        c2 = suites.part2_suite_problem()[0].constants
+        sched = {"other-m": replace(sched, tau=sched.tau[:m // 2]),
+                 "accelerated-on-curved": part2_init(c2, m, default_alpha(c2)),
+                 "tau": replace(sched, tau=0.0 * sched.tau),
+                 "sigma": replace(sched, sigma=-sched.sigma)}[case]
+        with pytest.raises((ParameterError, RegimeError)) as by_run:
+            run(problem, sched, 100, 0, x0=x0, y0=y0)
+        ref = SaddleCertificate(x_star=x0, y_star=y0, kkt_residual=0.0,
+                                method="linear-solve", tol=1e-12)
+        with pytest.raises(type(by_run.value)) as by_lockstep:
+            _lockstep(problem, sched, 100, range(2), x0, y0, [], ref)
+        assert type(by_lockstep.value) is type(by_run.value)
+        assert str(by_lockstep.value) == str(by_run.value)
 
     @pytest.mark.parametrize("S", [0, -1])
     def test_empty_ensemble_is_refused_first(self, S, monkeypatch):
