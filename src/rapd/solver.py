@@ -184,6 +184,12 @@ class RunOptions:
                                        # copy what you keep
 
 
+def _check_iterations(K: int) -> None:
+    """The iteration count check every loop makes at its start."""
+    if K < 1:
+        raise ParameterError(f"need K >= 1, got {K}")
+
+
 class _Monitor:
     """Bookkeeping shared by :func:`run` and the deterministic baselines.
 
@@ -206,8 +212,7 @@ class _Monitor:
 
     def __init__(self, problem: SaddleProblem, method: str, K: int, x0, y0,
                  describe, options: RunOptions, seed: int | None = None):
-        if K < 1:
-            raise ParameterError(f"need K >= 1, got {K}")
+        _check_iterations(K)
         self.problem = problem
         self.K = K
         self.describe = describe
@@ -471,6 +476,7 @@ def _lockstep(problem, schedule: StepSchedule, K: int, seeds, x0, y0, record_at,
     the three read-offs of ``w = K x`` are batched, for a
     :class:`QuadraticGameProblem` on an even partition (the suites' instances)."""
     theta, sigma, taut, t = _start_state(problem, schedule)
+    _check_iterations(K)
     part, d, S = problem.partition, problem.dual_dim, len(seeds)
     m, b = part.m, part.sizes[0]
     # cols[i] = K[:, sl_i] for K = [C; P]: a stacked matmul makes the BLAS call

@@ -625,9 +625,9 @@ class TestSuites:
                 assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
             assert tr.geometry_note == ref.geometry_note
 
-    @pytest.mark.parametrize("case", ["other-m", "accelerated-on-curved", "tau", "sigma"])
+    @pytest.mark.parametrize("case", ["other-m", "accelerated-on-curved", "tau", "sigma", "K"])
     def test_lockstep_refuses_what_run_refuses(self, case):
-        # one set of schedule checks: the same class and message as run's
+        # one set of start checks: the same class and message as run's
         from rapd.solver import _lockstep
         problem, x0, y0 = suites.part1_suite_problem()
         c, m = problem.constants, problem.partition.m
@@ -636,13 +636,14 @@ class TestSuites:
         sched = {"other-m": replace(sched, tau=sched.tau[:m // 2]),
                  "accelerated-on-curved": part2_init(c2, m, default_alpha(c2)),
                  "tau": replace(sched, tau=0.0 * sched.tau),
-                 "sigma": replace(sched, sigma=-sched.sigma)}[case]
+                 "sigma": replace(sched, sigma=-sched.sigma), "K": sched}[case]
+        K = 0 if case == "K" else 100
         with pytest.raises((ParameterError, RegimeError)) as by_run:
-            run(problem, sched, 100, 0, x0=x0, y0=y0)
+            run(problem, sched, K, 0, x0=x0, y0=y0)
         ref = SaddleCertificate(x_star=x0, y_star=y0, kkt_residual=0.0,
                                 method="linear-solve", tol=1e-12)
         with pytest.raises(type(by_run.value)) as by_lockstep:
-            _lockstep(problem, sched, 100, range(2), x0, y0, [], ref)
+            _lockstep(problem, sched, K, range(2), x0, y0, [], ref)
         assert type(by_lockstep.value) is type(by_run.value)
         assert str(by_lockstep.value) == str(by_run.value)
 

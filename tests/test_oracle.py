@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from rapd.blockcore import BlockPartition
-from rapd.bregman import IndicatorBall, IndicatorBox, L1, SquaredL2
+from rapd.bregman import (ConeDualBall, IndicatorBall, IndicatorBox, IndicatorSimplex,
+                          L1, NonnegQuadratic, Separable, SquaredL2)
 from rapd.exceptions import ParameterError
 from rapd.harness.suites import part1_suite_problem
-from rapd.oracle import (kkt_residual, load_certificate, save_certificate,
+from rapd.kernel_learning import build_kernel_problem, kernel_desk, synth_dataset
+from rapd.oracle import (_gradients, kkt_residual, load_certificate, save_certificate,
                          solve_high_accuracy, solve_quadratic_game_exact)
-from rapd.problem import build_quadratic_game, estimate_operator_lipschitz
+from rapd.problem import (build_bilinear_erm, build_constrained, build_quadratic_game,
+                          estimate_operator_lipschitz)
 
 
 class TestExactSolve:
@@ -157,6 +160,65 @@ class TestExtragradient:
     def test_tolerance_floor(self):
         with pytest.raises(ParameterError):
             solve_high_accuracy(TestKktResidual()._problem(), tol=1e-15)
+
+
+def certified_prox_pairs():
+    """One problem for each (f, h) pair a certificate is computed on:
+    bilinear with a simplex dual, the quadratic game with L1 and a ball,
+    the constrained program's capped orthant, and the kernel problem's
+    nonnegative quadratic against a simplex-and-free dual."""
+    rng = np.random.default_rng(11)
+    part = BlockPartition.even(6, 3)
+    A = rng.standard_normal((4, 6))
+    bil = build_bilinear_erm([A[:, sl] for sl in part.slices()], [SquaredL2(0.5)] * 3,
+                             IndicatorSimplex(1.0), partition=part)
+    M, N = rng.standard_normal((6, 6)), rng.standard_normal((4, 4))
+    quad = build_quadratic_game(M @ M.T / 6, N @ N.T / 4, rng.standard_normal((4, 6)),
+                                rng.standard_normal(6), rng.standard_normal(4), part,
+                                f=[L1(0.2)] * 3, h=IndicatorBall(1.0))
+    con = build_constrained(M @ M.T / 6, rng.standard_normal(6), rng.standard_normal((4, 6)),
+                            rng.standard_normal(4), 3.0, part)
+    kern = build_kernel_problem(synth_dataset(n_tr=30, d=3, seed=5), lam=1.0, m_blocks=3)
+    assert isinstance(con.h, ConeDualBall)
+    assert isinstance(kern.f_whole, NonnegQuadratic) and isinstance(kern.h, Separable)
+    return [bil, quad, con, kern]
+
+
+class TestStopBound:
+    @pytest.mark.parametrize("k", range(4), ids=["bilinear", "quadratic", "constrained",
+                                                 "kernel"])
+    @pytest.mark.parametrize("eta", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    def test_half_step_bounds_the_residual(self, k, eta):
+        # ||z - P_t(z)|| grows with t and ||z - P_t(z)|| / t shrinks, on each
+        # side: the half step at eta bounds the unit-step residual
+        problem = certified_prox_pairs()[k]
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            x = problem.f_whole.project_domain(rng.standard_normal(problem.partition.n))
+            y = problem.h.project_domain(rng.standard_normal(problem.dual_dim))
+            gx, gy = _gradients(problem, x, y)
+            dx = problem.primal_prox(eta, gx, x) - x
+            dy = problem.h.prox_euclidean(eta, y + eta * gy) - y
+            bound = max(1.0, 1.0 / eta) * (np.linalg.norm(dx) + np.linalg.norm(dy))
+            assert kkt_residual(problem, x, y) <= bound * (1 + 1e-12)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("build", [lambda: kernel_desk()[:3], part1_suite_problem],
+                             ids=["kernel-desk", "part-1"])
+    def test_reported_residual_is_the_returned_points(self, build):
+        problem, x0, y0 = build()
+        cert = solve_high_accuracy(problem, tol=1e-10, x0=x0, y0=y0)
+        assert cert.certified
+        assert cert.kkt_residual == kkt_residual(problem, cert.x_star, cert.y_star)
+
+    def test_kernel_desk_certificate_iterations(self):
+        # 397 while every accepted point computed its residual and the step
+        # doubled after 50 validated steps
+        problem, x0, y0, _ = kernel_desk()
+        cert = solve_high_accuracy(problem, tol=1e-10, x0=x0, y0=y0)
+        assert cert.certified
+        assert cert.iterations <= 340
 
 
 class TestPersistence:

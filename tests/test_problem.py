@@ -243,8 +243,8 @@ class TestFullPass:
             kkt_residual(prob, x, y)
             name = type(prob).__name__
             assert len(calls) == 7 + 2 * 5 + 1, name
-            # the start, each trial half point and each accepted point; an
-            # accepted point's gradients also give its residual
+            # the start, each trial half point and each accepted point; the
+            # returned point's gradients also give its residual
             calls.clear()
             cert = solve_high_accuracy(prob, tol=1e-10, max_iters=40, x0=x, y0=y)
             assert 1 + cert.iterations < len(calls) <= 1 + 2 * cert.iterations, name
