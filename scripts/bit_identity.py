@@ -29,8 +29,10 @@ Writes into one directory what this tree computes on a fixed matrix:
 - ``instances/*.npy``: the rate suites' two quadratic-game instances and
   the exact certificate of the second;
 - ``prox/<class>_<name>``: for each function of ``PROX_FUNCTIONS``, one of
-  every concrete prox-friendly class of ``rapd.bregman``, on the fixed
-  points ``PROX_POINTS`` (inside and outside its domain): ``value``,
+  every concrete prox-friendly class of ``rapd.bregman`` and the kernel
+  dual's pieces, on the fixed points ``PROX_POINTS`` (inside and outside its
+  domain), cut to the function's length (``Separable4`` for the 4-coordinate
+  kernel dual, whose prox runs fused): ``value``,
   ``prox_euclidean`` at each step of ``PROX_STEPS`` (``prox_t1e-03`` ...),
   ``project_domain``, ``feasibility_gap`` and ``prox_entropy`` on
   ``ENTROPY_POINTS`` at those steps, each as ``.npy`` or, where it raises,
@@ -47,8 +49,9 @@ the same file compares any two trees:
 ``--compare OLD NEW`` says how far two such directories differ: the
 largest absolute deviation of each differing ``.npy`` file, the largest
 relative deviation ``|a - b| / max(|a|, |b|)`` of each differing CSV
-column, and the name of any other file that differs or exists on one
-side only.  It exits 1 when anything differs:
+column with its largest absolute deviation ``|a - b|`` beside it, and the
+name of any other file that differs or exists on one side only.  It exits
+1 when anything differs:
 
     python3 scripts/bit_identity.py --compare /tmp/old /tmp/new
 
@@ -112,11 +115,13 @@ CONFIGS = {
 BLOCKS = {"quadratic": 8, "quadratic_sc": 8, "bilinear": 4, "bilinear_p": 4,
           "bilinear_steps": 4, "constrained": 4, "kernel": 4}
 
-#: one function of each concrete prox-friendly class, on 5 coordinates
+#: one function of each concrete prox-friendly class, on 5 coordinates, and
+#: the kernel dual's pieces (simplex weights, free multiplier) on 4
 PROX_FUNCTIONS = (Zero(), L1(0.3), SquaredL2(0.5), NonnegQuadratic(0.5), IndicatorNonneg(),
                   IndicatorBox(-0.5, 0.5), IndicatorBall(1.0), IndicatorSimplex(2.0),
                   ConeDualBall("nonneg", 1.0),
-                  Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1), (L1(0.3), 1)]))
+                  Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1), (L1(0.3), 1)]),
+                  Separable([(IndicatorSimplex(2.0), 3), (Zero(), 1)]))
 #: rows: inside every domain (the unit simplex, if rounded), the origin,
 #: outside every domain, and far outside with tiny entries
 PROX_POINTS = np.array([[0.1, 0.2, 0.3, 0.15, 0.25],
@@ -243,18 +248,21 @@ def write_prox(out: Path) -> None:
     out = out / "prox"
     out.mkdir(parents=True, exist_ok=True)
     for f in PROX_FUNCTIONS:
-        name = type(f).__name__
+        # a Separable takes its pieces' length; a shorter one is named by it
+        n = sum(sz for _, sz in f.parts) if isinstance(f, Separable) else PROX_POINTS.shape[1]
+        name = type(f).__name__ + ("" if n == PROX_POINTS.shape[1] else str(n))
+        points, entropy_points = PROX_POINTS[:, :n], ENTROPY_POINTS[:, :n]
         (out / f"{name}_attrs.txt").write_text(_fmt({
             a: getattr(f, a) for a in ("kind", "modulus", "coordinatewise",
                                        "entropy_scale_invariant")}) + "\n")
-        _save(out / f"{name}_value", lambda: [f.value(u) for u in PROX_POINTS])
-        _save(out / f"{name}_project", lambda: [f.project_domain(u) for u in PROX_POINTS])
-        _save(out / f"{name}_gap", lambda: [f.feasibility_gap(u) for u in PROX_POINTS])
+        _save(out / f"{name}_value", lambda: [f.value(u) for u in points])
+        _save(out / f"{name}_project", lambda: [f.project_domain(u) for u in points])
+        _save(out / f"{name}_gap", lambda: [f.feasibility_gap(u) for u in points])
         for t in PROX_STEPS:
             _save(out / f"{name}_prox_t{t:.0e}",
-                  lambda: [f.prox_euclidean(t, u) for u in PROX_POINTS])
+                  lambda: [f.prox_euclidean(t, u) for u in points])
             _save(out / f"{name}_entropy_t{t:.0e}",
-                  lambda: [f.prox_entropy(t, w.copy()) for w in ENTROPY_POINTS])
+                  lambda: [f.prox_entropy(t, w.copy()) for w in entropy_points])
 
 
 def write_suites(out: Path) -> None:
@@ -288,6 +296,13 @@ def _rel_dev(a: str, b: str) -> float:
     return abs(fa - fb) / max(abs(fa), abs(fb))
 
 
+def _abs_dev(a: str, b: str) -> float:
+    """Absolute deviation ``|a - b|`` of two numeric cells; 0 and inf where
+    :func:`_rel_dev` gives them."""
+    rel = _rel_dev(a, b)
+    return rel if rel in (0.0, np.inf) else abs(float(a) - float(b))
+
+
 def compare(old: Path, new: Path) -> list:
     """One line per difference between two artefact directories."""
     names = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
@@ -310,9 +325,10 @@ def compare(old: Path, new: Path) -> list:
             if list(ca) != list(cb) or any(len(ca[c]) != len(cb[c]) for c in ca):
                 lines.append(f"{name}: columns or rows differ")
                 continue
-            devs = {c: max(map(_rel_dev, ca[c], cb[c]), default=0.0) for c in ca}
+            devs = {c: (max(map(_rel_dev, ca[c], cb[c]), default=0.0),
+                        max(map(_abs_dev, ca[c], cb[c]), default=0.0)) for c in ca}
             lines.append(f"{name}: max rel deviation " + ", ".join(
-                f"{c} {d:.3e}" for c, d in devs.items() if d > 0))
+                f"{c} {rel:.3e} (abs {dev:.3e})" for c, (rel, dev) in devs.items() if rel > 0))
         else:
             lines.append(f"{name}: differs")
     return lines

@@ -19,6 +19,9 @@ its value is 0 and its Euclidean prox, at every step, is the projection.
 
 :func:`bregman_prox` is the checked public entry; the solvers' loops bind
 ``geom.stepper(f)`` once per run, checked there, and call it unchecked.
+The kernel dual (simplex weights, then a free multiplier) takes both its
+Euclidean prox and its entropic step fused on Python floats, bit for bit
+the parts' (the rule: :func:`_fused_simplex`).
 """
 
 from __future__ import annotations
@@ -239,6 +242,11 @@ def project_simplex(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
     lam = (np.add.reduce(u) - scale) / u.size
     if np.minimum.reduce(u) > lam:
         return u - lam      # positive wherever u > lam: no clamp
+    return _sort_and_threshold(u, scale)
+
+
+def _sort_and_threshold(u: np.ndarray, scale: float) -> np.ndarray:
+    """:func:`project_simplex` of the float vector ``u`` by its sort."""
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - scale
     cond = srt - css / np.arange(1.0, u.size + 1.0) > 0
@@ -300,7 +308,8 @@ class Separable(ProxFriendlyFunction):
     """Concatenation of prox-friendly pieces on consecutive coordinate
     ranges; used for product duals such as (simplex weights, free scalar),
     and as ``SaddleProblem.f_whole`` for blocks that no one coordinatewise
-    function covers, where its prox makes each block prox's operations."""
+    function covers, where its prox makes each block prox's operations.
+    A vector of any other length than the pieces' raises ``DimensionError``."""
 
     kind = "separable"
 
@@ -313,24 +322,68 @@ class Separable(ProxFriendlyFunction):
         # each part with the Python slice of its coordinates
         self._pieces = [(f, slice(lo, hi))
                         for (f, _), lo, hi in zip(self.parts, [0] + ends, ends)]
+        simplex = _fused_simplex(self.parts)
+        if simplex is not None:   # both are the projection, at every step
+            self.prox_euclidean = functools.partial(_simplex_and_free_prox, simplex, ends[-1])
+            self.project_domain = functools.partial(self.prox_euclidean, 1.0)
+
+    def _check(self, x):
+        if np.shape(x) != (self._size,):
+            raise _size_error(self._size, np.shape(x))
 
     def value(self, x):
+        self._check(x)
         return sum(f.value(x[sl]) for f, sl in self._pieces)
 
     def prox_euclidean(self, t, u):
+        self._check(u)
         out = np.empty(self._size)
         for f, sl in self._pieces:
             out[sl] = f.prox_euclidean(t, u[sl])
         return out
 
     def feasibility_gap(self, x):
+        self._check(x)
         return max(f.feasibility_gap(x[sl]) for f, sl in self._pieces)
 
     def project_domain(self, x):
+        self._check(x)
         out = np.empty(self._size)
         for f, sl in self._pieces:
             out[sl] = f.project_domain(x[sl])
         return out
+
+
+def _size_error(size: int, shape: tuple) -> DimensionError:
+    return DimensionError(f"separable function of length {size} got shape {shape}")
+
+
+def _fused_simplex(pieces):
+    """The simplex of ``pieces`` if they are an :class:`IndicatorSimplex` on
+    fewer than 8 coordinates then :class:`Zero` on one, whose steps run fused
+    on Python floats, else None.  numpy sums fewer than 8 entries left to
+    right, as the fused steps do, so they make the parts' IEEE operations."""
+    if ([type(f) for f, _ in pieces] == [IndicatorSimplex, Zero]
+            and 0 < pieces[0][1] < 8 and pieces[1][1] == 1):
+        return pieces[0][0]
+    return None
+
+
+def _simplex_and_free_prox(simplex, size, t, u):
+    """The Euclidean prox of ``simplex`` on all but the last of ``u`` and of
+    the zero function on the last, at any step: the pivot of
+    :func:`project_simplex` on Python floats where it settles the
+    projection, else its sort (on a NaN or infinite entry too)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (size,):
+        raise _size_error(size, u.shape)
+    w = u.tolist()
+    z = w.pop()
+    lam = (functools.reduce(operator.add, w) - simplex.scale) / (size - 1)
+    for v in w:
+        if not v > lam:
+            return np.concatenate((_sort_and_threshold(u[:-1], simplex.scale), u[-1:]))
+    return np.array([v - lam for v in w] + [z])
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +499,7 @@ class ProductGeometry(BregmanGeometry):
     """Direct product of geometries on consecutive coordinate ranges.
 
     Distances add; the prox requires a :class:`Separable` function with
-    matching part sizes (or Zero, which splits trivially); the kernel dual
-    takes one fused step, bit for bit the same.
+    matching part sizes (or Zero, which splits trivially).
     """
 
     kind = "product"
@@ -476,7 +528,9 @@ class ProductGeometry(BregmanGeometry):
         return float(np.sqrt(sum(p.dual_norm(seg) ** 2 for p, seg in zip(self.parts, self._split(g)))))
 
     def stepper(self, f):
-        """Checks that ``f`` splits over the parts; see the base class."""
+        """Checks that ``f`` splits over the parts; see the base class.
+        Entropic then Euclidean parts on :func:`_fused_simplex` pieces take
+        one fused step."""
         if isinstance(f, Separable):
             pieces = f.parts
         elif isinstance(f, Zero):
@@ -485,11 +539,10 @@ class ProductGeometry(BregmanGeometry):
             raise DomainError("product geometry needs a separable function")
         if [sz for _, sz in pieces] != [g.dim for g in self.parts]:
             raise DimensionError("separable part sizes do not match product geometry")
-        # numpy sums fewer than 8 entries left to right, as the fused step does
-        if ([(type(g), type(fj)) for g, (fj, _) in zip(self.parts, pieces)]
-                == [(EntropyGeometry, IndicatorSimplex), (EuclideanGeometry, Zero)]
-                and pieces[0][1] < 8 and pieces[1][1] == 1):
-            return functools.partial(_simplex_and_free_step, pieces[0][0])
+        simplex = _fused_simplex(pieces)
+        if simplex is not None and [type(g) for g in self.parts] == [EntropyGeometry,
+                                                                     EuclideanGeometry]:
+            return functools.partial(_simplex_and_free_step, simplex)
         steps = [(g._step, fj, sl) for g, (fj, _), sl in zip(self.parts, pieces, self._slices)]
 
         def step(t, s, xbar):
@@ -506,20 +559,24 @@ def _simplex_and_free_step(simplex, t, s, xbar):
     operations in their order, on Python floats, with one ``np.exp`` call
     (``math.exp`` rounds differently), raising where they raise."""
     s, xbar = s.tolist(), xbar.tolist()
-    centre = xbar[:-1]
-    if any(v <= 0 for v in centre):   # not min(): a NaN must not hide a v <= 0
-        raise DomainError("entropy prox center must be strictly positive")
-    expo = [-t * v for v in s[:-1]]
+    z = xbar.pop() - t * s.pop()
+    expo = [-t * v for v in s]
     top = max(expo)
     grow = np.exp([e - top for e in expo]).tolist()
     # floored products, so the output is a centre the next step takes; as
-    # e <= 1, this also floors the centre as the part step does
-    w = [max(v * e, _ENTROPY_FLOOR) for v, e in zip(centre, grow)]
-    total = functools.reduce(operator.add, w)   # left to right; sum() may compensate
+    # e <= 1, this also floors the centre as the part step does.  Summed
+    # left to right; 0.0 + the first (positive) term is exact
+    w, total = [], 0.0
+    for v, e in zip(xbar, grow):
+        if v <= 0:   # every centre, not min(): a NaN must not hide a v <= 0
+            raise DomainError("entropy prox center must be strictly positive")
+        e = max(v * e, _ENTROPY_FLOOR)
+        w.append(e)
+        total += e
     if total <= 0 or not math.isfinite(total):
         raise DomainError("entropy simplex update lost all mass")
     ratio = simplex.scale / total
-    return np.array([v * ratio for v in w] + [xbar[-1] - t * s[-1]])
+    return np.array([v * ratio for v in w] + [z])
 
 
 # ---------------------------------------------------------------------------

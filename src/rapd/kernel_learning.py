@@ -66,7 +66,7 @@ from .blockcore import BlockPartition
 from .bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry, IndicatorSimplex,
                       NonnegQuadratic, ProductGeometry, Separable, Zero)
 from .exceptions import DimensionError, DomainError, ParameterError
-from .problem import LipschitzConstants, SaddleProblem, spectral_norm
+from .problem import LipschitzConstants, SaddleProblem, block_norms
 
 #: the kernels of the experiment, in the order of the dual weights
 KERNELS = ("poly2", "gauss", "linear")
@@ -179,7 +179,7 @@ class KernelProblem(SaddleProblem):
         coef = c / r
         B = default_dual_bound(G, coef, lam) if B is None else float(B)
         slices = partition.slices()
-        col_norms = np.array([[spectral_norm(Gl[:, sl]) for sl in slices] for Gl in G])
+        col_norms = np.array([block_norms(Gl, partition) for Gl in G])
         a_sq = (2.0 * B * coef[:, None] * col_norms) ** 2
         beta_sq = np.array([float(np.dot(b[sl], b[sl])) for sl in slices])
         if dual_geometry == "entropy":

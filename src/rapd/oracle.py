@@ -153,7 +153,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
         xh = problem.primal_prox(eta, gx, x)
         yh = problem.h.prox_euclidean(eta, y + eta * gy)
         dx, dy = xh - x, yh - y
-        dx2, dy2 = float(dx @ dx), float(dy @ dy)
+        dx2, dy2 = float(dx.dot(dx)), float(dy.dot(dy))
         if max(1.0, 1.0 / eta) * (math.sqrt(dx2) + math.sqrt(dy2)) <= tol:
             res = _residual(problem, x, y, gx, gy)
             if res <= tol:
@@ -162,7 +162,7 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
         gxh, gyh = _gradients(problem, xh, yh)
         ex, ey = gxh - gx, gyh - gy
         move = math.sqrt(dx2 + dy2)
-        drift = math.sqrt(float(ex @ ex) + float(ey @ ey))
+        drift = math.sqrt(float(ex.dot(ex)) + float(ey.dot(ey)))
         if eta * drift > _NU * move and eta > floor and move > 0:
             eta = max(eta * 0.5, floor)
             streak = 0

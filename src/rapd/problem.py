@@ -31,6 +31,7 @@ and the affinely constrained program reformulated with a dual-ball cap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,35 @@ def spectral_norm(mat: np.ndarray) -> float:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
     return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+
+
+#: the most Gram entries :func:`block_norms` stacks at once (256 kB)
+GRAM_BATCH = 1 << 15
+
+
+def block_norms(mat: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    """``spectral_norm(mat[:, sl])`` of each block's columns, bit for bit.
+    Consecutive blocks of one size are one view of ``mat``, every block at
+    its own strides, so one stacked product makes each Gram by the single
+    block's BLAS call, and one batched ``eigvalsh`` takes the largest
+    eigenvalues; at most ``GRAM_BATCH`` Gram entries at a time."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rows = mat.shape[0]
+    starts = partition.offsets.tolist()
+    out = np.empty(partition.m)
+    i = 0
+    for size, run in itertools.groupby(partition.sizes):
+        end = i + len(list(run))
+        per = max(GRAM_BATCH // min(rows, size) ** 2, 1)
+        for j in range(i, end, per):
+            count = min(per, end - j)
+            lo = starts[j]
+            blocks = mat[:, lo:lo + count * size].reshape(rows, count, size).transpose(1, 0, 2)
+            tr = blocks.transpose(0, 2, 1)
+            gram = tr @ blocks if rows >= size else blocks @ tr
+            out[j:j + count] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        i = end
+    return out
 
 
 @dataclass
@@ -215,7 +245,7 @@ class BilinearProblem(SaddleProblem):
         self.A = At.T
         constants = LipschitzConstants(
             L_xx=np.zeros(partition.m),
-            L_yx=np.array([spectral_norm(A) for A in self.A_blocks]),
+            L_yx=block_norms(self.A, partition),
             L_yy=0.0,
             mu=np.array([fi.modulus for fi in f]),
         )
@@ -275,8 +305,8 @@ class QuadraticGameProblem(SaddleProblem):
         h = h or Zero()
         slices = partition.slices()
         constants = LipschitzConstants(
-            L_xx=np.array([spectral_norm(P[:, sl]) for sl in slices]),
-            L_yx=np.array([spectral_norm(C[:, sl]) for sl in slices]),
+            L_xx=block_norms(P, partition),
+            L_yx=block_norms(C, partition),
             L_yy=spectral_norm(Q),
             mu=np.array([fi.modulus for fi in f]),
         )

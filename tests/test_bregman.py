@@ -9,6 +9,10 @@ from rapd.bregman import (ConeDualBall, EntropyGeometry, EuclideanGeometry,
                           bregman_dist, bregman_prox, project_simplex,
                           three_point_check)
 from rapd.exceptions import DimensionError, DomainError, ParameterError
+from rapd.kernel_learning import build_kernel_problem, dual_start, synth_dataset
+from rapd.oracle import kkt_residual, solve_high_accuracy
+from rapd.solver import run
+from rapd.stepsize import default_alpha, part1_schedule
 
 
 def brute_force_prox_1d(f_value, t, s, xbar, lo=-50.0, hi=50.0):
@@ -277,6 +281,26 @@ class TestNormsAndSeparable:
         for out in (h.prox_euclidean(1.0, u), h.project_domain(u)):
             assert np.array_equal(out, u)
             assert not np.shares_memory(out, u)
+
+    @pytest.mark.parametrize("parts", [
+        [(IndicatorSimplex(1.0), 3), (Zero(), 1)],          # the fused prox
+        [(IndicatorSimplex(1.0), 3), (L1(0.3), 1)],
+        [(Zero(), 2), (IndicatorBall(1.0), 2)],
+    ])
+    def test_wrong_length_raises_naming_both(self, parts):
+        # a longer vector lost its trailing entries, and a shorter one
+        # raised numpy's broadcast error
+        h = Separable(parts)
+        for n in (3, 5):
+            u = np.linspace(-1.0, 1.0, n)
+            for call in (lambda: h.value(u), lambda: h.feasibility_gap(u),
+                         lambda: h.project_domain(u), lambda: h.prox_euclidean(0.5, u)):
+                with pytest.raises(DimensionError, match=rf"length 4 got shape \({n},\)"):
+                    call()
+        with pytest.raises(DimensionError):
+            h.prox_euclidean(1.0, np.zeros((4, 1)))
+        u = np.array([0.1, 0.2, 0.3, 0.4])
+        assert h.prox_euclidean(1.0, u).shape == h.project_domain(u).shape == (4,)
 
 
 class TestThreePoint:
@@ -559,6 +583,115 @@ class TestFusedKernelDualProx:
         assert np.array_equal(bregman_prox(pg, h3, 1.0, s, xbar),
                               per_part_prox(3, 2.0, 1.0, s, xbar))
         assert len(fused_calls) == 3
+
+
+def per_part_projection(M, scale, u):
+    """The kernel dual's Euclidean prox as its two part proxes, side by side."""
+    return np.concatenate([project_simplex(u[:M], scale), u[M:]])
+
+
+def euclidean_inputs(rng, M, scale):
+    """A full support, which the pivot settles, a partial one, which sorts,
+    a point already on the simplex and each non-finite entry, with the
+    free multiplier last."""
+    full = rng.uniform(-5, 5) + scale / M * rng.uniform(0.5, 1.5, M)
+    partial = rng.standard_normal(M) * 3
+    on = rng.dirichlet(np.ones(M)) * scale
+    z = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+    yield "pivot", np.append(full, z)
+    yield "sort", np.append(partial, z)
+    yield "on", np.append(on, z)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.append(partial, z)
+        u[rng.integers(M + 1)] = bad
+        yield "non-finite", u
+
+
+class TestFusedEuclideanKernelDualProx:
+    """Simplex weights on fewer than 8 coordinates followed by one free
+    coordinate take one fused Euclidean prox; it must match the parts bit
+    for bit."""
+
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        calls = []
+        fused = bregman._simplex_and_free_prox
+        monkeypatch.setattr(bregman, "_simplex_and_free_prox",
+                            lambda *a: calls.append(1) or fused(*a))
+        return calls
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_bitwise_equal_to_the_parts(self, M, scale, fused_calls):
+        rng = np.random.default_rng(200 + M)
+        h = Separable([(IndicatorSimplex(scale), M), (Zero(), 1)])
+        geom = EuclideanGeometry(M + 1)
+        seen, calls = set(), 0
+        with np.errstate(invalid="ignore"):
+            for _ in range(100):
+                for kind, u in euclidean_inputs(rng, M, scale):
+                    expect = per_part_projection(M, scale, u).tobytes()
+                    for t in (1e-3, 1.0, 1e3):
+                        assert h.prox_euclidean(t, u).tobytes() == expect, (kind, t, u)
+                        # the Euclidean geometry's step reaches it too
+                        xbar = u + t * 0.5
+                        step = bregman_prox(geom, h, t, np.full(M + 1, 0.5), xbar)
+                        assert step.tobytes() == per_part_projection(
+                            M, scale, xbar - t * 0.5).tobytes()
+                    assert h.project_domain(u).tobytes() == expect
+                    calls += 7
+                    pivot = u[:M].min() > (u[:M].sum() - scale) / M
+                    seen.add((kind, pivot))
+        assert len(fused_calls) == calls
+        assert {("pivot", True), ("on", True), ("non-finite", False)} <= seen
+        if M > 1:
+            assert ("sort", False) in seen
+
+    def test_other_pieces_take_the_parts(self, fused_calls):
+        class PartsOnly(IndicatorSimplex):
+            pass
+
+        rng = np.random.default_rng(6)
+        for h, ref in (
+                (Separable([(IndicatorSimplex(2.5), 8), (Zero(), 1)]),
+                 lambda u: per_part_projection(8, 2.5, u)),
+                (Separable([(Zero(), 1), (IndicatorSimplex(1.0), 3)]),
+                 lambda u: np.append(u[:1], project_simplex(u[1:]))),
+                (Separable([(IndicatorSimplex(1.0), 3), (L1(0.5), 1)]),
+                 lambda u: np.append(project_simplex(u[:3]),
+                                     L1(0.5).prox_euclidean(1.0, u[3:]))),
+                (Separable([(IndicatorSimplex(1.0), 3), (Zero(), 2)]),
+                 lambda u: np.append(project_simplex(u[:3]), u[3:])),
+                (Separable([(PartsOnly(1.0), 3), (Zero(), 1)]),
+                 lambda u: per_part_projection(3, 1.0, u))):
+            for _ in range(50):
+                u = rng.standard_normal(h._size) * 3
+                assert np.array_equal(h.prox_euclidean(1.0, u), ref(u))
+                if all(isinstance(f, bregman.Indicator) for f, _ in h.parts):
+                    assert np.array_equal(h.project_domain(u), ref(u))
+        assert fused_calls == []
+
+    def test_the_kernel_dual_takes_it(self, fused_calls):
+        # the oracle, the residual and a Euclidean-dual kernel run reach the
+        # fused prox through h, with no call site of their own
+        prob = build_kernel_problem(synth_dataset(n_tr=30, d=3, seed=1), lam=1.0,
+                                    m_blocks=3, dual_geometry="euclidean")
+        x0, y0 = np.zeros(30), dual_start(prob)
+        for use in (lambda: kkt_residual(prob, x0, y0),
+                    lambda: solve_high_accuracy(prob, tol=1e-6, x0=x0, y0=y0),
+                    lambda: run(prob, part1_schedule(prob.constants, 3,
+                                                     default_alpha(prob.constants)),
+                                20, 0, x0=x0, y0=y0)):
+            fused_calls.clear()
+            use()
+            assert fused_calls
+
+    def test_scale_is_read_at_call_time(self, fused_calls):
+        h = Separable([(IndicatorSimplex(1.0), 3), (Zero(), 1)])
+        u = np.array([0.5, -1.0, 2.0, 0.3])
+        h.parts[0][0].scale = 3.0
+        assert np.array_equal(h.prox_euclidean(1.0, u), per_part_projection(3, 3.0, u))
+        assert len(fused_calls) == 1
 
 
 def project_simplex_by_last_index(u, scale=1.0):

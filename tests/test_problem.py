@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from rapd import problem as problem_module
 from rapd.baselines import mirror_prox_run, pdhg_run
 from rapd.blockcore import BlockPartition
 from rapd.bregman import (ConeDualBall, IndicatorBall, IndicatorBox, IndicatorNonneg,
@@ -16,7 +17,7 @@ from rapd.kernel_learning import (KernelProblem, build_kernel_problem, dual_star
                                   synth_dataset)
 from rapd.problem import (BilinearProblem, QuadraticGameProblem, ZERO_COUPLING_FLOOR,
                           build_bilinear_erm, build_constrained, build_quadratic_game,
-                          grad_check, lipschitz_spot_check, spectral_norm)
+                          block_norms, grad_check, lipschitz_spot_check, spectral_norm)
 from rapd.oracle import kkt_residual, solve_high_accuracy
 
 
@@ -60,6 +61,27 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+    @pytest.mark.parametrize("batch", [None, 40])
+    def test_block_norms_are_the_per_block_norms_bitwise(self, batch, monkeypatch):
+        # each builder's matrices in their own memory order, on their own
+        # partitions and on uneven ones, blocks of one column among them,
+        # stacked whole and a few Grams at a time
+        if batch:
+            monkeypatch.setattr(problem_module, "GRAM_BATCH", batch)
+        bil, quad, _, kern = [prob for prob, _ in four_couplings()]
+        rng = np.random.default_rng(4)
+        wide = rng.standard_normal((6, 40))
+        mats = [(bil.A, bil.partition), (quad.P, quad.partition), (quad.C, quad.partition),
+                (wide, BlockPartition.even(40, 7)), (np.asfortranarray(wide),
+                                                     BlockPartition([3, 3, 1, 9, 9, 9, 2, 1, 3]))]
+        mats += [(G, part) for G in kern.G_list
+                 for part in (kern.partition, BlockPartition([5, 5, 12, 1, 1, 16]))]
+        for mat, part in mats:
+            expect = [spectral_norm(mat[:, sl]) for sl in part.slices()]
+            assert block_norms(mat, part).tobytes() == np.array(expect).tobytes()
+        assert bil.constants.L_yx.tobytes() == np.array(
+            [spectral_norm(A) for A in bil.A_blocks]).tobytes()
 
     def test_shipped_builders_cover_exact_norms(self):
         # the step sizes trust these constants, so no norm in them may

@@ -49,8 +49,17 @@ class TestCompare:
             np.save(side / "cfg" / "x.npy", np.array([1.0, 2.0]))
         np.save(new / "cfg" / "x.npy", np.array([1.0, 2.5]))
         lines = bit_identity.compare(old, new)
-        assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01",
+        assert lines == ["cfg/run.csv: max rel deviation dy 2.000e-01 (abs 1.000e+00)",
                          "cfg/x.npy: max abs deviation 5.000e-01"]
+
+    def test_abs_dev_beside_rel_dev(self, bit_identity):
+        # a certificate's tiny move and a broken iterate read apart
+        assert bit_identity._abs_dev("1.000000004", "1.0") == pytest.approx(4e-9)
+        assert bit_identity._abs_dev("1e9", "2e9") == 1e9
+        for a, b in (("0.0", "-0.0"), ("nan", "nan"), ("1e-3", "0.001")):
+            assert bit_identity._abs_dev(a, b) == 0.0
+        assert bit_identity._abs_dev("nan", "1") == np.inf
+        assert bit_identity._abs_dev("x", "1") == np.inf
 
 
 class TestProxArtefacts:
