@@ -15,6 +15,14 @@ Writes into one directory what this tree computes on a fixed matrix:
   header lines; ``<config>/<method>_seed<s>_<name>.npy`` for ``final_x``,
   ``final_y``, ``ergodic_x`` and ``ergodic_y``; or, for a run that raises,
   ``<config>/<method>_seed<s>.err`` with one line;
+- ``<config>/certificate_x_star.npy`` and ``certificate_y_star.npy``, the
+  1e-8 certificate the runs measure against, and ``certificate.txt``, its
+  residual, iterations, ``certified`` and ``tol``;
+- ``<config>/check_<method>.txt``: the numbers ``rapd check`` prints for
+  the method's config, at full precision: the step-size condition's worst
+  slacks and first violation (rapd1, rapd2, pdhg) or the estimated
+  mirror-prox ``L``, then the gradient-check error and the spot-check
+  slacks; or ``check_<method>.err`` with one line where the check raises;
 - ``<config>/constants_<name>.npy``: ``L_xx``, ``L_yx``, ``L_yy`` and ``mu``
   of the instance the certificate is computed on, and
   ``kernel_desk/constants_<name>.npy``, those of ``kernel_desk()``;
@@ -55,7 +63,8 @@ name of any other file that differs or exists on one side only.  It exits
 
     python3 scripts/bit_identity.py --compare /tmp/old /tmp/new
 
-The suites take about 4.5 s of the run's 7 s (one BLAS thread, 2-core Xeon).
+The run takes 11-15 s at one BLAS thread on a 2-core Xeon, most of it in
+the suites; the checks take about 1.5 s.
 """
 
 from __future__ import annotations
@@ -84,7 +93,10 @@ from rapd.harness.suites import (build_problem_from_config,  # noqa: E402
                                  run_from_config, suite_by_name, write_trace_csv)
 from rapd.kernel_learning import kernel_desk  # noqa: E402
 from rapd.oracle import save_certificate, solve_high_accuracy  # noqa: E402
-from rapd.stepsize import default_alpha, part2_init, schedule_prefix  # noqa: E402
+from rapd.problem import (estimate_operator_lipschitz, grad_check,  # noqa: E402
+                          lipschitz_spot_check)
+from rapd.stepsize import (check_assumption2, default_alpha, part2_init,  # noqa: E402
+                           schedule_prefix)
 
 METHODS = ("rapd1", "rapd2", "pdhg", "mirror_prox")
 SEEDS = (0, 1)
@@ -183,6 +195,33 @@ def _config_schedule(text: str):
     return make_schedule_from_config(cfg, build_problem_from_config(cfg)[0])[0]
 
 
+def write_certificate(directory: Path, cert) -> None:
+    """``certificate_x_star.npy``, ``certificate_y_star.npy`` and
+    ``certificate.txt`` of ``cert``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    np.save(directory / "certificate_x_star.npy", cert.x_star)
+    np.save(directory / "certificate_y_star.npy", cert.y_star)
+    (directory / "certificate.txt").write_text(_fmt({
+        "kkt_residual": cert.kkt_residual, "iterations": cert.iterations,
+        "certified": cert.certified, "tol": cert.tol}) + "\n")
+
+
+def check_numbers(cfg) -> dict:
+    """What ``rapd check`` prints for ``cfg``, unrounded; raises where it fails."""
+    problem = build_problem_from_config(cfg)[0]
+    numbers = {}
+    if cfg["method.name"] in ("rapd1", "rapd2", "pdhg"):
+        sched, constants = make_schedule_from_config(cfg, problem)
+        report = check_assumption2(schedule_prefix(sched, min(cfg["run.K"], 1000)),
+                                   constants, sched.m)
+        numbers.update(worst_slack=report.worst_slack, first_violation=report.first_violation)
+    elif cfg["method.name"] == "mirror_prox" and cfg["method.L"] == 0:
+        numbers["L"] = estimate_operator_lipschitz(problem)
+    numbers["grad_check"] = grad_check(problem, num_points=5, epsilon=1e-5)
+    numbers["spot_check"] = lipschitz_spot_check(problem, draws=200)
+    return numbers
+
+
 def write_runs(out: Path, tmp: Path) -> None:
     for label, (text, methods, method_keys) in CONFIGS.items():
         blocks = f"problem.blocks = {BLOCKS[label]}\n"
@@ -190,6 +229,7 @@ def write_runs(out: Path, tmp: Path) -> None:
         problem, x0, y0 = build_problem_from_config(base)
         write_constants(out / label, problem)
         cert = solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
+        write_certificate(out / label, cert)
         cert_path = tmp / f"{label}.npz"
         save_certificate(cert_path, cert)
         if "rapd2" in methods:
@@ -199,6 +239,7 @@ def write_runs(out: Path, tmp: Path) -> None:
             keys = method_keys + (blocks if method in ("rapd1", "rapd2") else "")
             cfg = parse_config(text + keys + f"method.name = {method}\n"
                                f"run.K = {K}\nrun.certificate = {cert_path}\n")
+            _save(out / label / f"check_{method}", lambda: check_numbers(cfg), text=True)
             for seed in SEEDS:
                 stem = out / label / f"{method}_seed{seed}"
                 try:
@@ -233,14 +274,18 @@ def write_instances(out: Path) -> None:
                 _fmt({"kkt_residual": cert.kkt_residual, "tol": cert.tol}) + "\n")
 
 
-def _save(stem: Path, compute) -> None:
-    """``<stem>.npy`` holding ``compute()``, or ``<stem>.err`` when it raises."""
+def _save(stem: Path, compute, text: bool = False) -> None:
+    """``<stem>.npy`` holding ``compute()`` (``<stem>.txt``, its exact text,
+    when ``text``), or ``<stem>.err`` when it raises."""
     try:
         value = compute()
     except Exception as exc:  # noqa: BLE001 - the error is the artefact
         stem.with_suffix(".err").write_text(f"{type(exc).__name__}: {exc}\n")
         return
-    np.save(stem.with_suffix(".npy"), value)
+    if text:
+        stem.with_suffix(".txt").write_text(_fmt(value) + "\n")
+    else:
+        np.save(stem.with_suffix(".npy"), value)
 
 
 def write_prox(out: Path) -> None:

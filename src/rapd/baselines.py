@@ -23,7 +23,7 @@ import numpy as np
 from .bregman import bregman_prox  # noqa: F401
 from .exceptions import ParameterError
 from .problem import SaddleProblem, estimate_operator_lipschitz
-from .solver import RunOptions, RunTrace, TraceRecord, _Monitor
+from .solver import RunOptions, RunTrace, TraceRecord, _extrapolation, _Monitor
 
 
 def _constant_steps(tau: float, sigma: float):
@@ -55,7 +55,7 @@ def pdhg_run(problem: SaddleProblem, tau: float, sigma: float, K: int,
         g = problem.grad_y_cached(w, x, y)
         if g_prev is None:
             g_prev = g
-        y = dual_step(sigma, g_prev - 2.0 * g, y)    # -(2 g - g_prev) up to a zero's sign
+        y = dual_step(sigma, _extrapolation(g_prev, g, 1.0), y)
         x = problem.primal_prox(tau, problem.grad_x_cached(w, x, y, slice(None)), x)
         g_prev = g
         monitor.step(x, y)

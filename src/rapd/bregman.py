@@ -294,7 +294,6 @@ class ConeDualBall(Indicator):
             raise ParameterError(f"unsupported cone kind '{cone}' (only 'nonneg')")
         if not np.isfinite(bound) or bound <= 0:
             raise ParameterError(f"dual bound must be > 0, got {bound}")
-        self.cone = cone
         self.bound = float(bound)
 
     def feasibility_gap(self, x):

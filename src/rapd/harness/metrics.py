@@ -25,12 +25,6 @@ log = logging.getLogger(__name__)
 FEAS_DRIFT_TOL = 1e-9
 
 
-def _feasible(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
-    """Snap floating-point domain drift back before evaluating values."""
-    return (_snap(problem.f_whole, np.asarray(x, dtype=float), "primal"),
-            _snap(problem.h, np.asarray(y, dtype=float), "dual"))
-
-
 def _snap(f, v: np.ndarray, side: str) -> np.ndarray:
     """``v`` projected onto the domain of ``f`` if it lies outside it,
     logged when the violation exceeds :data:`FEAS_DRIFT_TOL`."""
@@ -44,11 +38,27 @@ def _snap(f, v: np.ndarray, side: str) -> np.ndarray:
 
 def lagrangian_gap(problem: SaddleProblem, xbar: np.ndarray, ybar: np.ndarray,
                    certificate) -> float:
-    """``L(xbar, y*) - L(x*, ybar)`` against a reference saddle point."""
-    xbar, ybar = _feasible(problem, xbar, ybar)
+    """``L(xbar, y*) - L(x*, ybar)`` against a saddle point, after snapping domain drift."""
+    xbar = _snap(problem.f_whole, np.asarray(xbar, dtype=float), "primal")
+    ybar = _snap(problem.h, np.asarray(ybar, dtype=float), "dual")
     xs = np.asarray(certificate.x_star, dtype=float)
     ys = np.asarray(certificate.y_star, dtype=float)
     return problem.lagrangian(xbar, ys) - problem.lagrangian(xs, ybar)
+
+
+def _accelerated_dist_sq(problem: SaddleProblem, tau, x, x_ref) -> float:
+    """``0.5 ||x - x_ref||^2`` weighted by ``1/tau + (1 - 1/m) mu`` per block:
+    Delta2's primal term, and a record's ``wdist_sq``."""
+    weights = 1.0 / tau + (1.0 - 1.0 / problem.partition.m) * problem.constants.mu
+    return 0.5 * weighted_norm_sq_raw(x - x_ref, problem.partition, weights)
+
+
+def _delta_shared(problem: SaddleProblem, x0: np.ndarray, y0: np.ndarray, certificate):
+    """``(x*, D_Y(y*, y0), (1 - 1/m) (L(x0, y*) - L(x*, y*)))``, which both Deltas read."""
+    xs = np.asarray(certificate.x_star, dtype=float)
+    ys = np.asarray(certificate.y_star, dtype=float)
+    lag = problem.lagrangian(x0, ys) - problem.lagrangian(xs, ys)
+    return xs, problem.dual_geometry.dist(ys, y0), (1.0 - 1.0 / problem.partition.m) * lag
 
 
 def rate_bound_delta1(problem: SaddleProblem, schedule: StepSchedule,
@@ -62,13 +72,9 @@ def rate_bound_delta1(problem: SaddleProblem, schedule: StepSchedule,
     if schedule.regime != "part1":
         raise RegimeError("delta1 is defined for the constant-step regime")
     m = problem.partition.m
-    xs = np.asarray(certificate.x_star, dtype=float)
-    ys = np.asarray(certificate.y_star, dtype=float)
-    w = 1.0 / schedule.tau
-    term_x = 0.5 * weighted_norm_sq_raw(xs - x0, problem.partition, w)
-    term_y = (1.0 / (m * schedule.sigma) + (1.0 - 1.0 / m) * problem.constants.L_yy) \
-        * problem.dual_geometry.dist(ys, y0)
-    term_l = (1.0 - 1.0 / m) * (problem.lagrangian(x0, ys) - problem.lagrangian(xs, ys))
+    xs, dist_y, term_l = _delta_shared(problem, x0, y0, certificate)
+    term_x = 0.5 * weighted_norm_sq_raw(xs - x0, problem.partition, 1.0 / schedule.tau)
+    term_y = (1.0 / (m * schedule.sigma) + (1.0 - 1.0 / m) * problem.constants.L_yy) * dist_y
     return float(term_x + term_y + term_l)
 
 
@@ -82,14 +88,9 @@ def rate_bound_delta2(problem: SaddleProblem, schedule: StepSchedule,
     """
     if schedule.regime != "part2":
         raise RegimeError("delta2 is defined for the accelerated regime")
-    m = problem.partition.m
-    xs = np.asarray(certificate.x_star, dtype=float)
-    ys = np.asarray(certificate.y_star, dtype=float)
-    w = 1.0 / schedule.tau + (1.0 - 1.0 / m) * problem.constants.mu
-    term_x = 0.5 * weighted_norm_sq_raw(xs - x0, problem.partition, w)
-    term_y = problem.dual_geometry.dist(ys, y0) / (m * schedule.sigma)
-    term_l = (1.0 - 1.0 / m) * (problem.lagrangian(x0, ys) - problem.lagrangian(xs, ys))
-    return float(term_x + term_y + term_l)
+    xs, dist_y, term_l = _delta_shared(problem, x0, y0, certificate)
+    term_x = _accelerated_dist_sq(problem, schedule.tau, xs, x0)
+    return float(term_x + dist_y / (problem.partition.m * schedule.sigma) + term_l)
 
 
 def fit_loglog(ks, values):

@@ -30,15 +30,14 @@ from ..bregman import (IndicatorBall, IndicatorNonneg, IndicatorSimplex, L1,
 from ..exceptions import ConfigError, DimensionError, ParameterError
 from ..kernel_learning import (KERNELS, build_kernel_problem, dual_start, gram_matrix,
                                kernel_desk, normalize_gram, synth_dataset)
-from ..oracle import (SaddleCertificate, kkt_residual, load_certificate,
+from ..oracle import (SaddleCertificate, _certify_closed_form, load_certificate,
                       solve_high_accuracy, solve_quadratic_game_exact)
 from ..problem import (build_bilinear_erm, build_constrained, build_quadratic_game,
                        grad_check)
 from ..solver import RunOptions, RunTrace, _lockstep, run
 from ..stepsize import default_alpha, part1_schedule, part2_init
 from .config import ExperimentConfig
-from .metrics import (RateReport, lagrangian_gap, rate_bound_delta1,
-                      rate_bound_delta2, slope_fit)
+from .metrics import RateReport, rate_bound_delta1, rate_bound_delta2, slope_fit
 
 CSV_COLUMNS = ("k", "wall_s", "i_k", "sigma", "theta", "tau_min", "tau_max",
                "t", "gap", "dist_sq", "dy")
@@ -95,15 +94,10 @@ def part2_suite_problem():
 
 def part2_suite_certificate(problem) -> SaddleCertificate:
     """Exact saddle by folding the quadratic f and h into the system."""
-    n = problem.partition.n
-    d = problem.dual_dim
-    P_fold = problem.P + np.eye(n) * problem.f[0].modulus
-    Q_fold = problem.Q + np.eye(d) * problem.h.modulus
+    P_fold = problem.P + np.eye(problem.partition.n) * problem.f[0].modulus
+    Q_fold = problem.Q + np.eye(problem.dual_dim) * problem.h.modulus
     cert = solve_quadratic_game_exact(P_fold, Q_fold, problem.C, problem.p, problem.q)
-    res = kkt_residual(problem, cert.x_star, cert.y_star)
-    return SaddleCertificate(x_star=cert.x_star, y_star=cert.y_star,
-                             kkt_residual=res, method="linear-solve",
-                             tol=max(res, 1e-12))
+    return _certify_closed_form(problem, cert.x_star, cert.y_star)
 
 
 def bilinear_game(instance_seed: int, n: int = 8, m: int = 1):
@@ -120,12 +114,8 @@ def bilinear_game(instance_seed: int, n: int = 8, m: int = 1):
     part = BlockPartition.even(n, m)
     A_blocks = [A[:, sl] for sl in part.slices()]
     f = [IndicatorBall(rx / np.sqrt(m)) for _ in range(m)]
-    problem = build_bilinear_erm(A_blocks, f, IndicatorBall(ry), partition=part,
-                                 p=p, q=q)
-    res = kkt_residual(problem, x_star, y_star)
-    cert = SaddleCertificate(x_star=x_star, y_star=y_star, kkt_residual=res,
-                             method="linear-solve", tol=max(res, 1e-12))
-    return problem, cert
+    problem = build_bilinear_erm(A_blocks, f, IndicatorBall(ry), partition=part, p=p, q=q)
+    return problem, _certify_closed_form(problem, x_star, y_star)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ class KernelProblem(SaddleProblem):
         else:
             raise ParameterError(f"unknown dual geometry '{dual_geometry}'")
         f = [NonnegQuadratic(lam) for _ in range(partition.m)]
-        # block i's gradient moves by sum_l 2 coef_l y_l G_l[sl, sl] v, y on the simplex
+        # block i's gradient moves by sum_l 2 coef_l y_l G_l[sl, sl] v, y on the simplex;
+        # ||G_l[:, sl]|| bounds it, validly but looser (ROADMAP item 1 takes G_l[sl, sl])
         L_xx = (2.0 * coef[:, None] * col_norms).max(axis=0)
         constants = LipschitzConstants(L_xx=L_xx, L_yx=L_yx, L_yy=0.0,
                                        mu=np.array([fi.modulus for fi in f]))

